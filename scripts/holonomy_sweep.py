@@ -50,7 +50,7 @@ def main():
         last_path = path
 
     if args.out_csv and last_path is not None:
-        orbit = np.array([c.nodes[0] for c in last_path.configs])
+        orbit = last_path.nodes[:, 0]
         sio.write_csv(args.out_csv, ["t", "z1", "z2"],
                       sphere_path_rows(last_path.times, orbit))
         print(f"wrote {args.out_csv}")

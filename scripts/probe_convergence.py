@@ -13,6 +13,7 @@ import numpy as np
 
 from snakeplan.lorentz import basis_Omega
 from snakeplan.planner import commutator_probe
+from snakeplan.rotations import planar_rotation
 
 
 def main():
@@ -23,8 +24,7 @@ def main():
     args = ap.parse_args()
 
     n, t = args.dim, args.t
-    G = basis_Omega(1, 2, n).matrix()
-    target = np.eye(n + 1) + np.sin(t) * G + (1.0 - np.cos(t)) * (G @ G)
+    target = planar_rotation(basis_Omega(1, 2, n).matrix(), t)
 
     print(f"{'m':>6}  {'endpoint error':>16}  {'path length':>12}")
     errs = []

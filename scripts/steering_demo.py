@@ -30,10 +30,10 @@ def main():
 
     final_gap = config_distance(path.final, act(A, u0))
     fit_worst = max(
-        fit_horizontal(path.configs[k], path.velocities[k]).residual
+        fit_horizontal(path.config(k), path.velocities[k]).residual
         for k in range(0, len(path.velocities), 5)
     )
-    print(f"steps: {len(path.configs) - 1}")
+    print(f"steps: {len(path.times) - 1}")
     print(f"final distance to act(A, u0): {final_gap:.3e}")
     print(f"worst velocity fit residual (subsampled): {fit_worst:.3e}")
 
@@ -46,7 +46,7 @@ def main():
     sio.write_csv(
         os.path.join(args.out_dir, "snake_polylines.csv"),
         ["t", "s"] + [f"x{i + 1}" for i in range(args.dim)],
-        sio.config_path_polyline_rows(path, stride=max(1, len(path.configs) // 40)),
+        sio.config_path_polyline_rows(path, stride=max(1, len(path.times) // 40)),
     )
     print(f"wrote {args.out_dir}/head_trace.csv and snake_polylines.csv")
 

@@ -28,6 +28,7 @@ from .lorentz import (
     exp_h,
     factorize,
     lorentz_residual,
+    spatial_block,
 )
 from .planner import (
     GeodesicSolverError,
@@ -38,7 +39,7 @@ from .planner import (
     plan_group_path,
     steer_config,
 )
-from .rotations import so_exp_blocks
+from .rotations import planar_rotation, so_exp_blocks
 from .snake import config_distance, endpoint, fit_horizontal, is_singular
 from .sphere import NotOrthochronous
 
@@ -125,12 +126,9 @@ def _run_decompose(sc: Scenario):
     if grade is Membership.NOT_LORENTZ:
         raise NotLorentz(f"Lorentz residual {lorentz_residual(A):.3e} too large")
     eps, Q, T = boost_decompose(A, tol=tol)
-    P = np.eye(A.shape[0])
-    P[0, 0] = eps
-    P[1:, 1:] = Q
     checks = [
         _check("lorentz_residual", lorentz_residual(A), max(tol, 1e-9)),
-        _check("reconstruction_residual", np.linalg.norm(P @ T - A), tol),
+        _check("reconstruction_residual", np.linalg.norm(spatial_block(Q, eps) @ T - A), tol),
     ]
     outputs: dict = {}
     _maybe_write_json(sc.options, "factors.json", {
@@ -147,10 +145,7 @@ def _run_factorize(sc: Scenario):
     tol = sc.options.get("tol", 1e-8)
     A = sio.matrix_from_json(_load_json(sc.inputs["matrix"]))
     blocks, u = factorize(A, tol=tol)
-    n = A.shape[0] - 1
-    R = np.eye(n + 1)
-    R[1:, 1:] = so_exp_blocks(blocks)
-    recon = R @ exp_h(u)
+    recon = spatial_block(so_exp_blocks(blocks)) @ exp_h(u)
     checks = [
         _check("reconstruction_residual", np.linalg.norm(recon - A), tol),
         _check("block_commutation", max(
@@ -193,7 +188,7 @@ def _run_steer(sc: Scenario):
     path = steer_config(u0, A, max_step=step, tol=tol)
     target = act(A, u0)
     fit_res = max(
-        (fit_horizontal(path.configs[k], path.velocities[k]).residual
+        (fit_horizontal(path.config(k), path.velocities[k]).residual
          for k in range(len(path.velocities))), default=0.0,
     )
     checks = [
@@ -206,10 +201,10 @@ def _run_steer(sc: Scenario):
                      sio.head_trace_rows(path), outputs)
     _maybe_write_csv(sc.options, "snake_polylines.csv",
                      ["t", "s"] + [f"x{i+1}" for i in range(u0.dim)],
-                     sio.config_path_polyline_rows(path, stride=max(1, len(path.configs) // 32)),
+                     sio.config_path_polyline_rows(path, stride=max(1, len(path.times) // 32)),
                      outputs)
     _maybe_write_json(sc.options, "final_config.json", sio.config_to_json(path.final), outputs)
-    result = {"steps": len(path.configs) - 1}
+    result = {"steps": len(path.times) - 1}
     return checks, outputs, result
 
 
@@ -235,7 +230,7 @@ def _run_lift_head(sc: Scenario):
                      ["t"] + [f"x{i+1}" for i in range(u0.dim)],
                      sio.head_trace_rows(path), outputs)
     _maybe_write_json(sc.options, "final_config.json", sio.config_to_json(path.final), outputs)
-    result = {"steps": len(path.configs) - 1,
+    result = {"steps": len(path.times) - 1,
               "max_tracking_error": float(path.tracking_errors.max())}
     return checks, outputs, result
 
@@ -248,10 +243,7 @@ def _run_probe_bracket(sc: Scenario):
     path = commutator_probe(i, j, t, m, n, max_step=step)
     from .lorentz import basis_Omega
 
-    target = np.eye(n + 1)
-    G = basis_Omega(i, j, n).matrix()
-    # closed-form Exp(t Omega_ij): planar rotation
-    target = target + np.sin(t) * G + (1.0 - np.cos(t)) * (G @ G)
+    target = planar_rotation(basis_Omega(i, j, n).matrix(), t)
     err = np.linalg.norm(path.endpoint() - target)
     checks = [
         _check("horizontality", path.horizontality_residual(), 1e-8),

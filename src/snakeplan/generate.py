@@ -5,7 +5,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .lorentz import exp_h
+from .lorentz import exp_h, spatial_block
 from .snake import DEFAULT_NODES_PER_SEGMENT, SnakeConfig, endpoint
 
 __all__ = [
@@ -43,9 +43,7 @@ def random_so0(rng: np.random.Generator, n: int, rapidity_max: float = 2.0) -> n
     u = rng.normal(size=n)
     u *= rng.uniform(0.0, rapidity_max) / np.linalg.norm(u)
     A = exp_h(u)
-    P = np.eye(n + 1)
-    P[1:, 1:] = random_rotation(rng, n)
-    return P @ A
+    return spatial_block(random_rotation(rng, n)) @ A
 
 
 def random_config(

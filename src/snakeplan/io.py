@@ -154,9 +154,11 @@ def head_curve_from_json(obj: dict):
 
 
 def group_path_to_json(path: GroupPath) -> dict:
+    """Controls are written as algebra elements with a zero skew part."""
+    zero_skew = [[0.0] * path.dim for _ in range(path.dim)]
     return {
         "times": [float(t) for t in path.times],
-        "controls": [lie_to_json(c) for c in path.controls],
+        "controls": [{"u": [float(x) for x in u], "skew": zero_skew} for u in path.controls],
         "length": float(path.length()),
         "legs": [
             {
@@ -194,7 +196,7 @@ def head_trace_rows(path: ConfigPath):
 
 def config_path_polyline_rows(path: ConfigPath, samples: int = 33, stride: int = 1):
     """Rows (t, s, x_1..x_n): the snake polyline at a subsample of times."""
-    for k in range(0, len(path.configs), stride):
-        cfg = path.configs[k]
+    for k in range(0, len(path.nodes), stride):
+        cfg = path.config(k)
         for s in np.linspace(0.0, cfg.L, samples):
             yield [path.times[k], s, *snake_curve(cfg, s)]

@@ -40,6 +40,7 @@ __all__ = [
     "block_l1_norm",
     "embed",
     "embed_lie",
+    "spatial_block",
     "NotABoost",
     "NotLorentz",
 ]
@@ -212,11 +213,7 @@ def boost_decompose(A: np.ndarray, tol: float = DEFAULT_FACTOR_TOL) -> BoostFact
     """Polar-type factorization A = diag(eps, Q) @ T, T the boost from A's first row."""
     A = np.asarray(A, dtype=float)
     eps, Q, T = _boost_factor(A)
-    m = A.shape[0]
-    P = np.eye(m)
-    P[0, 0] = eps
-    P[1:, 1:] = Q
-    if np.linalg.norm(P @ T - A) > tol * max(1.0, abs(A[0, 0])):
+    if np.linalg.norm(spatial_block(Q, eps) @ T - A) > tol * max(1.0, abs(A[0, 0])):
         raise NotLorentz(f"reconstruction residual above {tol}; input not Lorentz?")
     return BoostFactors(eps, Q, T)
 
@@ -248,7 +245,7 @@ def kak_decompose(A: np.ndarray, tol: float = DEFAULT_FACTOR_TOL):
     if n >= 2 and np.linalg.det(Qv) < 0.0:
         Qv[:, -1] *= -1.0  # fix det; flipped column is in the e1-stabilizer
     Qp = Q0 @ Qv
-    recon = _block_rot(Qp) @ _axis_boost(alpha, n + 1) @ _block_rot(Qv).T
+    recon = spatial_block(Qp) @ _axis_boost(alpha, n + 1) @ spatial_block(Qv).T
     if np.linalg.norm(recon - A) > tol * max(1.0, abs(A[0, 0])):
         raise NotLorentz("kak reconstruction residual above tol")
     return Qp, float(alpha), Qv
@@ -268,11 +265,14 @@ def _completion_to_frame(e: np.ndarray) -> np.ndarray:
     return H
 
 
-def _block_rot(Q: np.ndarray) -> np.ndarray:
-    n = Q.shape[0]
-    P = np.eye(n + 1)
-    P[1:, 1:] = Q
-    return P
+def spatial_block(Q: np.ndarray, eps: float = 1.0) -> np.ndarray:
+    """diag(eps, Q): Q on the spatial coordinates, eps on time; Q may be a stack."""
+    Q = np.asarray(Q, dtype=float)
+    n = Q.shape[-1]
+    out = np.zeros(Q.shape[:-2] + (n + 1, n + 1))
+    out[..., 0, 0] = eps
+    out[..., 1:, 1:] = Q
+    return out
 
 
 # ---------------------------------------------------------------------------

@@ -21,7 +21,7 @@ action node-wise; their velocities are then genuine horizontal fields.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 from scipy.optimize import brentq
@@ -32,7 +32,9 @@ from .lorentz import (
     classify,
     exp_h,
     factorize,
+    spatial_block,
 )
+from .rotations import planar_rotation
 from .snake import (
     SnakeConfig,
     endpoint,
@@ -90,13 +92,13 @@ class LegRecord:
 class GroupPath:
     """Time-gridded horizontal path in SO0(n,1) with control records.
 
-    controls[k] is the right logarithmic derivative at the midpoint of
-    step k; matrices[k+1] ~ Exp(dt * controls[k]) @ matrices[k].
+    controls[k] is the boost vector of the right logarithmic derivative at
+    the midpoint of step k; matrices[k+1] ~ exp_h(dt * controls[k]) @ matrices[k].
     """
 
-    times: np.ndarray
+    times: np.ndarray  # (m+1,)
     matrices: np.ndarray  # (m+1, n+1, n+1)
-    controls: list  # m LieElements
+    controls: np.ndarray  # (m, n)
     legs: list = field(default_factory=list)
 
     @property
@@ -107,8 +109,11 @@ class GroupPath:
         return self.matrices[-1]
 
     def length(self) -> float:
-        dts = np.diff(self.times)
-        return float(sum(c.h_norm() * dt for c, dt in zip(self.controls, dts)))
+        # row-wise dot products round like np.linalg.norm of one vector, and
+        # the left-to-right sum keeps the exported length deterministic
+        c = self.controls
+        speeds = np.sqrt((c[:, None, :] @ c[:, :, None])[:, 0, 0])
+        return float(sum(speeds * np.diff(self.times)))
 
     def leg_lengths(self) -> dict:
         out = {"boost": 0.0, "rotation": 0.0}
@@ -117,40 +122,44 @@ class GroupPath:
         return out
 
     def horizontality_residual(self) -> float:
-        if not self.controls:
-            return 0.0
-        return max(c.s_norm() for c in self.controls)
+        """Largest s-part norm of the controls; boost-vector controls carry none."""
+        return 0.0
 
     def consistency_residual(self) -> float:
         """max_k || gamma_{k+1} - Exp(dt Y_k) gamma_k ||, O(dt^3) per step."""
         import scipy.linalg
 
         worst = 0.0
-        for k, Y in enumerate(self.controls):
+        for k, Y in enumerate(_boost_generator(self.controls)):
             dt = self.times[k + 1] - self.times[k]
-            step = scipy.linalg.expm(dt * Y.matrix()) @ self.matrices[k]
+            step = scipy.linalg.expm(dt * Y) @ self.matrices[k]
             worst = max(worst, float(np.linalg.norm(step - self.matrices[k + 1])))
         return worst
 
 
-def _identity_path(n: int) -> GroupPath:
-    return GroupPath(
-        times=np.zeros(1), matrices=np.eye(n + 1)[None], controls=[], legs=[]
-    )
+def _boost_generator(u: np.ndarray) -> np.ndarray:
+    """Symmetric off-diagonal embedding of boost vectors u (..., n) into so(n,1)."""
+    n = u.shape[-1]
+    M = np.zeros(u.shape[:-1] + (n + 1, n + 1))
+    M[..., 0, 1:] = u
+    M[..., 1:, 0] = u
+    return M
 
 
-def _concat(base: GroupPath, leg: GroupPath, record: LegRecord) -> GroupPath:
-    """Extend base by the leg: gamma(s) = leg(s - t_end) @ base_endpoint."""
-    K = base.endpoint()
-    times = np.concatenate([base.times, base.times[-1] + leg.times[1:]])
-    mats = np.concatenate([base.matrices, leg.matrices[1:] @ K])
-    controls = base.controls + leg.controls
-    start = len(base.controls)
-    rec = LegRecord(
-        kind=record.kind, length=record.length, start=start,
-        end=start + len(leg.controls), theta=record.theta, u=record.u,
-    )
-    return GroupPath(times=times, matrices=mats, controls=controls, legs=base.legs + [rec])
+def _chain(n: int, legs: list) -> GroupPath:
+    """Extend Id by every leg in turn, gamma(s) = leg(s - t_end) @ gamma(t_end),
+    and concatenate the pieces once."""
+    times, mats, controls, records = [np.zeros(1)], [np.eye(n + 1)[None]], [np.zeros((0, n))], []
+    start = 0
+    for leg in legs:
+        times.append(times[-1][-1] + leg.times[1:])
+        mats.append(leg.matrices[1:] @ mats[-1][-1])
+        controls.append(leg.controls)
+        end = start + len(leg.controls)
+        records.append(replace(leg.legs[0], start=start, end=end))
+        start = end
+    return GroupPath(times=np.concatenate(times), matrices=np.concatenate(mats),
+                     controls=np.concatenate(controls), legs=records)
 
 
 def _steps_for(length: float, max_step: float) -> int:
@@ -168,27 +177,13 @@ def boost_leg(u_vec: np.ndarray, max_step: float = DEFAULT_MAX_STEP) -> GroupPat
     m = _steps_for(T, max_step)
     times = np.linspace(0.0, T, m + 1)
     mats = np.array([exp_h(t * uh) for t in times])
-    controls = [LieElement(u=uh) for _ in range(m)]
-    path = GroupPath(times=times, matrices=mats, controls=controls)
-    path.legs = [LegRecord(kind="boost", length=T, start=0, end=m, u=u_vec.copy())]
-    return path
+    return GroupPath(times=times, matrices=mats, controls=np.tile(uh, (m, 1)),
+                     legs=[LegRecord(kind="boost", length=T, start=0, end=m, u=u_vec.copy())])
 
 
 def _plane_generator(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     """Spatial generator g with g x = y, g y = -x, zero off span(x, y)."""
     return np.outer(y, x) - np.outer(x, y)
-
-
-def _plane_rotation_matrix(x, y, angle, n):
-    g = _plane_generator(x, y)
-    return np.eye(n) + np.sin(angle) * g + (1.0 - np.cos(angle)) * (g @ g)
-
-
-def _embed_rot(R: np.ndarray) -> np.ndarray:
-    n = R.shape[0]
-    out = np.eye(n + 1)
-    out[1:, 1:] = R
-    return out
 
 
 def _solve_vertical_parameter(theta: float, tol: float = 1e-13) -> tuple:
@@ -240,20 +235,13 @@ def _plane_geodesic_leg(
 
     m = _steps_for(T, max_step)
     times = np.linspace(0.0, T, m + 1)
-    mats = np.empty((m + 1, n + 1, n + 1))
-    eye = np.eye(n + 1)
-    for k, tau in enumerate(times):
-        exp_tm = eye + (np.sin(mu * tau) / mu) * M + ((1.0 - np.cos(mu * tau)) / mu**2) * M2
-        rot = _embed_rot(_plane_rotation_matrix(x, y, -tau * eta, n))
-        mats[k] = rot @ exp_tm
-    controls = []
-    for k in range(m):
-        tau = 0.5 * (times[k] + times[k + 1])
-        w = np.cos(tau * eta) * x - np.sin(tau * eta) * y
-        controls.append(LieElement(u=w))
-    path = GroupPath(times=times, matrices=mats, controls=controls)
-    path.legs = [LegRecord(kind="rotation", length=T, start=0, end=m, theta=theta)]
-    return path
+    a = (mu * times)[:, None, None]
+    exp_tm = np.eye(n + 1) + (np.sin(a) / mu) * M + ((1.0 - np.cos(a)) / mu**2) * M2
+    mats = spatial_block(planar_rotation(g, -times * eta)) @ exp_tm
+    taus = 0.5 * (times[:-1] + times[1:])
+    controls = np.cos(taus * eta)[:, None] * x - np.sin(taus * eta)[:, None] * y
+    return GroupPath(times=times, matrices=mats, controls=controls,
+                     legs=[LegRecord(kind="rotation", length=T, start=0, end=m, theta=theta)])
 
 
 def su11_geodesic(theta: float, max_step: float = DEFAULT_MAX_STEP) -> GroupPath:
@@ -312,15 +300,13 @@ def plan_group_path(
     if classify(A) is not Membership.SO0:
         raise ValueError("plan_group_path needs an SO0 input")
     blocks, u = factorize(A, tol=tol)
-    path = _identity_path(n)
+    legs = []
     if np.linalg.norm(u) > 0.0:
-        leg = boost_leg(u, max_step=max_step)
-        path = _concat(path, leg, leg.legs[0])
+        legs.append(boost_leg(u, max_step=max_step))
     for block in sorted(blocks.blocks, key=lambda b: b.theta):
         for x, y in block.planes:
-            leg = _plane_geodesic_leg(x, y, block.theta, n, max_step=max_step)
-            path = _concat(path, leg, leg.legs[0])
-    return path
+            legs.append(_plane_geodesic_leg(x, y, block.theta, n, max_step=max_step))
+    return _chain(n, legs)
 
 
 def commutator_probe(
@@ -336,9 +322,8 @@ def commutator_probe(
         raise ValueError("commutator_probe needs i != j")
     if m < 1:
         raise ValueError("m >= 1 required")
-    path = _identity_path(n)
     if t == 0.0:
-        return path
+        return _chain(n, [])
     if t < 0.0:
         i, j = j, i
         t = -t
@@ -347,12 +332,12 @@ def commutator_probe(
     ei[i - 1] = s
     ej = np.zeros(n)
     ej[j - 1] = s
+    legs = []
     for rep in range(m):
         sign = 1.0 if rep % 2 == 0 else -1.0
         for v in (sign * ej, sign * ei, -sign * ej, -sign * ei):
-            leg = boost_leg(v, max_step=max_step)
-            path = _concat(path, leg, leg.legs[0])
-    return path
+            legs.append(boost_leg(v, max_step=max_step))
+    return _chain(n, legs)
 
 
 # ---------------------------------------------------------------------------
@@ -360,19 +345,22 @@ def commutator_probe(
 # ---------------------------------------------------------------------------
 
 
-def act(A: np.ndarray, u: SnakeConfig, check: bool = True) -> SnakeConfig:
-    """Node-wise sphere action of A on a configuration.
+def _on_grid(grid: SnakeConfig, nodes: np.ndarray) -> SnakeConfig:
+    """Configuration with the given nodes on grid's partition and quadrature.
 
-    The partition and quadrature grid are preserved.  A conformal map can
-    stretch angular spacing, so the resolution bound of the result is
-    relaxed to what the mapped nodes realize.
+    A conformal map or an integrator step can stretch angular spacing, so
+    the resolution bound is relaxed to what the moved nodes realize.
     """
-    new_nodes = mobius_sphere_action_many(np.asarray(A, dtype=float), u.nodes, check=check)
     return SnakeConfig(
-        L=u.L, partition=u.partition, nodes=new_nodes, times=u.times,
-        weights=u.weights, nodes_per_segment=u.nodes_per_segment,
+        L=grid.L, partition=grid.partition, nodes=nodes, times=grid.times,
+        weights=grid.weights, nodes_per_segment=grid.nodes_per_segment,
         max_node_angle=float(np.pi),
     )
+
+
+def act(A: np.ndarray, u: SnakeConfig, check: bool = True) -> SnakeConfig:
+    """Node-wise sphere action of A on a configuration, on u's grid."""
+    return _on_grid(u, mobius_sphere_action_many(np.asarray(A, dtype=float), u.nodes, check=check))
 
 
 def infinitesimal_action(X: LieElement, u: SnakeConfig) -> np.ndarray:
@@ -384,30 +372,43 @@ def infinitesimal_action(X: LieElement, u: SnakeConfig) -> np.ndarray:
 
 @dataclass
 class ConfigPath:
-    """Time-gridded horizontal path of configurations with control records."""
+    """Time-gridded horizontal path of configurations with control records.
 
-    times: np.ndarray
-    configs: list  # SnakeConfig at each time
-    head_trace: np.ndarray  # (m+1, n)
+    Every step shares the partition and quadrature of grid (the start
+    configuration); nodes[k] holds the unit directions at times[k].
+    """
+
+    times: np.ndarray  # (m+1,)
+    grid: SnakeConfig
+    nodes: np.ndarray  # (m+1, K, n)
     controls: np.ndarray  # (m, n): fitted direction w per step
     velocities: np.ndarray | None = None  # (m, K, n) true velocity at step start
     tracking_errors: np.ndarray | None = None  # head tracking, lifts only
 
     @property
+    def head_trace(self) -> np.ndarray:
+        """Head position E(u) at every time, (m+1, n)."""
+        return self.grid.weights @ self.nodes
+
+    def config(self, k: int) -> SnakeConfig:
+        return _on_grid(self.grid, self.nodes[k])
+
+    @property
     def final(self) -> SnakeConfig:
-        return self.configs[-1]
+        return self.config(-1)
 
 
-def action_velocity(Y: LieElement, A: np.ndarray, u0: SnakeConfig) -> np.ndarray:
-    """Node-wise velocity of t -> act(Exp(tY) A, u0) at t = 0.
+def action_velocity(u: np.ndarray, A: np.ndarray, u0: SnakeConfig) -> np.ndarray:
+    """Node-wise velocity of t -> act(exp_h(t u) A, u0) at t = 0.
 
+    u (..., n) and A (..., n+1, n+1) may be stacks; the result is (..., K, n).
     Differentiates the projective light-cone formula directly, so the result
     is independent of the horizontal-gradient expression it is tested against.
     """
-    W = np.concatenate([np.ones((u0.nodes.shape[0], 1)), u0.nodes], axis=1) @ A.T
-    D = W @ Y.matrix().T
-    z_new = W[:, 1:] / W[:, :1]
-    return (D[:, 1:] - z_new * D[:, :1]) / W[:, :1]
+    W = np.concatenate([np.ones((u0.nodes.shape[0], 1)), u0.nodes], axis=1) @ np.swapaxes(A, -1, -2)
+    D = W @ np.swapaxes(_boost_generator(np.asarray(u, dtype=float)), -1, -2)
+    z_new = W[..., 1:] / W[..., :1]
+    return (D[..., 1:] - z_new * D[..., :1]) / W[..., :1]
 
 
 def steer_config(
@@ -425,14 +426,10 @@ def steer_config(
     if u0.dim != A.shape[0] - 1:
         raise ValueError("dimension mismatch between config and matrix")
     plan = plan_group_path(A, max_step=max_step, tol=tol)
-    configs = [act(G, u0, check=False) for G in plan.matrices]
-    heads = np.array([endpoint(c) for c in configs])
-    controls = np.array([c.u for c in plan.controls]).reshape(-1, u0.dim)
-    vels = np.array([
-        action_velocity(Y, plan.matrices[k], u0) for k, Y in enumerate(plan.controls)
-    ]).reshape(len(plan.controls), u0.nodes.shape[0], u0.dim)
-    return ConfigPath(times=plan.times, configs=configs, head_trace=heads,
-                      controls=controls, velocities=vels)
+    nodes = mobius_sphere_action_many(plan.matrices, u0.nodes, check=False)
+    vels = action_velocity(plan.controls, plan.matrices[:-1], u0)
+    return ConfigPath(times=plan.times, grid=u0, nodes=nodes, controls=plan.controls,
+                      velocities=vels)
 
 
 def horizontal_lift(
@@ -480,22 +477,23 @@ def horizontal_lift(
     m = max(1, int(round(t_final / dt)))
     times = np.linspace(0.0, t_final, m + 1)
     h = times[1] - times[0] if m > 0 else 0.0
-    configs = [u0]
     controls = np.zeros((m, u0.dim))
     vels = np.zeros((m,) + u0.nodes.shape)
-    nodes = u0.nodes.copy()
+    nodes = np.empty((m + 1,) + u0.nodes.shape)
+    nodes[0] = u0.nodes
     for k in range(m):
         t = times[k]
-        k1, w1 = velocity(t, nodes)
-        k2, _ = velocity(t + 0.5 * h, nodes + 0.5 * h * k1)
-        k3, _ = velocity(t + 0.5 * h, nodes + 0.5 * h * k2)
-        k4, _ = velocity(t + h, nodes + h * k3)
-        nodes = nodes + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        nodes /= np.linalg.norm(nodes, axis=1)[:, None]
+        y = nodes[k]
+        k1, w1 = velocity(t, y)
+        k2, _ = velocity(t + 0.5 * h, y + 0.5 * h * k1)
+        k3, _ = velocity(t + 0.5 * h, y + 0.5 * h * k2)
+        k4, _ = velocity(t + h, y + h * k3)
+        y = y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        nodes[k + 1] = y / np.linalg.norm(y, axis=1)[:, None]
         controls[k] = w1
         vels[k] = k1
-        configs.append(_fast_with_nodes(u0, nodes))
-    heads = np.array([endpoint(c) for c in configs])
+    path = ConfigPath(times=times, grid=u0, nodes=nodes, controls=controls, velocities=vels)
+    heads = path.head_trace
     track = np.array([np.linalg.norm(heads[k] - np.asarray(head(times[k]), dtype=float))
                       for k in range(m + 1)])
     if track_tol is not None and track.max() > track_tol:
@@ -503,24 +501,8 @@ def horizontal_lift(
             f"head tracking error {track.max():.3e} above {track_tol:.1e} "
             f"(worst at t = {times[int(track.argmax())]:.4f})"
         )
-    return ConfigPath(times=times, configs=configs, head_trace=heads,
-                      controls=controls, velocities=vels, tracking_errors=track)
-
-
-def _fast_with_nodes(template: SnakeConfig, nodes: np.ndarray) -> SnakeConfig:
-    """Rebuild a config on the template's grid without the resolution check
-    (integrator steps perturb nodes below any meaningful angular scale)."""
-    cfg = object.__new__(SnakeConfig)
-    arr = np.asarray(nodes, dtype=float)
-    arr.setflags(write=False)
-    object.__setattr__(cfg, "L", template.L)
-    object.__setattr__(cfg, "partition", template.partition)
-    object.__setattr__(cfg, "nodes", arr)
-    object.__setattr__(cfg, "times", template.times)
-    object.__setattr__(cfg, "weights", template.weights)
-    object.__setattr__(cfg, "nodes_per_segment", template.nodes_per_segment)
-    object.__setattr__(cfg, "max_node_angle", float(np.pi))
-    return cfg
+    path.tracking_errors = track
+    return path
 
 
 def config_velocity_residuals(path: ConfigPath, subsample: int = 1) -> np.ndarray:
@@ -530,9 +512,9 @@ def config_velocity_residuals(path: ConfigPath, subsample: int = 1) -> np.ndarra
     the recorded controls.
     """
     res = []
-    for k in range(1, len(path.configs) - 1, subsample):
+    for k in range(1, len(path.nodes) - 1, subsample):
         dt = path.times[k + 1] - path.times[k - 1]
-        v = (path.configs[k + 1].nodes - path.configs[k - 1].nodes) / dt
-        v = project_tangent(path.configs[k], v)
-        res.append(fit_horizontal(path.configs[k], v).residual)
+        cfg = path.config(k)
+        v = project_tangent(cfg, (path.nodes[k + 1] - path.nodes[k - 1]) / dt)
+        res.append(fit_horizontal(cfg, v).residual)
     return np.array(res)

@@ -21,6 +21,7 @@ __all__ = [
     "skew_spectral",
     "so_log",
     "so_exp_blocks",
+    "planar_rotation",
 ]
 
 ANGLE_CLUSTER_TOL = 1e-8
@@ -213,11 +214,18 @@ def so_log(Q: np.ndarray, tol: float = 1e-9):
     return B, rb
 
 
+def planar_rotation(G: np.ndarray, angle) -> np.ndarray:
+    """Exp(angle * G) = Id + sin(a) G + (1 - cos a) G^2 for a generator with G^3 = -G.
+
+    An array of angles gives a stack of rotations, one per angle.
+    """
+    a = np.asarray(angle, dtype=float)[..., None, None]
+    return np.eye(G.shape[0]) + np.sin(a) * G + (1.0 - np.cos(a)) * (G @ G)
+
+
 def so_exp_blocks(blocks: RotationBlocks) -> np.ndarray:
     """Commuting product of closed-form planar rotations Exp(theta_j B_j)."""
-    n = blocks.dim
-    Q = np.eye(n)
+    Q = np.eye(blocks.dim)
     for b in blocks.blocks:
-        G = b.generator
-        Q = (np.eye(n) + np.sin(b.theta) * G + (1.0 - np.cos(b.theta)) * (G @ G)) @ Q
+        Q = planar_rotation(b.generator, b.theta) @ Q
     return Q

@@ -152,13 +152,6 @@ class SnakeConfig:
             nodes_per_segment=m, max_node_angle=max_node_angle,
         )
 
-    def with_nodes(self, new_nodes: np.ndarray) -> "SnakeConfig":
-        return SnakeConfig(
-            L=self.L, partition=self.partition, nodes=np.asarray(new_nodes, dtype=float),
-            times=self.times, weights=self.weights,
-            nodes_per_segment=self.nodes_per_segment, max_node_angle=self.max_node_angle,
-        )
-
     def segment_nodes(self, k: int) -> np.ndarray:
         m = self.nodes_per_segment
         return self.nodes[k * m : (k + 1) * m]

@@ -155,28 +155,24 @@ def lorentz_to_hyperbolic(A: np.ndarray, x: np.ndarray, check: bool = True) -> n
 
 def mobius_sphere_action(A: np.ndarray, z: np.ndarray, check: bool = True) -> np.ndarray:
     """Conformal action through the light cone: z -> w.x / w.t, w = A (1, z)."""
-    A = np.asarray(A, dtype=float)
-    z = sphere_point(z)
-    if check:
-        _require_so0(A)
-    w = A @ np.concatenate([[1.0], z])
-    if w[0] <= 0.0:
-        raise NotOrthochronous("image ray left the forward light cone")
-    out = w[1:] / w[0]
-    return out / np.linalg.norm(out)
+    return mobius_sphere_action_many(A, sphere_point(z)[None], check=check)[0]
 
 
 def mobius_sphere_action_many(A: np.ndarray, Z: np.ndarray, check: bool = True) -> np.ndarray:
-    """Vectorized sphere action on rows of Z (shape (k, n))."""
+    """Sphere action on the rows of Z (shape (k, n)).
+
+    A is one matrix or a stack (..., n+1, n+1); the images have shape (..., k, n).
+    """
     A = np.asarray(A, dtype=float)
     Z = np.asarray(Z, dtype=float)
     if check:
-        _require_so0(A)
-    W = np.concatenate([np.ones((Z.shape[0], 1)), Z], axis=1) @ A.T
-    if np.any(W[:, 0] <= 0.0):
+        for G in A.reshape((-1,) + A.shape[-2:]):
+            _require_so0(G)
+    W = np.concatenate([np.ones((Z.shape[0], 1)), Z], axis=1) @ np.swapaxes(A, -1, -2)
+    if np.any(W[..., 0] <= 0.0):
         raise NotOrthochronous("some image ray left the forward light cone")
-    out = W[:, 1:] / W[:, :1]
-    return out / np.linalg.norm(out, axis=1, keepdims=True)
+    out = W[..., 1:] / W[..., :1]
+    return out / np.linalg.norm(out, axis=-1, keepdims=True)
 
 
 def grad_phi(v: np.ndarray, z: np.ndarray) -> np.ndarray:

@@ -363,7 +363,7 @@ def test_criterion_10_orbit_steering():
         path = steer_config(u0, A, max_step=0.05)
         worst_final = max(worst_final, config_distance(path.final, act(A, u0)))
         for idx in range(len(path.velocities)):
-            fit = fit_horizontal(path.configs[idx], path.velocities[idx])
+            fit = fit_horizontal(path.config(idx), path.velocities[idx])
             worst_fit = max(worst_fit, fit.residual)
     elapsed = time.perf_counter() - t0
     ok = worst_final <= 1e-7 and worst_fit <= 1e-6 and elapsed < 30.0

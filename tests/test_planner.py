@@ -86,7 +86,7 @@ class TestSu11Geodesic:
     def test_horizontality_and_unit_speed(self):
         path = su11_geodesic(1.3)
         assert path.horizontality_residual() == 0.0
-        speeds = [c.h_norm() for c in path.controls]
+        speeds = np.linalg.norm(path.controls, axis=1)
         assert np.allclose(speeds, 1.0, atol=1e-12)
 
     def test_consistency(self):
@@ -193,6 +193,59 @@ class TestCommutatorProbe:
         assert path.horizontality_residual() == 0.0
 
 
+def concat_reference(n, legs):
+    """Per-leg concatenation: re-copy the whole path for every leg."""
+    times, mats = np.zeros(1), np.eye(n + 1)[None]
+    for leg in legs:
+        K = mats[-1]
+        times = np.concatenate([times, times[-1] + leg.times[1:]])
+        mats = np.concatenate([mats, leg.matrices[1:] @ K])
+    return times, mats
+
+
+def assert_matches_legs(path, n, legs):
+    times, mats = concat_reference(n, legs)
+    assert np.array_equal(path.times, times)
+    assert np.array_equal(path.matrices, mats)
+    assert np.array_equal(path.controls, np.concatenate([np.zeros((0, n))] + [leg.controls for leg in legs]))
+    # leg records tile [0, steps) in order
+    starts = [leg.start for leg in path.legs]
+    ends = [leg.end for leg in path.legs]
+    assert starts == [0] + ends[:-1]
+    assert ends[-1] == len(path.controls) == len(path.times) - 1
+    assert [r.end - r.start for r in path.legs] == [len(leg.controls) for leg in legs]
+
+
+class TestSingleAssembly:
+    @pytest.mark.parametrize("m", [1, 2, 7])
+    def test_commutator_probe_matches_per_leg_concat(self, m):
+        n, t, s = 4, 0.6, np.sqrt(0.6 / m)
+        path = commutator_probe(2, 4, t, m, n, max_step=0.05)
+        ei, ej = s * np.eye(n)[1], s * np.eye(n)[3]
+        legs = []
+        for rep in range(m):
+            sign = 1.0 if rep % 2 == 0 else -1.0
+            for v in (sign * ej, sign * ei, -sign * ej, -sign * ei):
+                legs.append(boost_leg(v, max_step=0.05))
+        assert len(path.legs) == 4 * m
+        assert_matches_legs(path, n, legs)
+
+    @pytest.mark.parametrize("n", [2, 3, 8])
+    def test_plan_group_path_matches_per_leg_concat(self, n):
+        from snakeplan.lorentz import factorize
+        from snakeplan.planner import _plane_geodesic_leg
+
+        A = random_so0(np.random.default_rng(100 + n), n)
+        path = plan_group_path(A)
+        blocks, u = factorize(A)
+        legs = [boost_leg(u)]
+        for block in sorted(blocks.blocks, key=lambda b: b.theta):
+            for x, y in block.planes:
+                legs.append(_plane_geodesic_leg(x, y, block.theta, n))
+        assert len(path.legs) == len(legs) >= 2
+        assert_matches_legs(path, n, legs)
+
+
 class TestAct:
     def test_identity(self, rng):
         cfg = random_config(rng, 3)
@@ -248,7 +301,7 @@ class TestInfinitesimalAction:
     def test_action_velocity_matches_field(self, rng):
         cfg = random_config(rng, 3)
         w = rng.normal(size=3)
-        v = action_velocity(LieElement(u=w), np.eye(4), cfg)
+        v = action_velocity(w, np.eye(4), cfg)
         assert np.max(np.abs(v - horizontal_gradient(w, cfg))) < 1e-12
 
 
@@ -256,7 +309,7 @@ class TestSteerConfig:
     def test_identity_constant_path(self, rng):
         cfg = random_config(rng, 3)
         path = steer_config(cfg, np.eye(4))
-        assert len(path.configs) == 1
+        assert len(path.nodes) == 1
         assert config_distance(path.final, cfg) < 1e-12
 
     def test_rotation_endpoint_and_horizontality(self, rng):
@@ -265,7 +318,7 @@ class TestSteerConfig:
         path = steer_config(cfg, A, max_step=0.05)
         assert config_distance(path.final, act(A, cfg)) < 1e-9
         for k in range(len(path.velocities)):
-            fit = fit_horizontal(path.configs[k], path.velocities[k])
+            fit = fit_horizontal(path.config(k), path.velocities[k])
             assert fit.residual < 1e-10
 
     def test_random_so0_final_config(self, rng):
@@ -274,6 +327,22 @@ class TestSteerConfig:
         path = steer_config(cfg, A, max_step=0.05)
         assert config_distance(path.final, act(A, cfg)) < 1e-7
         assert np.allclose(path.head_trace[-1], endpoint(path.final), atol=1e-12)
+
+    @pytest.mark.parametrize("n", [2, 3, 8])
+    def test_batched_images_match_per_step_act(self, n):
+        rng = np.random.default_rng(200 + n)
+        cfg = random_config(rng, n)
+        A = random_so0(rng, n)
+        path = steer_config(cfg, A)
+        plan = plan_group_path(A)
+        assert np.array_equal(path.times, plan.times)
+        assert len(path.nodes) == len(plan.matrices)
+        for k, G in enumerate(plan.matrices):
+            ref = act(G, cfg, check=False).nodes
+            assert np.max(np.abs(path.nodes[k] - ref)) <= 4.5e-16
+        for k in range(len(plan.controls)):
+            ref = action_velocity(plan.controls[k], plan.matrices[k], cfg)
+            assert np.array_equal(path.velocities[k], ref)
 
     def test_fd_velocities_second_order(self, rng):
         cfg = random_config(rng, 3)
@@ -306,8 +375,8 @@ class TestHorizontalLift:
         d = np.array([0.05, 0.1, 0.0])
         path = horizontal_lift(cfg, lambda t: c0 + t * d, lambda t: d,
                                t_final=1.0, dt=5e-3)
-        k = len(path.configs) // 2
-        ucfg = path.configs[k]
+        k = len(path.nodes) // 2
+        ucfg = path.config(k)
         v = path.velocities[k]
         assert fit_horizontal(ucfg, v).residual < 1e-10
         # minimality: velocity is L2-orthogonal to sampled kernel fields
