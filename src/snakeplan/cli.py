@@ -31,7 +31,6 @@ from .lorentz import (
     spatial_block,
 )
 from .planner import (
-    GeodesicSolverError,
     SingularityApproach,
     act,
     commutator_probe,
@@ -322,7 +321,7 @@ def run(scenario: Scenario) -> tuple:
             kind = "numerical"
         code = EXIT_NUMERICAL if kind == "numerical" else EXIT_VALIDATION
         return _failure_report(scenario, t0, kind, str(exc)), code
-    except (GeodesicSolverError, SingularityApproach, RuntimeError, np.linalg.LinAlgError) as exc:
+    except (SingularityApproach, RuntimeError, np.linalg.LinAlgError) as exc:
         return _failure_report(scenario, t0, "numerical", str(exc)), EXIT_NUMERICAL
     passed = all(c["pass"] for c in checks)
     report = RunReport(

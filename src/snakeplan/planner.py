@@ -24,7 +24,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field, replace
 
 import numpy as np
-from scipy.optimize import brentq
 
 from .lorentz import (
     LieElement,
@@ -58,15 +57,10 @@ __all__ = [
     "commutator_probe",
     "steer_config",
     "horizontal_lift",
-    "GeodesicSolverError",
     "SingularityApproach",
 ]
 
 DEFAULT_MAX_STEP = 0.02
-
-
-class GeodesicSolverError(RuntimeError):
-    """Root solve for the geodesic vertical parameter failed."""
 
 
 class SingularityApproach(RuntimeError):
@@ -186,27 +180,18 @@ def _plane_generator(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     return np.outer(y, x) - np.outer(x, y)
 
 
-def _solve_vertical_parameter(theta: float, tol: float = 1e-13) -> tuple:
-    """Vertical parameter of the geodesic leg against the target angle.
+def _vertical_parameter(theta: float) -> tuple:
+    """Vertical parameter eta, elliptic frequency and arc length T of the
+    geodesic leg to the angle theta.
 
-    Solves 2 pi mu / sqrt(mu^2 - 1) = theta + 2 pi for mu = |eta|; then
-    T = 2 pi / sqrt(mu^2 - 1) and the closed frequency condition
-    sqrt(eta^2 - 1) T = 2 pi holds by construction.
+    Closing the frequency, sqrt(eta^2 - 1) * T = 2 pi, at the target angle
+    (|eta| T = theta + 2 pi) gives T = sqrt(theta^2 + 4 pi theta) and
+    |eta| = sqrt(1 + (2 pi / T)^2).  The frequency is returned as 2 pi / T
+    rather than recomputed from eta^2 - 1, which cancels.
     """
-    target = theta + 2.0 * np.pi
-
-    def f(mu):
-        return 2.0 * np.pi * mu / np.sqrt(mu * mu - 1.0) - target
-
-    lo, hi = 1.0 + 1e-12, 1e9
-    try:
-        mu = brentq(f, lo, hi, xtol=tol, rtol=8.9e-16, maxiter=200)
-    except ValueError as exc:  # pragma: no cover - bracketing diagnostics
-        raise GeodesicSolverError(
-            f"no sign change on [{lo}, {hi}]: f(lo)={f(lo):.3e}, f(hi)={f(hi):.3e}"
-        ) from exc
-    T = 2.0 * np.pi / np.sqrt(mu * mu - 1.0)
-    return -mu, T
+    T = np.sqrt(theta * theta + 4.0 * np.pi * theta)
+    freq = 2.0 * np.pi / T
+    return -np.sqrt(1.0 + freq * freq), freq, T
 
 
 def _plane_geodesic_leg(
@@ -224,19 +209,18 @@ def _plane_geodesic_leg(
     """
     if not 0.0 < theta <= np.pi + 1e-12:
         raise ValueError("plane geodesic needs an angle in (0, pi]")
-    eta, T = _solve_vertical_parameter(theta)
+    eta, freq, T = _vertical_parameter(theta)
     g = _plane_generator(x, y)
     M = np.zeros((n + 1, n + 1))
     M[0, 1:] = x
     M[1:, 0] = x
     M[1:, 1:] = eta * g
     M2 = M @ M
-    mu = np.sqrt(eta * eta - 1.0)
 
     m = _steps_for(T, max_step)
     times = np.linspace(0.0, T, m + 1)
-    a = (mu * times)[:, None, None]
-    exp_tm = np.eye(n + 1) + (np.sin(a) / mu) * M + ((1.0 - np.cos(a)) / mu**2) * M2
+    a = (freq * times)[:, None, None]
+    exp_tm = np.eye(n + 1) + (np.sin(a) / freq) * M + ((1.0 - np.cos(a)) / freq**2) * M2
     mats = spatial_block(planar_rotation(g, -times * eta)) @ exp_tm
     taus = 0.5 * (times[:-1] + times[1:])
     controls = np.cos(taus * eta)[:, None] * x - np.sin(taus * eta)[:, None] * y

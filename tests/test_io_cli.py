@@ -1,5 +1,8 @@
 import json
 import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -180,3 +183,12 @@ class TestCli:
                          "--out-dir", str(d), "--step", "0.1"]) == 0
         assert (d1 / "head_trace.csv").read_bytes() == (d2 / "head_trace.csv").read_bytes()
         assert (d1 / "final_config.json").read_bytes() == (d2 / "final_config.json").read_bytes()
+
+
+def test_cli_import_leaves_scipy_optimize_out():
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    code = "import sys, snakeplan.cli; print('scipy.optimize' in sys.modules)"
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, timeout=60, check=True)
+    assert proc.stdout.strip() == "False"
