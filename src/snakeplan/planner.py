@@ -140,7 +140,7 @@ def _boost_generator(u: np.ndarray) -> np.ndarray:
     return M
 
 
-def _chain(n: int, legs: list) -> GroupPath:
+def _chain(n: int, legs) -> GroupPath:
     """Extend Id by every leg in turn, gamma(s) = leg(s - t_end) @ gamma(t_end),
     and concatenate the pieces once."""
     times, mats, controls, records = [np.zeros(1)], [np.eye(n + 1)[None]], [np.zeros((0, n))], []
@@ -316,11 +316,10 @@ def commutator_probe(
     ei[i - 1] = s
     ej = np.zeros(n)
     ej[j - 1] = s
-    legs = []
-    for rep in range(m):
-        sign = 1.0 if rep % 2 == 0 else -1.0
-        for v in (sign * ej, sign * ei, -sign * ej, -sign * ei):
-            legs.append(boost_leg(v, max_step=max_step))
+    # a generator, so each leg is dropped once it is chained
+    signs = (1.0 if rep % 2 == 0 else -1.0 for rep in range(m))
+    legs = (boost_leg(v, max_step=max_step)
+            for sign in signs for v in (sign * ej, sign * ei, -sign * ej, -sign * ei))
     return _chain(n, legs)
 
 
@@ -375,6 +374,7 @@ class ConfigPath:
         return self.grid.weights @ self.nodes
 
     def config(self, k: int) -> SnakeConfig:
+        """The configuration at step k."""
         return _on_grid(self.grid, self.nodes[k])
 
     @property
@@ -389,7 +389,8 @@ def action_velocity(u: np.ndarray, A: np.ndarray, u0: SnakeConfig) -> np.ndarray
     Differentiates the projective light-cone formula directly, so the result
     is independent of the horizontal-gradient expression it is tested against.
     """
-    W = np.concatenate([np.ones((u0.nodes.shape[0], 1)), u0.nodes], axis=1) @ np.swapaxes(A, -1, -2)
+    Z1 = np.concatenate([np.ones((u0.nodes.shape[0], 1)), u0.nodes], axis=1)
+    W = Z1 @ np.swapaxes(A, -1, -2)
     D = W @ np.swapaxes(_boost_generator(np.asarray(u, dtype=float)), -1, -2)
     z_new = W[..., 1:] / W[..., :1]
     return (D[..., 1:] - z_new * D[..., :1]) / W[..., :1]
