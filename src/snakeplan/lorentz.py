@@ -23,7 +23,6 @@ import numpy as np
 __all__ = [
     "Membership",
     "LieElement",
-    "BoostData",
     "BoostFactors",
     "lorentz_product",
     "pseudo_adjoint",
@@ -112,31 +111,25 @@ def classify(A: np.ndarray, tol: float = DEFAULT_MEMBERSHIP_TOL) -> Membership:
     return Membership.SO
 
 
-def _sinhc(w: float) -> float:
-    if w < _SMALL_OMEGA:
-        w2 = w * w
-        return 1.0 + w2 / 6.0 + w2 * w2 / 120.0
-    return np.sinh(w) / w
-
-
-def _coshc2(w: float) -> float:
-    if w < _SMALL_OMEGA:
-        w2 = w * w
-        return 0.5 + w2 / 24.0 + w2 * w2 / 720.0
-    return (np.cosh(w) - 1.0) / (w * w)
-
-
 def exp_h(u: np.ndarray) -> np.ndarray:
-    """Closed-form boost exp of the symmetric embedding of u; u = 0 gives Id."""
+    """Closed-form boost exp of the symmetric embedding of u; u = 0 gives Id.
+
+    A stack u (..., n) gives a stack (..., n+1, n+1), one boost per row.
+    """
     u = np.atleast_1d(np.asarray(u, dtype=float))
-    n = u.shape[0]
-    w = float(np.linalg.norm(u))
-    A = np.eye(n + 1)
-    s, c2 = _sinhc(w), _coshc2(w)
-    A[0, 0] = np.cosh(w)
-    A[0, 1:] = s * u
-    A[1:, 0] = s * u
-    A[1:, 1:] += c2 * np.outer(u, u)
+    n = u.shape[-1]
+    # row-wise dot products round like np.linalg.norm of one vector
+    w = np.sqrt((u[..., None, :] @ u[..., :, None])[..., 0, 0])
+    small = w < _SMALL_OMEGA
+    w2 = w * w
+    safe = np.where(small, 1.0, w)
+    ch = np.cosh(w)
+    s = np.where(small, 1.0 + w2 / 6.0 + w2 * w2 / 120.0, np.sinh(w) / safe)
+    c2 = np.where(small, 0.5 + w2 / 24.0 + w2 * w2 / 720.0, (ch - 1.0) / (safe * safe))
+    A = np.zeros(u.shape[:-1] + (n + 1, n + 1))
+    A[..., 0, 0] = ch
+    A[..., 0, 1:] = A[..., 1:, 0] = s[..., None] * u
+    A[..., 1:, 1:] = np.eye(n) + c2[..., None, None] * (u[..., :, None] * u[..., None, :])
     return A
 
 
@@ -164,34 +157,6 @@ def log_boost(T: np.ndarray, tol: float = DEFAULT_FACTOR_TOL) -> np.ndarray:
     return u
 
 
-@dataclass(frozen=True)
-class BoostData:
-    """Boost parameters: direction*magnitude v, c = sqrt(1+|v|^2), rapidity."""
-
-    v: np.ndarray
-    c: float
-    alpha: float
-
-    @classmethod
-    def from_vector(cls, v: np.ndarray) -> "BoostData":
-        v = np.asarray(v, dtype=float)
-        c = float(np.sqrt(1.0 + v @ v))
-        return cls(v=v, c=c, alpha=float(np.arccosh(c)))
-
-    def matrix(self) -> np.ndarray:
-        """The boost T = [[c, v^T], [v, sqrt(Id + v v^T)]] in closed form."""
-        n = self.v.shape[0]
-        T = np.eye(n + 1)
-        T[0, 0] = self.c
-        T[0, 1:] = self.v
-        T[1:, 0] = self.v
-        vv = float(self.v @ self.v)
-        if vv > 0.0:
-            # rank-one square root: sqrt(Id + vv^T) = Id + ((c-1)/|v|^2) vv^T
-            T[1:, 1:] += ((self.c - 1.0) / vv) * np.outer(self.v, self.v)
-        return T
-
-
 class BoostFactors(NamedTuple):
     epsilon: float
     Q: np.ndarray
@@ -201,12 +166,29 @@ class BoostFactors(NamedTuple):
 def _boost_factor(A: np.ndarray) -> BoostFactors:
     A = np.asarray(A, dtype=float)
     eps = 1.0 if A[0, 0] >= 0.0 else -1.0
-    v = eps * A[0, 1:]
-    T = BoostData.from_vector(v).matrix()
-    # T^{-1} is the boost of -v
-    Tinv = BoostData.from_vector(-v).matrix()
-    P = A @ Tinv
+    T = _boost_from_row(eps * A[0, 1:])
+    P = A @ pseudo_adjoint(T)
     return BoostFactors(eps, P[1:, 1:].copy(), T)
+
+
+def _boost_from_row(v: np.ndarray) -> np.ndarray:
+    """The boost [[c, v^T], [v, sqrt(Id + v v^T)]], c = sqrt(1 + |v|^2).
+
+    Its first row is exactly (c, v), so diag(eps, Q) = A T^{-1} takes Q from
+    A's own entries.  exp_h(arcsinh|v| / |v| * v) agrees only to rounding,
+    and so_log's Schur step picks its rotation-plane frames from Q with a
+    sensitivity that turns that rounding into a different (valid) plan.
+    """
+    vv = float(v @ v)
+    c = np.sqrt(1.0 + vv)
+    T = np.eye(v.shape[0] + 1)
+    T[0, 0] = c
+    T[0, 1:] = v
+    T[1:, 0] = v
+    if vv > 0.0:
+        # rank-one square root: sqrt(Id + vv^T) = Id + ((c-1)/|v|^2) vv^T
+        T[1:, 1:] += ((c - 1.0) / vv) * np.outer(v, v)
+    return T
 
 
 def boost_decompose(A: np.ndarray, tol: float = DEFAULT_FACTOR_TOL) -> BoostFactors:
@@ -218,15 +200,8 @@ def boost_decompose(A: np.ndarray, tol: float = DEFAULT_FACTOR_TOL) -> BoostFact
     return BoostFactors(eps, Q, T)
 
 
-def _axis_boost(alpha: float, m: int) -> np.ndarray:
-    B = np.eye(m)
-    B[0, 0] = B[1, 1] = np.cosh(alpha)
-    B[0, 1] = B[1, 0] = np.sinh(alpha)
-    return B
-
-
 def kak_decompose(A: np.ndarray, tol: float = DEFAULT_FACTOR_TOL):
-    """A = diag(1,Q') @ axis_boost(alpha, e1) @ diag(1, Q^T), Q special orthogonal.
+    """A = diag(1,Q') @ exp_h(alpha * e1) @ diag(1, Q^T), Q special orthogonal.
 
     Requires classify(A) in {SO, SO0} (so eps = +1).
     """
@@ -235,9 +210,8 @@ def kak_decompose(A: np.ndarray, tol: float = DEFAULT_FACTOR_TOL):
     eps, Q0, T = boost_decompose(A, tol=tol)
     if eps < 0:
         raise NotLorentz("kak_decompose needs an SO-grade input (c > 0)")
-    data = BoostData.from_vector(T[0, 1:])
-    alpha = data.alpha
-    v = data.v
+    alpha = float(np.arccosh(T[0, 0]))
+    v = T[0, 1:]
     if alpha == 0.0 or np.linalg.norm(v) == 0.0:
         Qv = np.eye(n)
     else:
@@ -245,10 +219,10 @@ def kak_decompose(A: np.ndarray, tol: float = DEFAULT_FACTOR_TOL):
     if n >= 2 and np.linalg.det(Qv) < 0.0:
         Qv[:, -1] *= -1.0  # fix det; flipped column is in the e1-stabilizer
     Qp = Q0 @ Qv
-    recon = spatial_block(Qp) @ _axis_boost(alpha, n + 1) @ spatial_block(Qv).T
+    recon = spatial_block(Qp) @ exp_h(alpha * np.eye(n)[0]) @ spatial_block(Qv).T
     if np.linalg.norm(recon - A) > tol * max(1.0, abs(A[0, 0])):
         raise NotLorentz("kak reconstruction residual above tol")
-    return Qp, float(alpha), Qv
+    return Qp, alpha, Qv
 
 
 def _completion_to_frame(e: np.ndarray) -> np.ndarray:

@@ -76,15 +76,16 @@ class SnakeConfig:
         if nodes.shape[0] != nseg * m:
             raise ValueError("node count does not match partition * nodes_per_segment")
         # adjacent nodes within a segment must stay angularly close
-        for k in range(nseg):
-            seg = nodes[k * m : (k + 1) * m]
-            dots = np.clip(np.einsum("ij,ij->i", seg[:-1], seg[1:]), -1.0, 1.0)
-            step = np.max(np.arccos(dots)) if m > 1 else 0.0
-            if step > self.max_node_angle:
-                raise ValueError(
-                    f"segment {k}: adjacent-node angle {step:.3f} exceeds "
-                    f"resolution bound {self.max_node_angle:.3f}"
-                )
+        seg = nodes.reshape(nseg, m, nodes.shape[1])
+        dots = np.clip(np.einsum("kij,kij->ki", seg[:, :-1], seg[:, 1:]), -1.0, 1.0)
+        steps = np.arccos(dots).max(axis=1, initial=0.0)
+        bad = np.flatnonzero(steps > self.max_node_angle)
+        if bad.size:
+            k = bad[0]
+            raise ValueError(
+                f"segment {k}: adjacent-node angle {steps[k]:.3f} exceeds "
+                f"resolution bound {self.max_node_angle:.3f}"
+            )
         for name, arr in (("partition", part), ("nodes", nodes),
                           ("times", np.asarray(self.times, dtype=float)),
                           ("weights", np.asarray(self.weights, dtype=float))):

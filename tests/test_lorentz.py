@@ -135,6 +135,18 @@ class TestExpH:
         for _ in range(5):
             assert classify(exp_h(rng.normal(size=4))) is Membership.SO0
 
+    @pytest.mark.parametrize("n", [1, 2, 3, 8, 32])
+    def test_stack_rows_match_single_calls(self, rng, n):
+        # w = 0, the Taylor branch below 1e-4, its edge, and rapidity up to 30
+        w = np.array([0.0, 1e-9, 3e-7, 5e-5, 9.99e-5, 1e-4, 0.3, 1.0, 4.0, 10.0, 20.0, 30.0])
+        d = rng.normal(size=(w.size, n))
+        U = (w / np.linalg.norm(d, axis=1))[:, None] * d
+        S = exp_h(U)
+        assert S.shape == (w.size, n + 1, n + 1)
+        for k in range(w.size):
+            assert np.array_equal(S[k], exp_h(U[k]))
+        assert np.array_equal(exp_h(U.reshape(3, 4, n)), S.reshape(3, 4, n + 1, n + 1))
+
 
 class TestLogBoost:
     def test_identity(self):
@@ -163,24 +175,6 @@ class TestLogBoost:
             log_boost(A)
 
 
-class TestBoostData:
-    def test_hyperbola_relation_and_spectrum(self, rng):
-        from snakeplan.lorentz import BoostData
-
-        v = rng.normal(size=4)
-        data = BoostData.from_vector(v)
-        assert data.c**2 - v @ v == pytest.approx(1.0, abs=1e-12)
-        T = data.matrix()
-        vals = np.sort(np.linalg.eigvalsh(0.5 * (T + T.T)))
-        assert vals[0] == pytest.approx(np.exp(-data.alpha), abs=1e-10)
-        assert vals[-1] == pytest.approx(np.exp(data.alpha), abs=1e-10)
-        assert np.allclose(vals[1:-1], 1.0, atol=1e-12)
-        # identity on the orthogonal complement of v
-        w = rng.normal(size=4)
-        w -= (w @ v) / (v @ v) * v
-        assert np.allclose(T[1:, 1:] @ w, w, atol=1e-12)
-
-
 class TestBoostDecompose:
     def test_identity(self):
         eps, Q, T = boost_decompose(np.eye(5))
@@ -206,6 +200,20 @@ class TestBoostDecompose:
             assert eps == 1.0
             assert np.linalg.norm(T - exp_h(u)) < 1e-9
             assert np.linalg.norm(Q - R) < 1e-9
+
+    def test_boost_factor_hyperbola_and_spectrum(self, rng):
+        T = boost_decompose(random_so0(rng, 4)).T
+        c, v = T[0, 0], T[0, 1:]
+        alpha = np.arccosh(c)
+        assert c**2 - v @ v == pytest.approx(1.0, abs=1e-12)
+        vals = np.sort(np.linalg.eigvalsh(0.5 * (T + T.T)))
+        assert vals[0] == pytest.approx(np.exp(-alpha), abs=1e-10)
+        assert vals[-1] == pytest.approx(np.exp(alpha), abs=1e-10)
+        assert np.allclose(vals[1:-1], 1.0, atol=1e-12)
+        # identity on the orthogonal complement of v
+        w = rng.normal(size=4)
+        w -= (w @ v) / (v @ v) * v
+        assert np.allclose(T[1:, 1:] @ w, w, atol=1e-12)
 
     def test_time_reversing_branch_reconstructs(self, rng):
         J = -np.eye(5)

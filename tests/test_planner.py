@@ -166,6 +166,15 @@ class TestPlanGroupPath:
         path = plan_group_path(A, max_step=0.01)
         assert path.consistency_residual() < 1e-5
 
+    def test_consistency_residual_detects_perturbed_step(self, rng):
+        path = plan_group_path(random_so0(rng, 3), max_step=0.01)
+        assert path.consistency_residual() < 1e-5
+        path.matrices[len(path.matrices) // 2, 1, 2] += 1e-3
+        assert path.consistency_residual() > 1e-5
+
+    def test_consistency_residual_of_empty_path(self):
+        assert commutator_probe(1, 2, 0.0, 4, 3).consistency_residual() == 0.0
+
 
 class TestCommutatorProbe:
     def test_zero_time_is_identity(self):

@@ -68,6 +68,17 @@ class TestConfigValidation:
                 nodes_per_segment=8,
             )
 
+        # a direction jump at the partition point is allowed; an aliased
+        # second segment is reported by its index
+        def two_segments(freq):
+            return lambda s: (e(0, 2) if s < 1.0 else
+                              np.array([np.cos(freq * np.pi * s), np.sin(freq * np.pi * s)]))
+
+        SnakeConfig.from_directions(2.0, [0.0, 1.0, 2.0], two_segments(0.5), nodes_per_segment=8)
+        with pytest.raises(ValueError, match="segment 1"):
+            SnakeConfig.from_directions(2.0, [0.0, 1.0, 2.0], two_segments(20.0),
+                                        nodes_per_segment=8)
+
     def test_zero_direction_rejected(self):
         with pytest.raises(ValueError):
             SnakeConfig.from_segment_samples(
