@@ -13,7 +13,7 @@ import numpy as np
 from snakeplan import io as sio
 from snakeplan.generate import random_config, random_so0
 from snakeplan.planner import act, steer_config
-from snakeplan.snake import config_distance, fit_horizontal
+from snakeplan.snake import config_distance, fit_horizontal_many, unit_nodes
 
 
 def main():
@@ -29,10 +29,9 @@ def main():
     path = steer_config(u0, A, max_step=0.02)
 
     final_gap = config_distance(path.final, act(A, u0))
-    fit_worst = max(
-        fit_horizontal(path.config(k), path.velocities[k]).residual
-        for k in range(0, len(path.velocities), 5)
-    )
+    fit_worst = fit_horizontal_many(
+        path.grid, unit_nodes(path.nodes[:-1:5]), path.velocities[::5]
+    ).residual.max()
     print(f"steps: {len(path.times) - 1}")
     print(f"final distance to act(A, u0): {final_gap:.3e}")
     print(f"worst velocity fit residual (subsampled): {fit_worst:.3e}")

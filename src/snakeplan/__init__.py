@@ -39,10 +39,12 @@ from .snake import (
     differential_endpoint,
     endpoint,
     fit_horizontal,
+    fit_horizontal_many,
     gram_data,
     horizontal_gradient,
     is_singular,
     snake_curve,
+    snake_curve_matrix,
 )
 from .sphere import (
     INFINITY,

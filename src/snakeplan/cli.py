@@ -39,7 +39,7 @@ from .planner import (
     steer_config,
 )
 from .rotations import planar_rotation, so_exp_blocks
-from .snake import config_distance, endpoint, fit_horizontal, is_singular
+from .snake import config_distance, endpoint, fit_horizontal_many, is_singular, unit_nodes
 from .sphere import NotOrthochronous
 
 EXIT_OK = 0
@@ -186,10 +186,8 @@ def _run_steer(sc: Scenario):
     u0 = sio.config_from_json(_load_json(sc.inputs["config"]))
     path = steer_config(u0, A, max_step=step, tol=tol)
     target = act(A, u0)
-    fit_res = max(
-        (fit_horizontal(path.config(k), path.velocities[k]).residual
-         for k in range(len(path.velocities))), default=0.0,
-    )
+    fit = fit_horizontal_many(path.grid, unit_nodes(path.nodes[:-1]), path.velocities)
+    fit_res = fit.residual.max(initial=0.0)
     checks = [
         _check("final_config_distance", config_distance(path.final, target), 1e-7),
         _check("velocity_fit_residual", fit_res, 1e-6),

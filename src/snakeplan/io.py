@@ -16,7 +16,7 @@ import numpy as np
 from .lorentz import LieElement
 from .planner import ConfigPath, GroupPath
 from .rotations import RotationBlocks
-from .snake import SnakeConfig, snake_curve
+from .snake import SnakeConfig, snake_curve_matrix
 
 __all__ = [
     "matrix_to_json",
@@ -196,7 +196,8 @@ def head_trace_rows(path: ConfigPath):
 
 def config_path_polyline_rows(path: ConfigPath, samples: int = 33, stride: int = 1):
     """Rows (t, s, x_1..x_n): the snake polyline at a subsample of times."""
+    s = np.linspace(0.0, path.grid.L, samples)
+    P = snake_curve_matrix(path.grid, s)
     for k in range(0, len(path.nodes), stride):
-        cfg = path.config(k)
-        for s in np.linspace(0.0, cfg.L, samples):
-            yield [path.times[k], s, *snake_curve(cfg, s)]
+        for s_i, x in zip(s, P @ path.config(k).nodes):
+            yield [path.times[k], s_i, *x]

@@ -37,10 +37,10 @@ from .rotations import planar_rotation
 from .snake import (
     SnakeConfig,
     endpoint,
-    fit_horizontal,
+    fit_horizontal_many,
     horizontal_gradient,
     is_singular,
-    project_tangent,
+    unit_nodes,
 )
 from .sphere import mobius_sphere_action_many
 
@@ -487,10 +487,9 @@ def config_velocity_residuals(path: ConfigPath, subsample: int = 1) -> np.ndarra
     A diagnostic for the horizontality of a ConfigPath that does not reuse
     the recorded controls.
     """
-    res = []
-    for k in range(1, len(path.nodes) - 1, subsample):
-        dt = path.times[k + 1] - path.times[k - 1]
-        cfg = path.config(k)
-        v = project_tangent(cfg, (path.nodes[k + 1] - path.nodes[k - 1]) / dt)
-        res.append(fit_horizontal(cfg, v).residual)
-    return np.array(res)
+    k = np.arange(1, len(path.nodes) - 1, subsample)
+    u = unit_nodes(path.nodes[k])
+    dt = path.times[k + 1] - path.times[k - 1]
+    v = (path.nodes[k + 1] - path.nodes[k - 1]) / dt[:, None, None]
+    v = v - np.einsum("...ij,...ij->...i", v, u)[..., None] * u  # tangent part
+    return fit_horizontal_many(path.grid, u, v).residual

@@ -11,6 +11,7 @@ A_u w with A_u = L Id - Gamma_u, Gamma_u = int u u^T.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
 
@@ -21,14 +22,19 @@ __all__ = [
     "SnakeConfig",
     "GramData",
     "FitResult",
+    "GaussLegendreRule",
+    "gauss_legendre",
+    "unit_nodes",
     "endpoint",
     "snake_curve",
+    "snake_curve_matrix",
     "gram_data",
     "is_singular",
     "horizontal_gradient",
     "e_field",
     "differential_endpoint",
     "fit_horizontal",
+    "fit_horizontal_many",
     "critical_radii",
     "config_distance",
     "project_tangent",
@@ -39,10 +45,47 @@ DEFAULT_MAX_NODE_ANGLE = np.pi / 8
 SINGULARITY_TOL_FACTOR = 1e-8  # scale-aware default: tol = factor * L
 
 
-def _gauss_nodes(a: float, b: float, m: int):
+@dataclass(frozen=True)
+class GaussLegendreRule:
+    """Standard m-point Gauss-Legendre rule on [-1, 1] with its spectral
+    integration matrix (Greengard, SIAM J. Numer. Anal. 28, 1991)."""
+
+    x: np.ndarray  # (m,) abscissae
+    w: np.ndarray  # (m,) weights
+    integral: np.ndarray  # (m+1, m): Legendre coefficients of int_{-1}^x l_j
+
+    def cumulative(self, x) -> np.ndarray:
+        """(len(x), m) matrix of int_{-1}^x l_j(t) dt for the Lagrange basis
+        l_j on the abscissae; at x = self.x it is the m x m cumulative matrix."""
+        return npleg.legvander(np.asarray(x, dtype=float), self.x.shape[0]) @ self.integral
+
+
+@functools.lru_cache(maxsize=64)
+def gauss_legendre(m: int) -> GaussLegendreRule:
+    """The cached m-point rule; its arrays are shared, hence read-only."""
     x, w = npleg.leggauss(m)
+    to_coeffs = np.linalg.solve(npleg.legvander(x, m - 1), np.eye(m))
+    integral = npleg.legint(to_coeffs, lbnd=-1.0, axis=0)
+    for arr in (x, w, integral):
+        arr.setflags(write=False)
+    return GaussLegendreRule(x=x, w=w, integral=integral)
+
+
+def _gauss_grid(partition: np.ndarray, m: int):
+    """Composite abscissae and weights, m per segment of the partition."""
+    rule = gauss_legendre(m)
+    a, b = partition[:-1, None], partition[1:, None]
     mid, half = 0.5 * (a + b), 0.5 * (b - a)
-    return mid + half * x, half * w
+    return (mid + half * rule.x).ravel(), (half * rule.w).ravel()
+
+
+def unit_nodes(nodes) -> np.ndarray:
+    """Direction vectors (..., K, n) scaled to unit length; zero rows are rejected."""
+    nodes = np.asarray(nodes, dtype=float)
+    norms = np.linalg.norm(nodes, axis=-1)
+    if np.any(norms < 1e-12):
+        raise ValueError("zero direction vector in configuration")
+    return nodes / norms[..., None]
 
 
 @dataclass(frozen=True)
@@ -66,11 +109,7 @@ class SnakeConfig:
             raise ValueError("partition must be strictly increasing")
         if abs(part[0]) > 0 or abs(part[-1] - self.L) > 1e-12 * max(1.0, self.L):
             raise ValueError("partition must run exactly from 0 to L")
-        nodes = np.asarray(self.nodes, dtype=float)
-        norms = np.linalg.norm(nodes, axis=1)
-        if np.any(norms < 1e-12):
-            raise ValueError("zero direction vector in configuration")
-        nodes = nodes / norms[:, None]
+        nodes = unit_nodes(self.nodes)
         m = self.nodes_per_segment
         nseg = part.shape[0] - 1
         if nodes.shape[0] != nseg * m:
@@ -112,13 +151,7 @@ class SnakeConfig:
     ) -> "SnakeConfig":
         """Sample a callable s -> direction (need not be normalized)."""
         partition = np.asarray(partition, dtype=float)
-        ts, ws = [], []
-        for a, b in zip(partition[:-1], partition[1:]):
-            t, w = _gauss_nodes(a, b, nodes_per_segment)
-            ts.append(t)
-            ws.append(w)
-        times = np.concatenate(ts)
-        weights = np.concatenate(ws)
+        times, weights = _gauss_grid(partition, nodes_per_segment)
         vals = np.array([np.asarray(direction_fn(t), dtype=float) for t in times])
         if dim is not None and vals.shape[1] != dim:
             raise ValueError("direction_fn dimension mismatch")
@@ -141,16 +174,12 @@ class SnakeConfig:
         m = len(segments[0])
         if any(len(s) != m for s in segments):
             raise ValueError("all segments must carry the same number of nodes")
-        ts, ws = [], []
-        for a, b in zip(partition[:-1], partition[1:]):
-            t, w = _gauss_nodes(a, b, m)
-            ts.append(t)
-            ws.append(w)
+        times, weights = _gauss_grid(partition, m)
         return cls(
             L=float(L), partition=partition,
             nodes=np.concatenate([np.asarray(s, dtype=float) for s in segments]),
-            times=np.concatenate(ts), weights=np.concatenate(ws),
-            nodes_per_segment=m, max_node_angle=max_node_angle,
+            times=times, weights=weights, nodes_per_segment=m,
+            max_node_angle=max_node_angle,
         )
 
     def segment_nodes(self, k: int) -> np.ndarray:
@@ -163,37 +192,34 @@ def endpoint(u: SnakeConfig) -> np.ndarray:
     return u.weights @ u.nodes
 
 
+def snake_curve_matrix(u: SnakeConfig, s) -> np.ndarray:
+    """(S, K) matrix P with P @ nodes = S(s_i) = int_0^{s_i} u for every sample.
+
+    A row holds the full quadrature weights of the segments before s_i and,
+    inside the segment [a, b] containing s_i, the integrals over [a, s_i] of
+    the Legendre interpolant's basis on its Gauss nodes.
+    """
+    s = np.atleast_1d(np.asarray(s, dtype=float))
+    bad = (s < -1e-12) | (s > u.L + 1e-12 * max(1.0, u.L))
+    if bad.any():
+        raise ValueError(f"t = {s[bad][0]} outside [0, {u.L}]")
+    s = np.clip(s, 0.0, u.L)[:, None]
+    m = u.nodes_per_segment
+    a, b = u.partition[:-1], u.partition[1:]
+    P = np.where((b <= s)[:, :, None], u.weights.reshape(-1, m), 0.0)
+    rows, k = np.nonzero((a < s) & (s < b))
+    x = 2.0 * (s[rows, 0] - a[k]) / (b[k] - a[k]) - 1.0
+    P[rows, k] = 0.5 * (b[k] - a[k])[:, None] * gauss_legendre(m).cumulative(x)
+    return P.reshape(s.shape[0], -1)
+
+
 def snake_curve(u: SnakeConfig, t: float) -> np.ndarray:
     """Partial integral S(t) = int_0^t u(s) ds; S(0) = 0, S(L) = endpoint.
 
     Inside a segment the sampled directions are integrated through their
     Legendre interpolant on the Gauss nodes.
     """
-    if t < -1e-12 or t > u.L + 1e-12 * max(1.0, u.L):
-        raise ValueError(f"t = {t} outside [0, {u.L}]")
-    t = min(max(t, 0.0), u.L)
-    part = u.partition
-    m = u.nodes_per_segment
-    out = np.zeros(u.dim)
-    for k in range(u.segment_count):
-        a, b = part[k], part[k + 1]
-        wk = u.weights[k * m : (k + 1) * m]
-        seg = u.segment_nodes(k)
-        if t >= b:
-            out += wk @ seg
-            continue
-        if t <= a:
-            break
-        # partial segment: integrate the Legendre interpolant over [a, t]
-        x_std, _ = npleg.leggauss(m)
-        V = npleg.legvander(x_std, m - 1)
-        coeffs = np.linalg.solve(V, seg)  # (m, dim)
-        ic = npleg.legint(coeffs, axis=0)
-        x_t = 2.0 * (t - a) / (b - a) - 1.0
-        vals = npleg.legval(x_t, ic) - npleg.legval(-1.0, ic)
-        out += 0.5 * (b - a) * vals
-        break
-    return out
+    return snake_curve_matrix(u, t)[0] @ u.nodes
 
 
 @dataclass(frozen=True)
@@ -204,10 +230,15 @@ class GramData:
     eigenvectors: np.ndarray  # columns, matching eigenvalues
 
 
+def _gram(weights: np.ndarray, L: float, nodes: np.ndarray):
+    """Gamma_u and A_u for one node set or a stack (..., K, n) on one quadrature."""
+    G = np.einsum("k,...ki,...kj->...ij", weights, nodes, nodes)
+    G = 0.5 * (G + np.swapaxes(G, -1, -2))
+    return G, L * np.eye(nodes.shape[-1]) - G
+
+
 def gram_data(u: SnakeConfig) -> GramData:
-    G = (u.nodes * u.weights[:, None]).T @ u.nodes
-    G = 0.5 * (G + G.T)
-    A = u.L * np.eye(u.dim) - G
+    G, A = _gram(u.weights, u.L, u.nodes)
     vals, vecs = np.linalg.eigh(A)
     return GramData(gram=G, a_op=A, eigenvalues=vals, eigenvectors=vecs)
 
@@ -252,6 +283,9 @@ def l2_norm(u: SnakeConfig, v: np.ndarray) -> float:
 
 @dataclass(frozen=True)
 class FitResult:
+    """Fitted direction, L^2 residual and restricted flag; arrays over the
+    stack for fit_horizontal_many."""
+
     w: np.ndarray
     residual: float
     restricted: bool  # True when A_u was singular and the fit used range(A_u)
@@ -263,15 +297,36 @@ def fit_horizontal(u: SnakeConfig, v: np.ndarray, rank_tol: float | None = None)
     Normal equations reduce to A_u w = int v ds.  A singular A_u is reported
     and the solve restricted to its range.
     """
+    fit = fit_horizontal_many(u, u.nodes[None], np.asarray(v, dtype=float)[None], rank_tol)
+    return FitResult(w=fit.w[0], residual=float(fit.residual[0]),
+                     restricted=bool(fit.restricted[0]))
+
+
+def fit_horizontal_many(
+    grid: SnakeConfig, nodes: np.ndarray, v: np.ndarray, rank_tol: float | None = None
+) -> FitResult:
+    """fit_horizontal for a stack of unit node sets (..., K, n) and fields v of
+    the same shape, all on grid's partition and quadrature.
+
+    One einsum builds every Gram matrix and one batched eigen-solve inverts
+    them; eigenvalues at or below rank_tol are masked out per configuration.
+    """
     if rank_tol is None:
-        rank_tol = SINGULARITY_TOL_FACTOR * u.L
-    gd = gram_data(u)
-    rhs = differential_endpoint(u, v)
-    keep = gd.eigenvalues > rank_tol
-    coeffs = gd.eigenvectors.T @ rhs
-    w = gd.eigenvectors[:, keep] @ (coeffs[keep] / gd.eigenvalues[keep])
-    resid_field = np.asarray(v, dtype=float) - horizontal_gradient(w, u)
-    return FitResult(w=w, residual=l2_norm(u, resid_field), restricted=bool(not keep.all()))
+        rank_tol = SINGULARITY_TOL_FACTOR * grid.L
+    nodes = np.asarray(nodes, dtype=float)
+    v = np.asarray(v, dtype=float)
+    _, A = _gram(grid.weights, grid.L, nodes)
+    vals, vecs = np.linalg.eigh(A)
+    keep = vals > rank_tol
+    coeffs = np.einsum("...ji,...j->...i", vecs, grid.weights @ v)
+    scaled = np.where(keep, coeffs / np.where(keep, vals, 1.0), 0.0)
+    w = np.einsum("...ij,...j->...i", vecs, scaled)
+    # v - (w - <w,u>u), built in place: one (..., K, n) temporary for the stack
+    resid = np.einsum("...kj,...j->...k", nodes, w)[..., None] * nodes
+    resid -= w[..., None, :]
+    resid += v
+    residual = np.sqrt(np.einsum("k,...ki,...ki->...", grid.weights, resid, resid))
+    return FitResult(w=w, residual=residual, restricted=~keep.all(axis=-1))
 
 
 def critical_radii(partition, dedup_tol: float = 1e-12) -> np.ndarray:

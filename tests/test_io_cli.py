@@ -143,6 +143,28 @@ class TestCli:
         head = (out / "head_trace.csv").read_text().splitlines()
         assert head[0] == "t,x1,x2,x3"
 
+    def test_velocity_fit_check_can_fail(self, tmp_path, capsys, monkeypatch):
+        # the check refits the recorded velocities, so one node moved by 1e-3
+        # (not a horizontal field any more) must fail its 1e-6 bound
+        from snakeplan import cli
+
+        m, c = self._gen_matrix(tmp_path), self._gen_config(tmp_path)
+        capsys.readouterr()
+        steer = cli.steer_config
+
+        def perturbed(*args, **kwargs):
+            path = steer(*args, **kwargs)
+            path.velocities[len(path.velocities) // 2, 5] += 1e-3 * np.array([0.6, 0.0, 0.8])
+            return path
+
+        monkeypatch.setattr(cli, "steer_config", perturbed)
+        assert main(["steer", "--matrix", m, "--config", c]) == 3
+        checks = {ch["name"]: ch for ch in json.loads(capsys.readouterr().out)
+                  ["verification"]["checks"]}
+        assert checks["final_config_distance"]["pass"]
+        fit = checks["velocity_fit_residual"]
+        assert not fit["pass"] and fit["tol"] == 1e-6 and 1e-5 < fit["value"] < 1e-3
+
     def test_lift_head(self, tmp_path, capsys):
         c = self._gen_config(tmp_path)
         h = str(tmp_path / "head.json")

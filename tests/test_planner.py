@@ -353,6 +353,18 @@ class TestSteerConfig:
             ref = action_velocity(plan.controls[k], plan.matrices[k], cfg)
             assert np.array_equal(path.velocities[k], ref)
 
+    def test_fd_residuals_match_per_step_fits(self, rng):
+        cfg = random_config(rng, 3)
+        path = steer_config(cfg, random_so0(rng, 3), max_step=0.05)
+        ref = []
+        for k in range(1, len(path.nodes) - 1, 3):
+            uk = path.config(k)
+            fd = (path.nodes[k + 1] - path.nodes[k - 1]) / (path.times[k + 1] - path.times[k - 1])
+            ref.append(fit_horizontal(uk, project_tangent(uk, fd)).residual)
+        got = config_velocity_residuals(path, subsample=3)
+        assert got.shape == (len(ref),)
+        assert np.max(np.abs(got - ref)) <= 1e-14
+
     def test_fd_velocities_second_order(self, rng):
         cfg = random_config(rng, 3)
         A = random_so0(rng, 3)

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from numpy.polynomial import legendre as npleg
 
 from snakeplan.generate import random_config, straight_config
 from snakeplan.snake import (
@@ -10,12 +11,15 @@ from snakeplan.snake import (
     endpoint,
     e_field,
     fit_horizontal,
+    fit_horizontal_many,
+    gauss_legendre,
     gram_data,
     horizontal_gradient,
     is_singular,
     l2_norm,
     project_tangent,
     snake_curve,
+    snake_curve_matrix,
 )
 
 
@@ -152,6 +156,67 @@ class TestSnakeCurve:
         cfg = random_config(rng, 3)
         with pytest.raises(ValueError):
             snake_curve(cfg, cfg.L + 0.1)
+
+
+def legendre_partial_integral(u, t):
+    """Reference S(t): per-point Legendre interpolant integral on one segment."""
+    part, m = u.partition, u.nodes_per_segment
+    out = np.zeros(u.dim)
+    for k in range(u.segment_count):
+        a, b = part[k], part[k + 1]
+        seg = u.segment_nodes(k)
+        if t >= b:
+            out += u.weights[k * m : (k + 1) * m] @ seg
+            continue
+        if t <= a:
+            break
+        x_std, _ = npleg.leggauss(m)
+        coeffs = np.linalg.solve(npleg.legvander(x_std, m - 1), seg)
+        ic = npleg.legint(coeffs, axis=0)
+        x_t = 2.0 * (t - a) / (b - a) - 1.0
+        out += 0.5 * (b - a) * (npleg.legval(x_t, ic) - npleg.legval(-1.0, ic))
+        break
+    return out
+
+
+class TestSnakeCurveMatrix:
+    @pytest.mark.parametrize("n", [2, 3, 8])
+    @pytest.mark.parametrize("m", [1, 2, 16])
+    def test_matches_legendre_oracle(self, n, m):
+        rng = np.random.default_rng(100 * n + m)
+        L = 3.0
+        part = np.concatenate([[0.0], np.sort(rng.uniform(0.2, 2.8, size=3)), [L]])
+        cfg = SnakeConfig.from_segment_samples(
+            L, part, [rng.normal(size=(m, n)) for _ in range(4)], max_node_angle=np.pi
+        )
+        s = np.concatenate([part, rng.uniform(0.0, L, size=12), 0.5 * (part[:-1] + part[1:])])
+        got = snake_curve_matrix(cfg, s) @ cfg.nodes
+        ref = np.array([legendre_partial_integral(cfg, t) for t in s])
+        assert np.all(np.abs(got - ref) <= 1e-14 * np.maximum(1.0, np.abs(ref)))
+
+    def test_rows_are_weights_at_partition_points(self, rng):
+        cfg = random_config(rng, 3)
+        P = snake_curve_matrix(cfg, cfg.partition)
+        m = cfg.nodes_per_segment
+        for k, row in enumerate(P):
+            assert np.array_equal(row[: k * m], cfg.weights[: k * m])
+            assert not row[k * m :].any()
+
+    def test_out_of_range_rejected(self, rng):
+        cfg = random_config(rng, 3)
+        with pytest.raises(ValueError, match="outside"):
+            snake_curve_matrix(cfg, [0.5, -0.1])
+
+    def test_cached_rule(self):
+        rule = gauss_legendre(5)
+        assert gauss_legendre(5) is rule
+        assert np.allclose(rule.cumulative([-1.0, 1.0]), [np.zeros(5), rule.w], atol=1e-15)
+        # the m x m matrix at the abscissae integrates every degree < m exactly
+        C = rule.cumulative(rule.x)
+        assert np.allclose(C @ rule.x**3, (rule.x**4 - 1.0) / 4.0, atol=1e-14)
+        for arr in (rule.x, rule.w, rule.integral):
+            with pytest.raises(ValueError):
+                arr[0] = 1.0
 
 
 class TestGramData:
@@ -296,6 +361,39 @@ class TestFitHorizontal:
         cfg = straight_config(3)
         res = fit_horizontal(cfg, horizontal_gradient(e(1, 3), cfg))
         assert res.restricted
+
+
+def normal_equation_fit(u, v, rank_tol):
+    """Reference fit: per-configuration Gram eigen-solve on range(A_u)."""
+    gd = gram_data(u)
+    keep = gd.eigenvalues > rank_tol
+    coeffs = gd.eigenvectors.T @ differential_endpoint(u, v)
+    w = gd.eigenvectors[:, keep] @ (coeffs[keep] / gd.eigenvalues[keep])
+    return w, l2_norm(u, v - horizontal_gradient(w, u)), bool(not keep.all())
+
+
+class TestFitHorizontalMany:
+    @pytest.mark.parametrize("n", [2, 3, 8])
+    def test_stack_matches_per_configuration_fits(self, n):
+        rng = np.random.default_rng(300 + n)
+        regular = random_config(rng, n)
+        straight = SnakeConfig.from_segment_samples(
+            regular.L, regular.partition,
+            [np.tile(e(0, n), (regular.nodes_per_segment, 1))] * regular.segment_count,
+        )
+        configs = [regular, straight]
+        nodes = np.stack([c.nodes for c in configs])
+        v = np.stack([project_tangent(c, rng.normal(size=c.nodes.shape)) for c in configs])
+        fit = fit_horizontal_many(regular, nodes, v)
+        assert fit.restricted.tolist() == [False, True]
+        for k, cfg in enumerate(configs):
+            single = fit_horizontal(cfg, v[k])
+            w, residual, restricted = normal_equation_fit(cfg, v[k], 1e-8 * cfg.L)
+            assert single.restricted == restricted == fit.restricted[k]
+            assert abs(single.residual - fit.residual[k]) <= 1e-14
+            assert abs(residual - fit.residual[k]) <= 1e-14
+            assert np.max(np.abs(single.w - fit.w[k])) <= 1e-14
+            assert np.max(np.abs(w - fit.w[k])) <= 1e-14
 
 
 class TestCriticalRadii:
