@@ -8,8 +8,8 @@ is A^# = J A^T J.  Boosts have the closed form
     exp_h(u) = Id + sinh(w)/w * U + (cosh(w)-1)/w^2 * U^2,   w = |u|,
 
 with U the symmetric off-diagonal embedding of u.  Every Lorentz matrix
-factors as A = diag(eps, Q) * T with Q orthogonal and T the unique boost
-whose first row matches A's.
+factors as A = diag(eps, Q) * T with Q orthogonal and T = exp_h(u) the
+unique boost whose first row is eps times A's, so |u| = arcsinh|A[0, 1:]|.
 """
 
 from __future__ import annotations
@@ -72,12 +72,6 @@ def lorentz_product(a: np.ndarray, b: np.ndarray) -> float:
     if a.shape != b.shape or a.ndim != 1:
         raise ValueError(f"dimension mismatch: {a.shape} vs {b.shape}")
     return float(a[1:] @ b[1:] - a[0] * b[0])
-
-
-def _minkowski_J(m: int) -> np.ndarray:
-    J = np.eye(m)
-    J[0, 0] = -1.0
-    return J
 
 
 def pseudo_adjoint(A: np.ndarray) -> np.ndarray:
@@ -166,29 +160,11 @@ class BoostFactors(NamedTuple):
 def _boost_factor(A: np.ndarray) -> BoostFactors:
     A = np.asarray(A, dtype=float)
     eps = 1.0 if A[0, 0] >= 0.0 else -1.0
-    T = _boost_from_row(eps * A[0, 1:])
+    v = eps * A[0, 1:]
+    w = float(np.linalg.norm(v))
+    T = exp_h(np.arcsinh(w) / w * v if w > 0.0 else v)
     P = A @ pseudo_adjoint(T)
     return BoostFactors(eps, P[1:, 1:].copy(), T)
-
-
-def _boost_from_row(v: np.ndarray) -> np.ndarray:
-    """The boost [[c, v^T], [v, sqrt(Id + v v^T)]], c = sqrt(1 + |v|^2).
-
-    Its first row is exactly (c, v), so diag(eps, Q) = A T^{-1} takes Q from
-    A's own entries.  exp_h(arcsinh|v| / |v| * v) agrees only to rounding,
-    and so_log's Schur step picks its rotation-plane frames from Q with a
-    sensitivity that turns that rounding into a different (valid) plan.
-    """
-    vv = float(v @ v)
-    c = np.sqrt(1.0 + vv)
-    T = np.eye(v.shape[0] + 1)
-    T[0, 0] = c
-    T[0, 1:] = v
-    T[1:, 0] = v
-    if vv > 0.0:
-        # rank-one square root: sqrt(Id + vv^T) = Id + ((c-1)/|v|^2) vv^T
-        T[1:, 1:] += ((c - 1.0) / vv) * np.outer(v, v)
-    return T
 
 
 def boost_decompose(A: np.ndarray, tol: float = DEFAULT_FACTOR_TOL) -> BoostFactors:

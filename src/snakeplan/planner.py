@@ -36,6 +36,7 @@ from .lorentz import (
 from .rotations import planar_rotation
 from .snake import (
     SnakeConfig,
+    _gram,
     endpoint,
     fit_horizontal_many,
     horizontal_gradient,
@@ -437,13 +438,8 @@ def horizontal_lift(
     if max(np.linalg.norm(np.asarray(head(t), dtype=float)) for t in probe_ts) >= u0.L:
         raise ValueError("head target leaves the closed ball of radius L")
 
-    L = u0.L
-    weights = u0.weights
-    eye = np.eye(u0.dim)
-
     def velocity(t: float, nodes: np.ndarray) -> np.ndarray:
-        G = (nodes * weights[:, None]).T @ nodes
-        Aop = L * eye - 0.5 * (G + G.T)
+        _, Aop = _gram(u0.weights, u0.L, nodes)
         vals, vecs = np.linalg.eigh(Aop)
         if vals[0] < margin_min:
             raise SingularityApproach(t, float(vals[0]))

@@ -5,12 +5,15 @@ distinct positive singular values (each of even multiplicity), the B_j
 supported on mutually orthogonal even-dimensional planes-sums E_j, and
 B_j^3 = -B_j.  A special-orthogonal Q is a commuting product of planar
 rotations Q = prod_j Exp(theta_j B_j) on the same kind of block data, with
-angles folded into (0, pi].
+angles folded into (0, pi].  so_log reads the blocks off the real Schur form
+of Q; skew_spectral takes them from so_log of B's Cayley transform.  Frames
+are canonical: each x is the unit projection of the lowest axis that keeps
+at least half the largest projection, and y = B_j x.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 import scipy.linalg
@@ -68,36 +71,88 @@ class RotationBlocks:
         return out
 
 
-def _normalize_plane(x: np.ndarray, y: np.ndarray):
-    """Deterministic sign: first component of x above tolerance is positive."""
-    for xi in x:
-        if abs(xi) > 1e-9:
-            if xi < 0:
-                return -x, -y
-            break
-    return x, y
+def _take_axis(P: np.ndarray):
+    """Unit x = P e_i for the lowest axis i with |P e_i|^2 >= max_k |P e_k|^2 / 2,
+    and the projector P - x x^T left after it."""
+    d = np.einsum("ij,ij->j", P, P)
+    i = int(np.argmax(d >= 0.5 * d.max()))
+    x = P[:, i] / np.sqrt(d[i])
+    return x, P - x[:, None] * x
 
 
-def _plane_sort_key(plane):
-    x, y = plane
-    return (int(np.argmax(np.abs(x))), int(np.argmax(np.abs(y))))
+def _canonical_block(theta: float, X: np.ndarray, Y: np.ndarray) -> RotationBlock:
+    """The block of the planes (X[:, r], Y[:, r]) with frames built from its
+    projector P = sum_r x_r x_r^T + y_r y_r^T and generator
+    G = sum_r y_r x_r^T - x_r y_r^T alone, which do not depend on the frames
+    Schur picked.  Each x is an axis projection of what P has left and
+    y = G x; at theta = pi, G is not fixed by Q, so y is one too.
+    """
+    P, G = X @ X.T + Y @ Y.T, Y @ X.T - X @ Y.T
+    planes = []
+    for _ in range(X.shape[1]):
+        x, P = _take_axis(P)
+        if theta == np.pi:
+            y, P = _take_axis(P)
+        else:
+            y = G @ x
+            P = P - y[:, None] * y
+        planes.append((x, y))
+    gen = sum(y[:, None] * x - x[:, None] * y for x, y in planes)
+    return RotationBlock(theta=theta, planes=tuple(planes), generator=gen)
 
 
-def _build_block(theta: float, frames: list, n: int) -> RotationBlock:
-    frames = [_normalize_plane(x, y) for x, y in frames]
-    frames.sort(key=_plane_sort_key)
-    gen = np.zeros((n, n))
-    for x, y in frames:
-        gen += np.outer(y, x) - np.outer(x, y)
-    return RotationBlock(theta=float(theta), planes=tuple((x.copy(), y.copy()) for x, y in frames), generator=gen)
+def _log_blocks(Q: np.ndarray, min_angle: float = 0.0) -> RotationBlocks:
+    """Rotation blocks of a special-orthogonal Q from its real Schur form.
+
+    Planes whose angle is at most min_angle join the +1 eigenspace, the kernel.
+    """
+    n = Q.shape[0]
+    T, Z = scipy.linalg.schur(Q, output="real")
+    planes, minus_ones, kernel = [], [], []  # planes: (theta, x, y)
+    k = 0
+    while k < n:
+        if k + 1 < n and abs(T[k + 1, k]) > 1e-12:
+            s = 0.5 * (T[k + 1, k] - T[k, k + 1])
+            theta = float(np.arctan2(abs(s), 0.5 * (T[k, k] + T[k + 1, k + 1])))
+            x, y = Z[:, k], Z[:, k + 1]
+            if theta <= min_angle:
+                kernel += [x, y]
+            else:  # orient the frame so the rotation angle is +theta
+                planes.append((theta, x, y) if s > 0 else (theta, y, x))
+            k += 2
+        else:
+            (kernel if T[k, k] > 0 else minus_ones).append(Z[:, k])
+            k += 1
+    # -1 eigenvalues pair into theta = pi planes (even count since det = +1)
+    if len(minus_ones) % 2 != 0:
+        raise ValueError("odd count of -1 eigenvalues; input not special orthogonal")
+    planes += [(np.pi, x, y) for x, y in zip(minus_ones[::2], minus_ones[1::2])]
+
+    clusters: list = []  # planes within ANGLE_CLUSTER_TOL of a cluster's largest angle
+    for p in sorted(planes, key=lambda p: -p[0]):
+        if clusters and clusters[-1][0][0] - p[0] <= ANGLE_CLUSTER_TOL:
+            clusters[-1].append(p)
+        else:
+            clusters.append([p])
+    blocks = []
+    for cluster in clusters:
+        thetas, xs, ys = zip(*cluster)
+        blocks.append(_canonical_block(sum(thetas) / len(thetas), np.array(xs).T, np.array(ys).T))
+    K = np.array(kernel).reshape(-1, n).T
+    P = K @ K.T
+    for r in range(K.shape[1]):
+        K[:, r], P = _take_axis(P)
+    return RotationBlocks(dim=n, blocks=tuple(blocks), kernel_basis=K)
 
 
 def skew_spectral(B: np.ndarray, tol: float = 1e-10) -> RotationBlocks:
     """Split a skew matrix into commuting rotation generators.
 
-    Pairs left/right singular vectors (B x = theta y, B y = -theta x) with
-    greedy deflation inside each singular-value cluster, staying in real
-    arithmetic.  Kernel vectors are the singular directions below tol.
+    The Cayley transform C = (Id - B/a)^{-1} (Id + B/a), a = |B|_2, is a
+    rotation with B's planes and kernel and the angles
+    phi = 2 arctan(theta / a) in (0, pi/2], so the so_log blocks of C give
+    B's with theta = a tan(phi / 2), accurate relative to |B|.  Planes with
+    theta <= tol * max(1, a) join the kernel.
     """
     B = np.asarray(B, dtype=float)
     n = B.shape[0]
@@ -109,50 +164,20 @@ def skew_spectral(B: np.ndarray, tol: float = 1e-10) -> RotationBlocks:
     if n == 0:
         return RotationBlocks(dim=0)
 
-    _, svals, Vt = np.linalg.svd(B)
-    scale = max(1.0, svals[0] if len(svals) else 1.0)
-    kernel_mask = svals <= tol * scale
-    # cluster the positive singular values
-    groups: list = []  # (theta, [row indices into Vt])
-    for idx, s in enumerate(svals):
-        if kernel_mask[idx]:
-            continue
-        if groups and abs(groups[-1][0] - s) <= ANGLE_CLUSTER_TOL * scale:
-            groups[-1][1].append(idx)
-        else:
-            groups.append([s, [idx]])
-
-    blocks = []
-    for s_group, idxs in groups:
-        theta = float(np.mean(svals[idxs]))
-        basis = Vt[idxs].T  # orthonormal columns spanning E_j
-        frames = []
-        work = basis
-        while work.shape[1] > 0:
-            x = work[:, 0]
-            x = x / np.linalg.norm(x)
-            y = B @ x / theta
-            # project y back into the remaining subspace for hygiene
-            y = work @ (work.T @ y)
-            y /= np.linalg.norm(y)
-            frames.append((x, y))
-            # deflate span(x, y); SVD keeps an orthonormal basis of what is left
-            proj = work - np.outer(x, x @ work) - np.outer(y, y @ work)
-            uu, ss, _ = np.linalg.svd(proj, full_matrices=False)
-            work = uu[:, ss > 1e-8]
-        blocks.append(_build_block(theta, frames, n))
-
-    kernel = Vt[kernel_mask].T if kernel_mask.any() else np.zeros((n, 0))
-    blocks.sort(key=lambda b: -b.theta)
-    return RotationBlocks(dim=n, blocks=tuple(blocks), kernel_basis=kernel)
+    a = float(np.linalg.norm(B, 2)) or 1.0
+    C = np.linalg.solve(np.eye(n) - B / a, np.eye(n) + B / a)
+    rb = _log_blocks(C, min_angle=2.0 * np.arctan(tol * max(1.0, a) / a))
+    return replace(rb, blocks=tuple(replace(b, theta=float(a * np.tan(0.5 * b.theta))) for b in rb.blocks))
 
 
 def so_log(Q: np.ndarray, tol: float = 1e-9):
     """Principal logarithm of a special-orthogonal matrix as rotation blocks.
 
     Returns (B, blocks) with Exp(B) = Q, angles folded into (0, pi]; the
-    eigenspace of eigenvalue 1 becomes the kernel basis.  Rejects improper
-    or non-orthogonal input.
+    eigenspace of eigenvalue 1 becomes the kernel basis.  Plane and kernel
+    frames are canonical: built from each block's projector and generator,
+    which do not depend on the Schur basis.  Rejects improper or
+    non-orthogonal input.
     """
     Q = np.asarray(Q, dtype=float)
     n = Q.shape[0]
@@ -163,55 +188,10 @@ def so_log(Q: np.ndarray, tol: float = 1e-9):
     if np.linalg.det(Q) < 0.0:
         raise ValueError("input is improper (det = -1); no real log in so(n)")
 
-    T, Z = scipy.linalg.schur(Q, output="real")
-    frames = []  # (theta, x, y)
-    minus_ones = []
-    kernel_cols = []
-    k = 0
-    while k < n:
-        if k + 1 < n and abs(T[k + 1, k]) > 1e-12:
-            c = 0.5 * (T[k, k] + T[k + 1, k + 1])
-            s = 0.5 * (T[k + 1, k] - T[k, k + 1])
-            theta = float(np.arctan2(abs(s), c))
-            x, y = Z[:, k], Z[:, k + 1]
-            if s < 0:
-                x, y = y, x  # flip orientation so the rotation angle is +theta
-            frames.append((theta, x, y))
-            k += 2
-        else:
-            lam = T[k, k]
-            if lam > 0:
-                kernel_cols.append(Z[:, k])
-            else:
-                minus_ones.append(Z[:, k])
-            k += 1
-    # -1 eigenvalues pair into theta = pi planes (even count since det = +1)
-    if len(minus_ones) % 2 != 0:
-        raise ValueError("odd count of -1 eigenvalues; input not special orthogonal")
-    for r in range(0, len(minus_ones), 2):
-        frames.append((float(np.pi), minus_ones[r], minus_ones[r + 1]))
-
-    # cluster by angle
-    frames.sort(key=lambda f: -f[0])
-    blocks = []
-    i = 0
-    while i < len(frames):
-        theta = frames[i][0]
-        group = [(frames[i][1], frames[i][2])]
-        j = i + 1
-        while j < len(frames) and abs(frames[j][0] - theta) <= ANGLE_CLUSTER_TOL:
-            group.append((frames[j][1], frames[j][2]))
-            j += 1
-        theta = float(np.mean([frames[t][0] for t in range(i, j)]))
-        blocks.append(_build_block(theta, group, n))
-        i = j
-
-    kernel = np.array(kernel_cols).T if kernel_cols else np.zeros((n, 0))
-    rb = RotationBlocks(dim=n, blocks=tuple(blocks), kernel_basis=kernel)
-    B = rb.generator_sum()
+    rb = _log_blocks(Q)
     if np.linalg.norm(so_exp_blocks(rb) - Q) > max(tol, 1e-9) * 10:
         raise ValueError("so_log reconstruction failed; input too far from SO(n)")
-    return B, rb
+    return rb.generator_sum(), rb
 
 
 def planar_rotation(G: np.ndarray, angle) -> np.ndarray:

@@ -230,11 +230,19 @@ class GramData:
     eigenvectors: np.ndarray  # columns, matching eigenvalues
 
 
+@functools.lru_cache(maxsize=64)
+def _identity(n: int) -> np.ndarray:
+    """The n x n identity, shared by every Gram call, hence read-only."""
+    eye = np.eye(n)
+    eye.setflags(write=False)
+    return eye
+
+
 def _gram(weights: np.ndarray, L: float, nodes: np.ndarray):
     """Gamma_u and A_u for one node set or a stack (..., K, n) on one quadrature."""
-    G = np.einsum("k,...ki,...kj->...ij", weights, nodes, nodes)
-    G = 0.5 * (G + np.swapaxes(G, -1, -2))
-    return G, L * np.eye(nodes.shape[-1]) - G
+    G = (nodes * weights[:, None]).swapaxes(-1, -2) @ nodes
+    G = 0.5 * (G + G.swapaxes(-1, -2))
+    return G, L * _identity(nodes.shape[-1]) - G
 
 
 def gram_data(u: SnakeConfig) -> GramData:

@@ -175,6 +175,19 @@ class TestPlanGroupPath:
     def test_consistency_residual_of_empty_path(self):
         assert commutator_probe(1, 2, 0.0, 4, 3).consistency_residual() == 0.0
 
+    @pytest.mark.parametrize("n", [2, 3, 4, 8])
+    def test_controls_continuous_under_one_ulp(self, n):
+        # plane frames are canonical, so rounding in A moves the plan by rounding
+        for seed in range(10):
+            rng = np.random.default_rng(seed)
+            A = random_so0(rng, n)
+            i, j = rng.integers(0, n + 1, size=2)
+            B = A.copy()
+            B[i, j] = np.nextafter(B[i, j], np.inf)
+            before, after = plan_group_path(A).controls, plan_group_path(B).controls
+            assert before.shape == after.shape
+            assert np.abs(after - before).max(initial=0.0) <= 1e-12
+
 
 class TestCommutatorProbe:
     def test_zero_time_is_identity(self):

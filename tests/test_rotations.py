@@ -20,6 +20,38 @@ def canonical_skew(n, i, j, theta):
     return B
 
 
+# angles at 0+, pi- and pi, repeated and clustered; one plane per angle
+EDGE_ANGLES = [
+    (1e-7,), (np.pi - 1e-9,), (np.pi,), (np.pi, np.pi), (1.0, 1.0),
+    (0.3, np.pi - 0.3), (np.pi / 3 - 1e-7, np.pi / 3 + 1e-7), (1e-9, np.pi - 1e-9),
+]
+
+
+def edge_cases(rng):
+    """(B, Exp(B)) for every EDGE_ANGLES entry at n = 4, 7 and 32, with
+    the planes spanned by consecutive columns of a random rotation."""
+    for n in (4, 7, 32):
+        for angles in EDGE_ANGLES:
+            V = random_rotation(rng, n)
+            D = np.zeros((n, n))
+            R = np.eye(n)
+            for r, a in enumerate(angles):
+                D[2 * r : 2 * r + 2, 2 * r : 2 * r + 2] = canonical_skew(2, 0, 1, a)
+                R[2 * r : 2 * r + 2, 2 * r : 2 * r + 2] = planar_rotation(2, 0, 1, a)
+            yield V @ D @ V.T, V @ R @ V.T
+
+
+def spectrum_angles(rb):
+    """Sorted angles of every eigenvalue pair the blocks claim, 0 on the kernel."""
+    thetas = [b.theta for b in rb.blocks for _ in range(2 * len(b.planes))]
+    return np.sort(np.concatenate([thetas, np.zeros(rb.kernel_basis.shape[1])]))
+
+
+def frame_entries(rb):
+    """Every plane frame and kernel vector of the blocks, as one flat array."""
+    return np.concatenate([np.ravel(b.planes) for b in rb.blocks] + [rb.kernel_basis.ravel()])
+
+
 def assert_block_axioms(rb, tol=1e-10):
     # cubic relation, pairwise commutation, orthonormal frames + kernel
     vecs = []
@@ -63,6 +95,12 @@ class TestSkewSpectral:
             rb = skew_spectral(B)
             assert np.linalg.norm(rb.generator_sum() - B) < 1e-10
             assert_block_axioms(rb)
+        for scale in (1.0, 9.5):
+            for B, _ in edge_cases(rng):
+                rb = skew_spectral(scale * B)
+                err = np.linalg.norm(rb.generator_sum() - scale * B)
+                assert err <= 1e-13 * np.linalg.norm(scale * B)
+                assert_block_axioms(rb)
 
     def test_angles_match_eigenvalue_oracle(self, rng):
         B = random_skew(rng, 7)
@@ -71,6 +109,12 @@ class TestSkewSpectral:
         imag = np.sort(np.abs(eig.imag[np.abs(eig.imag) > 1e-10]))
         thetas = np.sort(np.concatenate([[b.theta] * 2 * len(b.planes) for b in rb.blocks]))
         assert np.allclose(imag, thetas, atol=1e-9)
+        # |B| up to 30 puts angles above pi; skew_spectral does not fold them
+        for scale in (1.0, 9.5):
+            for B, _ in edge_cases(rng):
+                oracle = np.sort(np.abs(np.linalg.eigvals(scale * B).imag))
+                got = spectrum_angles(skew_spectral(scale * B))
+                assert np.abs(got - oracle).max() <= 1e-13 * np.linalg.norm(scale * B)
 
     def test_repeated_angle_merges(self):
         B = canonical_skew(6, 0, 1, 1.1) + canonical_skew(6, 2, 3, 1.1)
@@ -103,6 +147,8 @@ class TestSoLog:
         B, rb = so_log(Q)
         assert rb.blocks[0].theta == pytest.approx(np.pi)
         assert np.linalg.norm(so_exp_blocks(rb) - Q) < 1e-12
+        # the half-turn plane frame is the axis pair itself, whatever Schur picked
+        assert np.array_equal(np.array(rb.blocks[0].planes[0]), np.eye(3)[:2])
 
     def test_random_roundtrip(self, rng, series_exp):
         for n in (4, 8):
@@ -114,6 +160,21 @@ class TestSoLog:
                 for b in rb.blocks:
                     assert 0.0 < b.theta <= np.pi + 1e-12
                 assert_block_axioms(rb, tol=1e-9)
+        for _, Q in edge_cases(rng):
+            n = Q.shape[0]
+            B, rb = so_log(Q)
+            assert np.linalg.norm(so_exp_blocks(rb) - Q) <= 1e-14 * n
+            assert np.linalg.norm(series_exp(B) - Q) < 1e-9
+            for b in rb.blocks:
+                assert 0.0 < b.theta <= np.pi + 1e-12
+            assert_block_axioms(rb, tol=1e-9)
+            oracle = np.sort(np.abs(np.angle(np.linalg.eigvals(Q))))
+            assert np.abs(spectrum_angles(rb) - oracle).max() <= 1e-14 * n
+            # frames are canonical: one ulp in Q moves them by its conditioning,
+            # up to 3e-6 here (sin theta = 1e-9), not onto other frames
+            Q[0, -1] = np.nextafter(Q[0, -1], np.inf)
+            _, moved = so_log(Q)
+            assert np.abs(frame_entries(moved) - frame_entries(rb)).max() <= 1e-4
 
     def test_rejects_improper(self, rng):
         Q = random_rotation(rng, 4)
