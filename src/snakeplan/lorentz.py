@@ -9,7 +9,11 @@ is A^# = J A^T J.  Boosts have the closed form
 
 with U the symmetric off-diagonal embedding of u.  Every Lorentz matrix
 factors as A = diag(eps, Q) * T with Q orthogonal and T = exp_h(u) the
-unique boost whose first row is eps times A's, so |u| = arcsinh|A[0, 1:]|.
+unique boost whose first row is eps times A's.  One pass reads both from
+A's first row and column: with v = eps * A[0, 1:], u = arcsinh|v| / |v| * v
+and Q = A[1:, 1:] - A[1:, 0] v^T / (1 + |A00|), as Q v = A[1:, 0] and T
+fixes the spatial directions orthogonal to v.  Membership tests
+|A^# A - Id|_F against tol * |A|_2^2, |A|_2 = |A00| + |A[0, 1:]| = e^{|u|}.
 """
 
 from __future__ import annotations
@@ -92,17 +96,25 @@ def lorentz_residual(A: np.ndarray) -> float:
     return float(np.linalg.norm(pseudo_adjoint(A) @ A - np.eye(m)))
 
 
+def _norm2(A: np.ndarray) -> float:
+    """|A|_2 = |A00| + |A[0, 1:]| = e^{|u|} of a Lorentz matrix, from its first row."""
+    return float(abs(A[0, 0]) + np.linalg.norm(A[0, 1:]))
+
+
+def _grade(A: np.ndarray, tol: float):
+    """Membership grade of A and its factor pass (None when A is not Lorentz)."""
+    if lorentz_residual(A) > tol * _norm2(A) ** 2:
+        return Membership.NOT_LORENTZ, None
+    factor = _boost_factor(A)
+    eps, Q, _ = factor
+    if eps < 0.0:
+        return Membership.O, factor
+    return (Membership.SO0 if np.linalg.det(Q) > 0.0 else Membership.SO), factor
+
+
 def classify(A: np.ndarray, tol: float = DEFAULT_MEMBERSHIP_TOL) -> Membership:
     """Membership grade: O(n,1), then c>0 for SO, then det(Q)=+1 for SO0."""
-    A = np.asarray(A, dtype=float)
-    if lorentz_residual(A) > tol:
-        return Membership.NOT_LORENTZ
-    if A[0, 0] <= 0.0:
-        return Membership.O
-    _, Q, _ = _boost_factor(A)
-    if np.linalg.det(Q) > 0.0:
-        return Membership.SO0
-    return Membership.SO
+    return _grade(np.asarray(A, dtype=float), tol)[0]
 
 
 def exp_h(u: np.ndarray) -> np.ndarray:
@@ -128,25 +140,14 @@ def exp_h(u: np.ndarray) -> np.ndarray:
 
 
 def log_boost(T: np.ndarray, tol: float = DEFAULT_FACTOR_TOL) -> np.ndarray:
-    """Recover u with exp_h(u) = T; rejects non-boosts.
-
-    u = (w / sinh w) * v where v is the spatial part of T's first column and
-    w = arccosh(T00).
-    """
+    """Recover u with exp_h(u) = T, read from T's first row; rejects non-boosts."""
     T = np.asarray(T, dtype=float)
     if np.linalg.norm(T - T.T) > tol:
         raise NotABoost(f"asymmetry {np.linalg.norm(T - T.T):.3e} above tol")
-    c = T[0, 0]
-    if c < 1.0 - tol:
-        raise NotABoost(f"T00 = {c} < 1")
-    w = float(np.arccosh(max(c, 1.0)))
-    v = T[1:, 0]
-    if w < _SMALL_OMEGA:
-        w2 = w * w
-        u = (1.0 - w2 / 6.0 + 7.0 * w2 * w2 / 360.0) * v
-    else:
-        u = (w / np.sinh(w)) * v
-    if np.linalg.norm(exp_h(u) - T) > tol * max(1.0, c):
+    if T[0, 0] < 1.0 - tol:
+        raise NotABoost(f"T00 = {T[0, 0]} < 1")
+    u = _boost_factor(T)[2]
+    if np.linalg.norm(exp_h(u) - T) > tol * max(1.0, T[0, 0]):
         raise NotABoost("spectral mismatch: exp_h(log_boost(T)) != T")
     return u
 
@@ -157,46 +158,43 @@ class BoostFactors(NamedTuple):
     T: np.ndarray
 
 
-def _boost_factor(A: np.ndarray) -> BoostFactors:
-    A = np.asarray(A, dtype=float)
+def _boost_factor(A: np.ndarray) -> tuple:
+    """(eps, Q, u) with A = diag(eps, Q) @ exp_h(u), in closed form (module docstring)."""
     eps = 1.0 if A[0, 0] >= 0.0 else -1.0
     v = eps * A[0, 1:]
     w = float(np.linalg.norm(v))
-    T = exp_h(np.arcsinh(w) / w * v if w > 0.0 else v)
-    P = A @ pseudo_adjoint(T)
-    return BoostFactors(eps, P[1:, 1:].copy(), T)
+    Q = A[1:, 1:] - A[1:, 0, None] * v / (1.0 + abs(A[0, 0]))
+    return eps, Q, np.arcsinh(w) / w * v if w > 0.0 else v
 
 
 def boost_decompose(A: np.ndarray, tol: float = DEFAULT_FACTOR_TOL) -> BoostFactors:
     """Polar-type factorization A = diag(eps, Q) @ T, T the boost from A's first row."""
     A = np.asarray(A, dtype=float)
-    eps, Q, T = _boost_factor(A)
-    if np.linalg.norm(spatial_block(Q, eps) @ T - A) > tol * max(1.0, abs(A[0, 0])):
-        raise NotLorentz(f"reconstruction residual above {tol}; input not Lorentz?")
+    eps, Q, u = _boost_factor(A)
+    T = exp_h(u)
+    if np.linalg.norm(spatial_block(Q, eps) @ T - A) > tol * _norm2(A):
+        raise NotLorentz(f"reconstruction residual above {tol} |A|_2; input not Lorentz?")
     return BoostFactors(eps, Q, T)
 
 
 def kak_decompose(A: np.ndarray, tol: float = DEFAULT_FACTOR_TOL):
     """A = diag(1,Q') @ exp_h(alpha * e1) @ diag(1, Q^T), Q special orthogonal.
 
-    Requires classify(A) in {SO, SO0} (so eps = +1).
+    Requires classify(A) in {SO, SO0} (so eps = +1); alpha = |u| and the
+    axis u/|u| come from the factor pass.
     """
     A = np.asarray(A, dtype=float)
     n = A.shape[0] - 1
-    eps, Q0, T = boost_decompose(A, tol=tol)
+    eps, Q0, u = _boost_factor(A)
     if eps < 0:
         raise NotLorentz("kak_decompose needs an SO-grade input (c > 0)")
-    alpha = float(np.arccosh(T[0, 0]))
-    v = T[0, 1:]
-    if alpha == 0.0 or np.linalg.norm(v) == 0.0:
-        Qv = np.eye(n)
-    else:
-        Qv = _completion_to_frame(v / np.linalg.norm(v))
+    alpha = float(np.linalg.norm(u))
+    Qv = _completion_to_frame(u / alpha) if alpha > 0.0 else np.eye(n)
     if n >= 2 and np.linalg.det(Qv) < 0.0:
         Qv[:, -1] *= -1.0  # fix det; flipped column is in the e1-stabilizer
     Qp = Q0 @ Qv
     recon = spatial_block(Qp) @ exp_h(alpha * np.eye(n)[0]) @ spatial_block(Qv).T
-    if np.linalg.norm(recon - A) > tol * max(1.0, abs(A[0, 0])):
+    if np.linalg.norm(recon - A) > tol * _norm2(A):
         raise NotLorentz("kak reconstruction residual above tol")
     return Qp, alpha, Qv
 
@@ -348,11 +346,11 @@ def factorize(A: np.ndarray, tol: float = DEFAULT_FACTOR_TOL):
     from .rotations import so_log
 
     A = np.asarray(A, dtype=float)
-    if classify(A, tol=max(tol, DEFAULT_MEMBERSHIP_TOL)) is not Membership.SO0:
-        raise NotLorentz("factorize needs an SO0 input")
-    _, Q, T = boost_decompose(A, tol=tol)
+    grade, factor = _grade(A, max(tol, DEFAULT_MEMBERSHIP_TOL))
+    if grade is not Membership.SO0:
+        raise NotLorentz(f"factorize needs an SO0 input, got {grade.value}")
+    _, Q, u = factor
     _, blocks = so_log(Q, tol=tol)
-    u = log_boost(T, tol=tol)
     return blocks, u
 
 

@@ -26,3 +26,24 @@ def rng():
 @pytest.fixture
 def series_exp():
     return series_expm
+
+
+# rapidities from the identity through the Taylor branch of exp_h to 15, and
+# dimensions up to 32, for the factor pass and everything that reads it
+RAPIDITIES = (0.0, 1e-12, 1e-6, 1.0, 8.0, 15.0)
+DIMS = (2, 3, 8, 32)
+
+
+def lorentz_sample(rng, n: int, w: float, eps: float = 1.0, det: float = 1.0):
+    """(A, u) with A = diag(eps, R) @ exp_h(u), |u| = w and det R = det."""
+    from snakeplan.generate import random_rotation
+    from snakeplan.lorentz import exp_h
+
+    R = random_rotation(rng, n)
+    R[:, 0] *= det
+    d = rng.normal(size=n)
+    u = w * d / np.linalg.norm(d)
+    P = np.eye(n + 1)
+    P[0, 0] = eps
+    P[1:, 1:] = R
+    return P @ exp_h(u), u

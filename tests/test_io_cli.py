@@ -13,6 +13,8 @@ from snakeplan.generate import random_config, random_so0
 from snakeplan.lorentz import LieElement
 from snakeplan.planner import plan_group_path
 
+from conftest import lorentz_sample
+
 
 class TestJsonRoundtrips:
     def test_matrix(self, rng):
@@ -113,6 +115,30 @@ class TestCli:
         p = tmp_path / "bad.json"
         sio.dump_json(sio.matrix_to_json(np.arange(16.0).reshape(4, 4)), p)
         assert main(["decompose", "--matrix", str(p)]) == 3
+
+    @pytest.mark.parametrize("command", ["decompose", "factorize", "plan-group", "steer"])
+    @pytest.mark.parametrize("matrix", ["garbage", "spatial_reflection", "time_reversal"])
+    def test_matrix_outside_so0_exit_code(self, tmp_path, command, matrix):
+        # one rejection, factorize's NotLorentz: a numerical failure everywhere;
+        # decompose factors all of O(n,1)
+        A = {"garbage": np.arange(16.0).reshape(4, 4),
+             "spatial_reflection": np.diag([1.0, -1.0, 1.0, 1.0]),
+             "time_reversal": np.diag([-1.0, 1.0, 1.0, 1.0])}[matrix]
+        p = tmp_path / "A.json"
+        sio.dump_json(sio.matrix_to_json(A), p)
+        argv = [command, "--matrix", str(p)]
+        if command == "steer":
+            argv += ["--config", self._gen_config(tmp_path)]
+        expected = 0 if command == "decompose" and matrix != "garbage" else 3
+        assert main(argv) == expected
+
+    @pytest.mark.parametrize("n", [3, 8])
+    def test_factorize_and_plan_at_rapidity_15(self, tmp_path, capsys, n):
+        p = tmp_path / "A.json"
+        sio.dump_json(sio.matrix_to_json(lorentz_sample(np.random.default_rng(n), n, 15.0)[0]), p)
+        for command in ("factorize", "plan-group"):
+            assert main([command, "--matrix", str(p)]) == 0
+            assert json.loads(capsys.readouterr().out)["verification"]["passed"]
 
     def test_validation_error_exit_code(self, tmp_path):
         p = tmp_path / "broken.json"

@@ -8,6 +8,7 @@ from snakeplan.lorentz import (
     LieElement,
     Membership,
     NotABoost,
+    NotLorentz,
     basis_Omega,
     basis_U,
     block_l1_norm,
@@ -25,6 +26,8 @@ from snakeplan.lorentz import (
     pseudo_adjoint,
 )
 from snakeplan.rotations import so_exp_blocks
+
+from conftest import DIMS, RAPIDITIES, lorentz_sample
 
 
 def minkowski(t, x):
@@ -105,6 +108,18 @@ class TestClassify:
 
     def test_garbage_is_not_lorentz(self, rng):
         assert classify(rng.normal(size=(5, 5))) is Membership.NOT_LORENTZ
+
+    @pytest.mark.parametrize("n", DIMS)
+    @pytest.mark.parametrize("w", RAPIDITIES)
+    def test_grades_across_rapidity(self, rng, n, w):
+        # the membership residual scales with |A|_2^2 = e^{2|u|}
+        assert classify(lorentz_sample(rng, n, w)[0]) is Membership.SO0
+        assert classify(lorentz_sample(rng, n, w, eps=-1.0)[0]) is Membership.O
+        assert classify(lorentz_sample(rng, n, w, det=-1.0)[0]) is Membership.SO
+
+    def test_so0_at_rapidity_30(self, rng):
+        for n in DIMS:
+            assert classify(lorentz_sample(rng, n, 30.0)[0]) is Membership.SO0
 
 
 class TestExpH:
@@ -226,6 +241,14 @@ class TestBoostDecompose:
         assert eps == -1.0
         assert np.linalg.norm(P @ T - A) < 1e-10
 
+    @pytest.mark.parametrize("n", DIMS)
+    @pytest.mark.parametrize("w", RAPIDITIES)
+    def test_orthogonal_factor_across_rapidity(self, rng, n, w):
+        for sign in (1.0, -1.0):
+            eps, Q, T = boost_decompose(lorentz_sample(rng, n, w, eps=sign)[0])
+            assert eps == sign
+            assert np.linalg.norm(Q.T @ Q - np.eye(n)) <= 1e-15 * n * np.exp(w)
+
 
 class TestKakDecompose:
     def test_identity(self):
@@ -250,6 +273,15 @@ class TestKakDecompose:
         A = exp_h(alpha * e(1, 4))
         Qp, a, Q = kak_decompose(A)
         assert a == pytest.approx(alpha, abs=1e-12)
+
+    @pytest.mark.parametrize("w", [1e-12, 1e-9, 1e-6, 1e-3, 1.0, 8.0, 15.0])
+    def test_alpha_is_rapidity(self, rng, w):
+        # alpha is |u| from the factor pass, not arccosh(T00), which loses
+        # every digit below |u| ~ 1e-8
+        for n in (2, 3, 8):
+            A, u = lorentz_sample(rng, n, w)
+            _, alpha, _ = kak_decompose(A)
+            assert abs(alpha - np.linalg.norm(u)) <= 4e-16 * np.linalg.norm(u)
 
 
 class TestBracket:
@@ -328,6 +360,20 @@ class TestFactorize:
             assert np.linalg.norm(R @ exp_h(u) - A) < 1e-8
             for b in blocks.blocks:
                 assert 0.0 < b.theta <= np.pi + 1e-12
+
+    @pytest.mark.parametrize("n", DIMS)
+    @pytest.mark.parametrize("w", RAPIDITIES)
+    def test_reconstruction_across_rapidity(self, rng, n, w):
+        A, _ = lorentz_sample(rng, n, w)
+        blocks, u = factorize(A)
+        R = np.eye(n + 1)
+        R[1:, 1:] = so_exp_blocks(blocks)
+        assert np.linalg.norm(R @ exp_h(u) - A) <= 1e-9 * np.linalg.norm(A, 2)
+
+    @pytest.mark.parametrize("kw", [{"eps": -1.0}, {"det": -1.0}])
+    def test_rejects_outside_so0(self, rng, kw):
+        with pytest.raises(NotLorentz):
+            factorize(lorentz_sample(rng, 3, 8.0, **kw)[0])
 
 
 class TestBlockL1Norm:
