@@ -38,10 +38,12 @@ def main():
     last_path = None
     for r in args.radii:
         def head(t, r=r):
-            return c0 + r * np.array([np.cos(2 * np.pi * t) - 1.0, np.sin(2 * np.pi * t)])
+            return c0 + r * np.stack([np.cos(2 * np.pi * t) - 1.0, np.sin(2 * np.pi * t)],
+                                     axis=-1)
 
         def head_dot(t, r=r):
-            return 2 * np.pi * r * np.array([-np.sin(2 * np.pi * t), np.cos(2 * np.pi * t)])
+            return 2 * np.pi * r * np.stack([-np.sin(2 * np.pi * t), np.cos(2 * np.pi * t)],
+                                            axis=-1)
 
         path = horizontal_lift(cfg, head, head_dot, t_final=1.0, dt=args.dt)
         ret = np.linalg.norm(path.head_trace[-1] - c0)

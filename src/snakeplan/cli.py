@@ -22,11 +22,12 @@ import numpy as np
 from . import generate as gen
 from . import io as sio
 from .lorentz import (
+    DEFAULT_MEMBERSHIP_TOL,
     Membership,
     NotABoost,
     NotLorentz,
+    _grade,
     _norm2,
-    boost_decompose,
     classify,
     exp_h,
     factorize,
@@ -124,10 +125,11 @@ def _maybe_write_csv(options, name, header, rows, outputs):
 def _run_decompose(sc: Scenario):
     tol = sc.options.get("tol", 1e-8)
     A = sio.matrix_from_json(_load_json(sc.inputs["matrix"]))
-    grade = classify(A)
+    grade, factor = _grade(A, DEFAULT_MEMBERSHIP_TOL)
     if grade is Membership.NOT_LORENTZ:
         raise NotLorentz("Lorentz residual above 1e-9 |A|_2^2")
-    eps, Q, T = boost_decompose(A, tol=tol)
+    eps, Q, u = factor
+    T = exp_h(u)
     checks = [
         _check("reconstruction_residual", np.linalg.norm(spatial_block(Q, eps) @ T - A),
                tol * _norm2(A)),
@@ -215,11 +217,7 @@ def _run_lift_head(sc: Scenario):
     from scipy.interpolate import CubicSpline
 
     spline = CubicSpline(times, points, axis=0)
-    dspline = spline.derivative()
-    path = horizontal_lift(
-        u0, lambda t: spline(t), lambda t: dspline(t),
-        t_final=float(times[-1]), dt=step,
-    )
+    path = horizontal_lift(u0, spline, spline.derivative(), t_final=float(times[-1]), dt=step)
     checks = [
         _check("tracking_error", float(path.tracking_errors.max()), track_tol),
         _check("final_margin", -is_singular(path.final)[1], 0.0),

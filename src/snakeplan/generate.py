@@ -52,11 +52,10 @@ def random_config(
     L: float = 3.0,
     segments: int = 3,
     nodes_per_segment: int = DEFAULT_NODES_PER_SEGMENT,
-    spin: float = 0.8,
 ) -> SnakeConfig:
     """Per-segment great-circle-ish sweeps: u_k(s) = Exp((s - s_k) W_k) u_k(s_k)
-    with a random modest angular velocity W_k; direction jumps are allowed at
-    partition points only."""
+    with a random angular velocity W_k of norm 0.8; direction jumps are
+    allowed at partition points only."""
     cuts = np.sort(rng.uniform(0.15, 0.85, size=segments - 1)) * L if segments > 1 else np.array([])
     partition = np.concatenate([[0.0], cuts, [L]])
     starts = rng.normal(size=(segments, n))
@@ -65,7 +64,7 @@ def random_config(
     for _ in range(segments):
         W = rng.normal(size=(n, n))
         W = 0.5 * (W - W.T)
-        W *= spin / max(np.linalg.norm(W), 1e-12)
+        W *= 0.8 / max(np.linalg.norm(W), 1e-12)
         omegas.append(W)
 
     def direction(s: float) -> np.ndarray:
@@ -105,15 +104,15 @@ def straight_config(
     return SnakeConfig.from_segment_samples(L, partition, segs)
 
 
-def circle_head_curve(u0: SnakeConfig, radius: float, n_samples: int = 129):
+def circle_head_curve(u0: SnakeConfig, radius: float):
     """Closed planar loop through endpoint(u0) in the (e1, e2) plane.
 
-    Returns (times, points) sampled on [0, 1]; the loop is
+    Returns (times, points) at 129 times on [0, 1]; the loop is
     c(t) = c0 + r [(cos 2 pi t - 1), sin 2 pi t, 0, ...].
     """
     c0 = endpoint(u0)
-    ts = np.linspace(0.0, 1.0, n_samples)
-    pts = np.tile(c0, (n_samples, 1))
+    ts = np.linspace(0.0, 1.0, 129)
+    pts = np.tile(c0, (ts.shape[0], 1))
     pts[:, 0] += radius * (np.cos(2.0 * np.pi * ts) - 1.0)
     pts[:, 1] += radius * np.sin(2.0 * np.pi * ts)
     return ts, pts

@@ -194,9 +194,10 @@ def head_trace_rows(path: ConfigPath):
         yield [t, *h]
 
 
-def config_path_polyline_rows(path: ConfigPath, samples: int = 33, stride: int = 1):
-    """Rows (t, s, x_1..x_n): the snake polyline at a subsample of times."""
-    s = np.linspace(0.0, path.grid.L, samples)
+def config_path_polyline_rows(path: ConfigPath, stride: int = 1):
+    """Rows (t, s, x_1..x_n): the snake polyline at 33 arc lengths, at every
+    stride-th time."""
+    s = np.linspace(0.0, path.grid.L, 33)
     P = snake_curve_matrix(path.grid, s)
     for k in range(0, len(path.nodes), stride):
         for s_i, x in zip(s, P @ path.config(k).nodes):

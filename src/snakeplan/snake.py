@@ -299,33 +299,29 @@ class FitResult:
     restricted: bool  # True when A_u was singular and the fit used range(A_u)
 
 
-def fit_horizontal(u: SnakeConfig, v: np.ndarray, rank_tol: float | None = None) -> FitResult:
+def fit_horizontal(u: SnakeConfig, v: np.ndarray) -> FitResult:
     """Least-squares horizontal direction: minimize ||v - (w - <w,u>u)||_{L^2}.
 
     Normal equations reduce to A_u w = int v ds.  A singular A_u is reported
     and the solve restricted to its range.
     """
-    fit = fit_horizontal_many(u, u.nodes[None], np.asarray(v, dtype=float)[None], rank_tol)
+    fit = fit_horizontal_many(u, u.nodes[None], np.asarray(v, dtype=float)[None])
     return FitResult(w=fit.w[0], residual=float(fit.residual[0]),
                      restricted=bool(fit.restricted[0]))
 
 
-def fit_horizontal_many(
-    grid: SnakeConfig, nodes: np.ndarray, v: np.ndarray, rank_tol: float | None = None
-) -> FitResult:
+def fit_horizontal_many(grid: SnakeConfig, nodes: np.ndarray, v: np.ndarray) -> FitResult:
     """fit_horizontal for a stack of unit node sets (..., K, n) and fields v of
     the same shape, all on grid's partition and quadrature.
 
     One einsum builds every Gram matrix and one batched eigen-solve inverts
-    them; eigenvalues at or below rank_tol are masked out per configuration.
+    them; eigenvalues at or below 1e-8 L are masked out per configuration.
     """
-    if rank_tol is None:
-        rank_tol = SINGULARITY_TOL_FACTOR * grid.L
     nodes = np.asarray(nodes, dtype=float)
     v = np.asarray(v, dtype=float)
     _, A = _gram(grid.weights, grid.L, nodes)
     vals, vecs = np.linalg.eigh(A)
-    keep = vals > rank_tol
+    keep = vals > SINGULARITY_TOL_FACTOR * grid.L
     coeffs = np.einsum("...ji,...j->...i", vecs, grid.weights @ v)
     scaled = np.where(keep, coeffs / np.where(keep, vals, 1.0), 0.0)
     w = np.einsum("...ij,...j->...i", vecs, scaled)
@@ -337,9 +333,10 @@ def fit_horizontal_many(
     return FitResult(w=w, residual=residual, restricted=~keep.all(axis=-1))
 
 
-def critical_radii(partition, dedup_tol: float = 1e-12) -> np.ndarray:
+def critical_radii(partition) -> np.ndarray:
     """All |sum_i eps_i (s_{i+1} - s_i)|, eps_i = +-1: radii of the spheres of
-    heads of straight (segment-wise collinear) configurations."""
+    heads of straight (segment-wise collinear) configurations; radii within
+    1e-12 of the last one kept are merged."""
     partition = np.asarray(partition, dtype=float)
     lengths = np.diff(partition)
     N = lengths.shape[0]
@@ -350,14 +347,12 @@ def critical_radii(partition, dedup_tol: float = 1e-12) -> np.ndarray:
         # first sign fixed to +1: |.| makes the full set symmetric
         val = abs(lengths[0] + np.dot(signs, lengths[1:])) if N > 1 else lengths[0]
         radii.add(float(val))
-    out = np.array(sorted(radii))
-    if dedup_tol > 0 and out.size:
-        kept = [out[0]]
-        for r in out[1:]:
-            if r - kept[-1] > dedup_tol:
-                kept.append(r)
-        out = np.array(kept)
-    return out
+    out = sorted(radii)
+    kept = [out[0]]
+    for r in out[1:]:
+        if r - kept[-1] > 1e-12:
+            kept.append(r)
+    return np.array(kept)
 
 
 def config_distance(u1: SnakeConfig, u2: SnakeConfig) -> float:

@@ -380,8 +380,8 @@ def test_criterion_11_optimal_control_lift():
     c0 = endpoint(cfg)
     d = np.zeros(3)
     d[0] = 0.1 * cfg.L
-    straight = horizontal_lift(cfg, lambda t: c0 + t * d, lambda t: d,
-                               t_final=1.0, dt=1e-3)
+    straight = horizontal_lift(cfg, lambda t: c0 + np.multiply.outer(t, d),
+                               lambda t: np.tile(d, (len(t), 1)), t_final=1.0, dt=1e-3)
     track = float(straight.tracking_errors.max())
 
     # self-convergence on a curved head path, coarse steps so the gaps are
@@ -397,10 +397,10 @@ def test_criterion_11_optimal_control_lift():
     r = 0.15
 
     def head(t):
-        return c0f + r * np.array([np.cos(2 * np.pi * t) - 1.0, np.sin(2 * np.pi * t)])
+        return c0f + r * np.stack([np.cos(2 * np.pi * t) - 1.0, np.sin(2 * np.pi * t)], axis=-1)
 
     def head_dot(t):
-        return 2 * np.pi * r * np.array([-np.sin(2 * np.pi * t), np.cos(2 * np.pi * t)])
+        return 2 * np.pi * r * np.stack([-np.sin(2 * np.pi * t), np.cos(2 * np.pi * t)], axis=-1)
 
     finals = {}
     for dt in (0.02, 0.01, 0.005):

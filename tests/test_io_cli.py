@@ -140,6 +140,14 @@ class TestCli:
             assert main([command, "--matrix", str(p)]) == 0
             assert json.loads(capsys.readouterr().out)["verification"]["passed"]
 
+    def test_decompose_reconstruction_check_can_fail(self, tmp_path, capsys):
+        m = self._gen_matrix(tmp_path, seed=7)
+        capsys.readouterr()
+        assert main(["decompose", "--matrix", m, "--tol", "1e-18"]) == 3
+        checks = json.loads(capsys.readouterr().out)["verification"]["checks"]
+        assert [c["name"] for c in checks] == ["reconstruction_residual"]
+        assert not checks[0]["pass"]
+
     def test_validation_error_exit_code(self, tmp_path):
         p = tmp_path / "broken.json"
         p.write_text("{\"dim\": 2, \"rows\": [[1,0],[0,1]]}")

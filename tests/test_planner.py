@@ -324,6 +324,18 @@ class TestInfinitesimalAction:
         v = action_velocity(w, np.eye(4), cfg)
         assert np.max(np.abs(v - horizontal_gradient(w, cfg))) < 1e-12
 
+    @pytest.mark.parametrize("n", [2, 3, 8])
+    def test_action_velocity_matches_finite_difference(self, n):
+        rng = np.random.default_rng(300 + n)
+        cfg = random_config(rng, n)
+        A = random_so0(rng, n)
+        u = rng.normal(size=n)
+        eps = 1e-5
+        plus = act(exp_h(eps * u) @ A, cfg, check=False).nodes
+        minus = act(exp_h(-eps * u) @ A, cfg, check=False).nodes
+        fd = (plus - minus) / (2 * eps)
+        assert np.max(np.abs(action_velocity(u, A, cfg) - fd)) < 1e-8
+
 
 class TestSteerConfig:
     def test_identity_constant_path(self, rng):
@@ -388,8 +400,8 @@ class TestHorizontalLift:
     def test_constant_head_constant_path(self, rng):
         cfg = random_config(rng, 3)
         c0 = endpoint(cfg)
-        path = horizontal_lift(cfg, lambda t: c0, lambda t: np.zeros(3),
-                               t_final=0.5, dt=1e-2)
+        path = horizontal_lift(cfg, lambda t: np.tile(c0, (len(t), 1)),
+                               lambda t: np.zeros((len(t), 3)), t_final=0.5, dt=1e-2)
         assert np.max(np.abs(path.controls)) < 1e-12
         assert config_distance(path.final, cfg) < 1e-12
 
@@ -397,7 +409,8 @@ class TestHorizontalLift:
         cfg = random_config(rng, 3, L=2.0)
         c0 = endpoint(cfg)
         d = np.array([0.1 * cfg.L, 0.0, 0.0])
-        path = horizontal_lift(cfg, lambda t: c0 + t * d, lambda t: d,
+        path = horizontal_lift(cfg, lambda t: c0 + np.multiply.outer(t, d),
+                               lambda t: np.tile(d, (len(t), 1)),
                                t_final=1.0, dt=1e-3)
         assert path.tracking_errors.max() < 1e-4
 
@@ -405,7 +418,8 @@ class TestHorizontalLift:
         cfg = random_config(rng, 3, L=2.0)
         c0 = endpoint(cfg)
         d = np.array([0.05, 0.1, 0.0])
-        path = horizontal_lift(cfg, lambda t: c0 + t * d, lambda t: d,
+        path = horizontal_lift(cfg, lambda t: c0 + np.multiply.outer(t, d),
+                               lambda t: np.tile(d, (len(t), 1)),
                                t_final=1.0, dt=5e-3)
         k = len(path.nodes) // 2
         ucfg = path.config(k)
@@ -430,10 +444,12 @@ class TestHorizontalLift:
         r = 0.1
 
         def head(t):
-            return c0 + r * np.array([np.cos(2 * np.pi * t) - 1.0, np.sin(2 * np.pi * t)])
+            return c0 + r * np.stack([np.cos(2 * np.pi * t) - 1.0, np.sin(2 * np.pi * t)],
+                                     axis=-1)
 
         def head_dot(t):
-            return 2 * np.pi * r * np.array([-np.sin(2 * np.pi * t), np.cos(2 * np.pi * t)])
+            return 2 * np.pi * r * np.stack([-np.sin(2 * np.pi * t), np.cos(2 * np.pi * t)],
+                                            axis=-1)
 
         path = horizontal_lift(cfg, head, head_dot, t_final=1.0, dt=1e-3)
         assert np.linalg.norm(path.head_trace[-1] - c0) < 1e-4
@@ -443,16 +459,47 @@ class TestHorizontalLift:
         cfg = straight_config(3)
         c0 = endpoint(cfg)
         with pytest.raises(SingularityApproach):
-            horizontal_lift(cfg, lambda t: c0, lambda t: np.zeros(3))
+            horizontal_lift(cfg, lambda t: np.tile(c0, (len(t), 1)),
+                            lambda t: np.zeros((len(t), 3)))
 
     def test_head_outside_ball_rejected(self, rng):
         cfg = random_config(rng, 3, L=1.0)
         c0 = endpoint(cfg)
         d = np.array([2.0, 0.0, 0.0])
         with pytest.raises(ValueError):
-            horizontal_lift(cfg, lambda t: c0 + t * d, lambda t: d)
+            horizontal_lift(cfg, lambda t: c0 + np.multiply.outer(t, d),
+                            lambda t: np.tile(d, (len(t), 1)))
+
+    @pytest.mark.parametrize("dt", [1e-2, 2.5e-3])
+    def test_head_curve_evaluated_once_per_grid(self, rng, dt):
+        cfg = random_config(rng, 3, L=2.0)
+        c0 = endpoint(cfg)
+        d = np.array([0.05, 0.1, 0.0])
+        calls = {"head": 0, "head_dot": 0}
+
+        def head(t):
+            calls["head"] += 1
+            return c0 + np.multiply.outer(t, d)
+
+        def head_dot(t):
+            calls["head_dot"] += 1
+            return np.tile(d, (len(t), 1))
+
+        horizontal_lift(cfg, head, head_dot, t_final=1.0, dt=dt)
+        assert calls["head"] <= 2
+        assert calls["head_dot"] <= 3
+
+    def test_scalar_head_dot_rejected(self, rng):
+        # three steps on a 3-d head: a (3,) rate would broadcast over the
+        # three stage times without the shape check
+        cfg = random_config(rng, 3)
+        c0 = endpoint(cfg)
+        with pytest.raises(ValueError, match="shape"):
+            horizontal_lift(cfg, lambda t: np.tile(c0, (len(t), 1)),
+                            lambda t: np.zeros(3), t_final=0.3, dt=0.1)
 
     def test_wrong_anchor_rejected(self, rng):
         cfg = random_config(rng, 3)
         with pytest.raises(ValueError):
-            horizontal_lift(cfg, lambda t: endpoint(cfg) + 0.5, lambda t: np.zeros(3))
+            horizontal_lift(cfg, lambda t: np.tile(endpoint(cfg) + 0.5, (len(t), 1)),
+                            lambda t: np.zeros((len(t), 3)))
