@@ -6,7 +6,7 @@ from __future__ import annotations
 import numpy as np
 
 from .lorentz import exp_h, spatial_block
-from .snake import DEFAULT_NODES_PER_SEGMENT, SnakeConfig, endpoint
+from .snake import DEFAULT_NODES_PER_SEGMENT, SnakeConfig, _gauss_grid, endpoint
 
 __all__ = [
     "random_rotation",
@@ -67,22 +67,18 @@ def random_config(
         W *= 0.8 / max(np.linalg.norm(W), 1e-12)
         omegas.append(W)
 
-    def direction(s: float) -> np.ndarray:
-        k = min(np.searchsorted(partition, s, side="right") - 1, segments - 1)
-        k = max(k, 0)
-        ds = s - partition[k]
-        # series exponential action; W is small so a few terms suffice
-        v = starts[k]
-        term = v.copy()
-        out = v.copy()
-        for p in range(1, 12):
-            term = (ds / p) * (omegas[k] @ term)
-            out = out + term
-        return out
-
-    return SnakeConfig.from_directions(
-        L, partition, direction, dim=n, nodes_per_segment=nodes_per_segment
-    )
+    # series exponential action at every Gauss node at once, one stacked
+    # matrix-vector product per term; W is small so a few terms suffice
+    k = np.repeat(np.arange(segments), nodes_per_segment)
+    times, _ = _gauss_grid(partition, nodes_per_segment)
+    ds = times - partition[k]
+    Wk = np.array(omegas)[k]
+    term = out = starts[k]
+    for p in range(1, 12):
+        term = (ds / p)[:, None] * (Wk @ term[..., None])[..., 0]
+        out = out + term
+    segs = out.reshape(segments, nodes_per_segment, n)
+    return SnakeConfig.from_segment_samples(L, partition, list(segs))
 
 
 def straight_config(

@@ -5,18 +5,19 @@ distinct positive singular values (each of even multiplicity), the B_j
 supported on mutually orthogonal even-dimensional planes-sums E_j, and
 B_j^3 = -B_j.  A special-orthogonal Q is a commuting product of planar
 rotations Q = prod_j Exp(theta_j B_j) on the same kind of block data, with
-angles folded into (0, pi].  so_log reads the blocks off the real Schur form
-of Q; skew_spectral takes them from so_log of B's Cayley transform.  Frames
-are canonical: each x is the unit projection of the lowest axis that keeps
-at least half the largest projection, and y = B_j x.
+angles folded into (0, pi].  so_log reads the blocks off one Hermitian
+eigen-solve, of a Cayley transform of Q whose pole lies in the widest gap of
+Q's spectrum; skew_spectral takes them from so_log of B's Cayley transform.
+Frames are canonical: each x is the unit projection of the lowest axis that
+keeps at least half the largest projection, and y = B_j x.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, replace
 
 import numpy as np
-import scipy.linalg
 
 __all__ = [
     "RotationBlock",
@@ -28,6 +29,7 @@ __all__ = [
 ]
 
 ANGLE_CLUSTER_TOL = 1e-8
+REAL_ANGLE_TOL = 1e-10  # so_log angles this close to 0 or pi are eigenvalues +1 or -1
 
 
 @dataclass(frozen=True)
@@ -71,77 +73,106 @@ class RotationBlocks:
         return out
 
 
-def _take_axis(P: np.ndarray):
-    """Unit x = P e_i for the lowest axis i with |P e_i|^2 >= max_k |P e_k|^2 / 2,
-    and the projector P - x x^T left after it."""
-    d = np.einsum("ij,ij->j", P, P)
-    i = int(np.argmax(d >= 0.5 * d.max()))
-    x = P[:, i] / np.sqrt(d[i])
-    return x, P - x[:, None] * x
+def _take_axis(W: np.ndarray) -> np.ndarray:
+    """For the projector P = W W^T, the unit x = P e_i of the lowest axis i
+    with |P e_i|^2 >= max_k |P e_k|^2 / 2; W may be P itself or a frame."""
+    d = (W * W).sum(axis=1).tolist()  # d_i = |W^T e_i|^2 = |P e_i|^2
+    half = 0.5 * max(d)
+    i = next(k for k, dk in enumerate(d) if dk >= half)
+    return W @ (W[i] / math.sqrt(d[i]))
 
 
-def _canonical_block(theta: float, X: np.ndarray, Y: np.ndarray) -> RotationBlock:
-    """The block of the planes (X[:, r], Y[:, r]) with frames built from its
-    projector P = sum_r x_r x_r^T + y_r y_r^T and generator
-    G = sum_r y_r x_r^T - x_r y_r^T alone, which do not depend on the frames
-    Schur picked.  Each x is an axis projection of what P has left and
-    y = G x; at theta = pi, G is not fixed by Q, so y is one too.
+def _deflate(W: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """(Id - v v^T) W: the unit v taken out of the range of W."""
+    return W - v[:, None] * (v @ W)
+
+
+def _canonical_block(theta: float, W: np.ndarray, G, count: int) -> RotationBlock:
+    """The block of `count` planes with projector W W^T and generator G, its
+    frames built from those two alone: each x is an axis projection of what
+    is left and y = G x.  At theta = pi, Q does not fix G, so it is None
+    and y is an axis projection too.
     """
-    P, G = X @ X.T + Y @ Y.T, Y @ X.T - X @ Y.T
     planes = []
-    for _ in range(X.shape[1]):
-        x, P = _take_axis(P)
-        if theta == np.pi:
-            y, P = _take_axis(P)
-        else:
-            y = G @ x
-            P = P - y[:, None] * y
+    for r in range(count):
+        if r:
+            W = _deflate(_deflate(W, x), y)
+        x = _take_axis(W)
+        y = G @ x if G is not None else _take_axis(_deflate(W, x))
         planes.append((x, y))
-    gen = sum(y[:, None] * x - x[:, None] * y for x, y in planes)
-    return RotationBlock(theta=theta, planes=tuple(planes), generator=gen)
+    if G is None:
+        G = sum(y[:, None] * x - x[:, None] * y for x, y in planes)
+    return RotationBlock(theta=theta, planes=tuple(planes), generator=G)
+
+
+def _newton_schulz(Z: np.ndarray, E: np.ndarray, d: float) -> np.ndarray:
+    """The nearest Z with orthonormal columns, by steps Z <- Z - Z E / 2 with
+    E = Z^T Z - Id; each takes the departure d = |E| to about 1.5 d^2."""
+    for step in range(6):
+        if not d > 1e-15:
+            break
+        if step:
+            E = Z.T @ Z - np.eye(Z.shape[1])
+        Z = Z - 0.5 * Z @ E
+        d = 1.5 * d * d
+    return Z
 
 
 def _log_blocks(Q: np.ndarray, min_angle: float = 0.0) -> RotationBlocks:
-    """Rotation blocks of a special-orthogonal Q from its real Schur form.
+    """Rotation blocks of an orthogonal Q from one Hermitian eigen-solve.
 
-    Planes whose angle is at most min_angle join the +1 eigenspace, the kernel.
+    With z = e^{i psi} midway across the widest gap between Q's eigen-angles
+    (read off S = (Q + Q^T)/2), H = -i (Q - z)^{-1} (Q + z) has Q's
+    eigenvectors and the eigenvalues lambda = tan((theta - psi + pi) / 2),
+    monotone in theta and bounded by the gap, so no two angles are merged
+    that Q keeps apart.  The eigenvector w of e^{-i theta}, 0 < theta < pi,
+    gives the frame x = sqrt(2) Re w, y = sqrt(2) Im w of the plane where
+    Q x = cos(theta) x + sin(theta) y; Newton-Schulz steps make all these
+    frames orthonormal together.  What the kept planes leave, P, is the
+    kernel, or splits into the eigenspaces +1 and -1 of Q by the projectors
+    P (Id +- S) P / 2.  Planes whose angle is at most min_angle join the
+    kernel.
     """
     n = Q.shape[0]
-    T, Z = scipy.linalg.schur(Q, output="real")
-    planes, minus_ones, kernel = [], [], []  # planes: (theta, x, y)
-    k = 0
-    while k < n:
-        if k + 1 < n and abs(T[k + 1, k]) > 1e-12:
-            s = 0.5 * (T[k + 1, k] - T[k, k + 1])
-            theta = float(np.arctan2(abs(s), 0.5 * (T[k, k] + T[k + 1, k + 1])))
-            x, y = Z[:, k], Z[:, k + 1]
-            if theta <= min_angle:
-                kernel += [x, y]
-            else:  # orient the frame so the rotation angle is +theta
-                planes.append((theta, x, y) if s > 0 else (theta, y, x))
-            k += 2
-        else:
-            (kernel if T[k, k] > 0 else minus_ones).append(Z[:, k])
-            k += 1
-    # -1 eigenvalues pair into theta = pi planes (even count since det = +1)
-    if len(minus_ones) % 2 != 0:
-        raise ValueError("odd count of -1 eigenvalues; input not special orthogonal")
-    planes += [(np.pi, x, y) for x, y in zip(minus_ones[::2], minus_ones[1::2])]
+    cosines = np.linalg.eigvalsh(0.5 * (Q + Q.T)).tolist()[::-1]
+    phi = [math.acos(max(-1.0, min(1.0, c))) for c in cosines]  # ascending in [0, pi]
+    edges = [-phi[0], *phi, 2.0 * math.pi - phi[-1]]
+    k = max(range(n + 1), key=lambda j: edges[j + 1] - edges[j])
+    psi = 0.5 * (edges[k] + edges[k + 1])
+    eye = np.eye(n)
+    zI = complex(math.cos(psi), math.sin(psi)) * eye
+    lam, V = np.linalg.eigh(-1j * np.linalg.solve(Q - zI, Q + zI))
+    theta = [math.remainder(psi + math.pi + 2.0 * math.atan(x), 2.0 * math.pi)
+             for x in lam.tolist()]  # in [-pi, pi]
+    half_turns = sum(abs(t) >= math.pi - REAL_ANGLE_TOL for t in theta)
+    if half_turns % 2:
+        raise ValueError("odd count of -1 eigenvalues: input is improper (det = -1)")
+    low = max(REAL_ANGLE_TOL, min_angle)
+    down = sorted((j for j, t in enumerate(theta) if REAL_ANGLE_TOL - math.pi < t < -low),
+                  key=theta.__getitem__)  # e^{-i theta} of every plane, largest theta first
 
-    clusters: list = []  # planes within ANGLE_CLUSTER_TOL of a cluster's largest angle
-    for p in sorted(planes, key=lambda p: -p[0]):
-        if clusters and clusters[-1][0][0] - p[0] <= ANGLE_CLUSTER_TOL:
-            clusters[-1].append(p)
-        else:
-            clusters.append([p])
-    blocks = []
-    for cluster in clusters:
-        thetas, xs, ys = zip(*cluster)
-        blocks.append(_canonical_block(sum(thetas) / len(thetas), np.array(xs).T, np.array(ys).T))
-    K = np.array(kernel).reshape(-1, n).T
-    P = K @ K.T
+    Z = (math.sqrt(2.0) * np.take(V, down, axis=1)).view(float)  # x_1, y_1, x_2, y_2, ...
+    E = Z.T @ Z - np.eye(Z.shape[1])
+    Z = _newton_schulz(Z, E, float(abs(E).max(initial=0.0)))
+    blocks, start = [], 0
+    for j in range(1, len(down) + 1):  # clusters: planes within ANGLE_CLUSTER_TOL of the largest
+        if j < len(down) and theta[down[j]] - theta[down[start]] <= ANGLE_CLUSTER_TOL:
+            continue
+        Zc = Z[:, 2 * start : 2 * j]
+        D = Zc[:, 1::2] @ Zc[:, ::2].T
+        angle = -sum(theta[i] for i in down[start:j]) / (j - start)
+        blocks.append(_canonical_block(angle, Zc, D - D.T, j - start))
+        start = j
+    P = eye - Z @ Z.T  # the kernel, and the eigenspace -1 if there are half turns
+    if half_turns:
+        PSP = P @ (0.5 * (Q + Q.T)) @ P
+        blocks.insert(0, _canonical_block(math.pi, 0.5 * (P - PSP), None, half_turns // 2))
+        P = 0.5 * (P + PSP)
+    K = np.empty((n, n - Z.shape[1] - half_turns))
     for r in range(K.shape[1]):
-        K[:, r], P = _take_axis(P)
+        if r:
+            P = _deflate(P, K[:, r - 1])
+        K[:, r] = _take_axis(P)
     return RotationBlocks(dim=n, blocks=tuple(blocks), kernel_basis=K)
 
 
@@ -174,22 +205,24 @@ def so_log(Q: np.ndarray, tol: float = 1e-9):
     """Principal logarithm of a special-orthogonal matrix as rotation blocks.
 
     Returns (B, blocks) with Exp(B) = Q, angles folded into (0, pi]; the
-    eigenspace of eigenvalue 1 becomes the kernel basis.  Plane and kernel
-    frames are canonical: built from each block's projector and generator,
-    which do not depend on the Schur basis.  Rejects improper or
-    non-orthogonal input.
+    eigenspace of eigenvalue 1 becomes the kernel basis.  The blocks are
+    those of Q's polar factor, which Newton-Schulz steps reach from a Q
+    orthogonal within tol.  Plane and kernel frames are canonical: built
+    from each block's projector and generator, which do not depend on the
+    eigenvectors the solver picked.  Rejects improper or non-orthogonal
+    input.
     """
     Q = np.asarray(Q, dtype=float)
     n = Q.shape[0]
     if Q.shape != (n, n):
         raise ValueError("so_log needs a square matrix")
-    if np.linalg.norm(Q.T @ Q - np.eye(n)) > max(tol, 1e-10):
+    E = Q.T @ Q - np.eye(n)
+    d = float(np.linalg.norm(E))
+    if d > max(tol, 1e-10):
         raise ValueError("input is not orthogonal within tolerance")
-    if np.linalg.det(Q) < 0.0:
-        raise ValueError("input is improper (det = -1); no real log in so(n)")
 
-    rb = _log_blocks(Q)
-    if np.linalg.norm(so_exp_blocks(rb) - Q) > max(tol, 1e-9) * 10:
+    rb = _log_blocks(_newton_schulz(Q, E, d))  # the polar factor: +-1 read 0 and pi
+    if not np.linalg.norm(so_exp_blocks(rb) - Q) <= max(tol, 1e-9) * 10:
         raise ValueError("so_log reconstruction failed; input too far from SO(n)")
     return rb.generator_sum(), rb
 

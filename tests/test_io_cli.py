@@ -241,10 +241,28 @@ class TestCli:
         assert (d1 / "final_config.json").read_bytes() == (d2 / "final_config.json").read_bytes()
 
 
-def test_cli_import_leaves_scipy_optimize_out():
+def test_cli_import_leaves_scipy_optimize_out(tmp_path):
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
     code = "import sys, snakeplan.cli; print('scipy.optimize' in sys.modules)"
     proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                           text=True, timeout=60, check=True)
     assert proc.stdout.strip() == "False"
+
+    # no scipy module at all: not on import, nor in a steer --out-dir or plan-group run
+    scipy_loaded = "[m for m in sys.modules if m.split('.')[0] == 'scipy']"
+    code = f"import sys, snakeplan.cli; print({scipy_loaded})"
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, timeout=60, check=True)
+    assert proc.stdout.strip() == "[]"
+    A, cfg = str(tmp_path / "A.json"), str(tmp_path / "cfg.json")
+    sio.dump_json(sio.matrix_to_json(random_so0(np.random.default_rng(5), 3)), A)
+    sio.dump_json(sio.config_to_json(random_config(np.random.default_rng(5), 3)), cfg)
+    run = ("import sys, snakeplan.cli; code = snakeplan.cli.main(sys.argv[1:]); "
+           f"print({scipy_loaded}, file=sys.stderr); sys.exit(code)")
+    for argv in (["steer", "--matrix", A, "--config", cfg, "--out-dir", str(tmp_path / "out")],
+                 ["plan-group", "--matrix", A]):
+        proc = subprocess.run([sys.executable, "-c", run, *argv], env=env, capture_output=True,
+                              text=True, timeout=60)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stderr.strip().splitlines()[-1] == "[]"

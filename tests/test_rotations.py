@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 
@@ -27,18 +29,35 @@ EDGE_ANGLES = [
 ]
 
 
+def planted(V, angles):
+    """(B, Exp(B)) with one plane per angle, spanned by consecutive columns of V."""
+    n = V.shape[0]
+    D = np.zeros((n, n))
+    R = np.eye(n)
+    for r, a in enumerate(angles):
+        D[2 * r : 2 * r + 2, 2 * r : 2 * r + 2] = canonical_skew(2, 0, 1, a)
+        R[2 * r : 2 * r + 2, 2 * r : 2 * r + 2] = planar_rotation(2, 0, 1, a)
+    return V @ D @ V.T, V @ R @ V.T
+
+
 def edge_cases(rng):
     """(B, Exp(B)) for every EDGE_ANGLES entry at n = 4, 7 and 32, with
     the planes spanned by consecutive columns of a random rotation."""
     for n in (4, 7, 32):
         for angles in EDGE_ANGLES:
-            V = random_rotation(rng, n)
-            D = np.zeros((n, n))
-            R = np.eye(n)
-            for r, a in enumerate(angles):
-                D[2 * r : 2 * r + 2, 2 * r : 2 * r + 2] = canonical_skew(2, 0, 1, a)
-                R[2 * r : 2 * r + 2, 2 * r : 2 * r + 2] = planar_rotation(2, 0, 1, a)
-            yield V @ D @ V.T, V @ R @ V.T
+            yield planted(random_rotation(rng, n), angles)
+
+
+def pole_cases():
+    """(B, Exp(B)) at n = 32 with 16 planes, so that no gap between
+    eigen-angles is wide: the angles k pi / 16 (k = 1..16, pi included),
+    and the same 16 planes paired as the eight angles j pi / 8 (j = 1..8),
+    each split into the pair -+ 1e-7 (the last straddles pi)."""
+    rng = np.random.default_rng(16)
+    spread = np.arange(1, 17) * np.pi / 16
+    paired = np.repeat(np.arange(1, 9) * np.pi / 8, 2) + np.tile([-1e-7, 1e-7], 8)
+    for angles in (spread, paired):
+        yield planted(random_rotation(rng, 32), angles)
 
 
 def spectrum_angles(rb):
@@ -96,7 +115,7 @@ class TestSkewSpectral:
             assert np.linalg.norm(rb.generator_sum() - B) < 1e-10
             assert_block_axioms(rb)
         for scale in (1.0, 9.5):
-            for B, _ in edge_cases(rng):
+            for B, _ in itertools.chain(edge_cases(rng), pole_cases()):
                 rb = skew_spectral(scale * B)
                 err = np.linalg.norm(rb.generator_sum() - scale * B)
                 assert err <= 1e-13 * np.linalg.norm(scale * B)
@@ -147,7 +166,7 @@ class TestSoLog:
         B, rb = so_log(Q)
         assert rb.blocks[0].theta == pytest.approx(np.pi)
         assert np.linalg.norm(so_exp_blocks(rb) - Q) < 1e-12
-        # the half-turn plane frame is the axis pair itself, whatever Schur picked
+        # the half-turn plane frame is the axis pair itself, whatever the eigen-solver picked
         assert np.array_equal(np.array(rb.blocks[0].planes[0]), np.eye(3)[:2])
 
     def test_random_roundtrip(self, rng, series_exp):
@@ -160,7 +179,7 @@ class TestSoLog:
                 for b in rb.blocks:
                     assert 0.0 < b.theta <= np.pi + 1e-12
                 assert_block_axioms(rb, tol=1e-9)
-        for _, Q in edge_cases(rng):
+        for _, Q in itertools.chain(edge_cases(rng), pole_cases()):
             n = Q.shape[0]
             B, rb = so_log(Q)
             assert np.linalg.norm(so_exp_blocks(rb) - Q) <= 1e-14 * n
