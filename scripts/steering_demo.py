@@ -13,7 +13,7 @@ import numpy as np
 from snakeplan import io as sio
 from snakeplan.generate import random_config, random_so0
 from snakeplan.planner import act, steer_config
-from snakeplan.snake import config_distance, fit_horizontal_many, unit_nodes
+from snakeplan.snake import config_distance, fit_horizontal_many
 
 
 def main():
@@ -30,7 +30,7 @@ def main():
 
     final_gap = config_distance(path.final, act(A, u0))
     fit_worst = fit_horizontal_many(
-        path.grid, unit_nodes(path.nodes[:-1:5]), path.velocities[::5]
+        path.grid, path.nodes[:-1:5], path.velocities[::5]
     ).residual.max()
     print(f"steps: {len(path.times) - 1}")
     print(f"final distance to act(A, u0): {final_gap:.3e}")

@@ -43,7 +43,7 @@ from .planner import (
     steer_config,
 )
 from .rotations import planar_rotation, so_exp_blocks
-from .snake import config_distance, endpoint, fit_horizontal_many, is_singular, unit_nodes
+from .snake import config_distance, endpoint, fit_horizontal_many, is_singular
 from .sphere import NotOrthochronous
 
 EXIT_OK = 0
@@ -190,7 +190,7 @@ def _run_steer(sc: Scenario):
     u0 = sio.config_from_json(_load_json(sc.inputs["config"]))
     path = steer_config(u0, A, max_step=step, tol=tol)
     target = act(A, u0)
-    fit = fit_horizontal_many(path.grid, unit_nodes(path.nodes[:-1]), path.velocities)
+    fit = fit_horizontal_many(path.grid, path.nodes[:-1], path.velocities)
     fit_res = fit.residual.max(initial=0.0)
     checks = [
         _check("final_config_distance", config_distance(path.final, target), 1e-7),
@@ -205,7 +205,9 @@ def _run_steer(sc: Scenario):
                      sio.config_path_polyline_rows(path, stride=max(1, len(path.times) // 32)),
                      outputs)
     _maybe_write_json(sc.options, "final_config.json", sio.config_to_json(path.final), outputs)
-    result = {"steps": len(path.times) - 1}
+    result = {"steps": len(path.times) - 1,
+              "fit_worst_step": int(fit.residual.argmax()) if fit.residual.size else None,
+              "fit_restricted_steps": int(fit.restricted.sum())}
     return checks, outputs, result
 
 

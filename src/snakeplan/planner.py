@@ -36,7 +36,7 @@ from .snake import (
     is_singular,
     unit_nodes,
 )
-from .sphere import mobius_sphere_action_many
+from .sphere import _cone_images, _light_cone, mobius_sphere_action_many
 
 __all__ = [
     "GroupPath",
@@ -363,12 +363,21 @@ def action_velocity(u: np.ndarray, A: np.ndarray, u0: SnakeConfig) -> np.ndarray
     embedding of u, whose only nonzero blocks are D_t = <W_x, u> and
     D_x = W_t u; the quotient rule on z = W_x / W_t gives (D_x - z D_t) / W_t.
     """
-    u = np.asarray(u, dtype=float)
-    Z1 = np.concatenate([np.ones((u0.nodes.shape[0], 1)), u0.nodes], axis=1)
-    W = Z1 @ np.swapaxes(A, -1, -2)
+    W = _light_cone(np.asarray(A, dtype=float), u0.nodes)
+    return _cone_velocity(np.asarray(u, dtype=float), W)
+
+
+def _cone_velocity(u: np.ndarray, W: np.ndarray) -> np.ndarray:
+    """(D_x - z D_t) / W_t for light-cone points W (..., K, n+1) moved by the
+    boosts u (..., n), built in place in one (..., K, n) array."""
     Wt, Wx = W[..., :1], W[..., 1:]
     Dt = Wx @ u[..., :, None]
-    return (Wt * u[..., None, :] - (Wx / Wt) * Dt) / Wt
+    v = Wt * u[..., None, :]
+    z = Wx / Wt
+    z *= Dt
+    v -= z
+    v /= Wt
+    return v
 
 
 def steer_config(
@@ -386,8 +395,11 @@ def steer_config(
     if u0.dim != A.shape[0] - 1:
         raise ValueError("dimension mismatch between config and matrix")
     plan = plan_group_path(A, max_step=max_step, tol=tol)
-    nodes = mobius_sphere_action_many(plan.matrices, u0.nodes, check=False)
-    vels = action_velocity(plan.controls, plan.matrices[:-1], u0)
+    # one light-cone product gives the images of all m+1 steps and the
+    # velocities of the first m, as act and action_velocity would
+    W = _light_cone(plan.matrices, u0.nodes)
+    nodes = _cone_images(W)
+    vels = _cone_velocity(plan.controls, W[:-1])
     return ConfigPath(times=plan.times, grid=u0, nodes=nodes, controls=plan.controls,
                       velocities=vels)
 

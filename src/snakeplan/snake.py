@@ -314,23 +314,34 @@ def fit_horizontal_many(grid: SnakeConfig, nodes: np.ndarray, v: np.ndarray) -> 
     """fit_horizontal for a stack of unit node sets (..., K, n) and fields v of
     the same shape, all on grid's partition and quadrature.
 
-    One einsum builds every Gram matrix and one batched eigen-solve inverts
-    them; eigenvalues at or below 1e-8 L are masked out per configuration.
+    One einsum builds every Gram matrix.  If A_u - tau Id, tau = 1e-8 L, has
+    a Cholesky factor for the whole stack, every lambda_min(A_u) exceeds tau
+    and one batched solve gives w.  Otherwise one batched eigen-solve inverts
+    them, with eigenvalues at or below tau masked out per configuration.
     """
     nodes = np.asarray(nodes, dtype=float)
     v = np.asarray(v, dtype=float)
     _, A = _gram(grid.weights, grid.L, nodes)
-    vals, vecs = np.linalg.eigh(A)
-    keep = vals > SINGULARITY_TOL_FACTOR * grid.L
-    coeffs = np.einsum("...ji,...j->...i", vecs, grid.weights @ v)
-    scaled = np.where(keep, coeffs / np.where(keep, vals, 1.0), 0.0)
-    w = np.einsum("...ij,...j->...i", vecs, scaled)
+    b = grid.weights @ v
+    tau = SINGULARITY_TOL_FACTOR * grid.L
+    try:
+        np.linalg.cholesky(A - tau * _identity(A.shape[-1]))
+    except np.linalg.LinAlgError:
+        vals, vecs = np.linalg.eigh(A)
+        keep = vals > tau
+        coeffs = np.einsum("...ji,...j->...i", vecs, b)
+        scaled = np.where(keep, coeffs / np.where(keep, vals, 1.0), 0.0)
+        w = np.einsum("...ij,...j->...i", vecs, scaled)
+        restricted = ~keep.all(axis=-1)
+    else:
+        w = np.linalg.solve(A, b[..., None])[..., 0]
+        restricted = np.zeros(A.shape[:-2], dtype=bool)
     # v - (w - <w,u>u), built in place: one (..., K, n) temporary for the stack
     resid = np.einsum("...kj,...j->...k", nodes, w)[..., None] * nodes
     resid -= w[..., None, :]
     resid += v
     residual = np.sqrt(np.einsum("k,...ki,...ki->...", grid.weights, resid, resid))
-    return FitResult(w=w, residual=residual, restricted=~keep.all(axis=-1))
+    return FitResult(w=w, residual=residual, restricted=restricted)
 
 
 def critical_radii(partition) -> np.ndarray:

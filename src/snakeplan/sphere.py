@@ -168,11 +168,23 @@ def mobius_sphere_action_many(A: np.ndarray, Z: np.ndarray, check: bool = True) 
     if check:
         for G in A.reshape((-1,) + A.shape[-2:]):
             _require_so0(G)
+    return _cone_images(_light_cone(A, Z))
+
+
+def _light_cone(A: np.ndarray, Z: np.ndarray) -> np.ndarray:
+    """Light-cone points W = (1, z) A^T of the rows z of Z, shape (..., k, n+1)
+    for A of shape (..., n+1, n+1); every W_t must be positive."""
     W = np.concatenate([np.ones((Z.shape[0], 1)), Z], axis=1) @ np.swapaxes(A, -1, -2)
     if np.any(W[..., 0] <= 0.0):
         raise NotOrthochronous("some image ray left the forward light cone")
+    return W
+
+
+def _cone_images(W: np.ndarray) -> np.ndarray:
+    """Sphere points of light-cone points: the quotient W_x / W_t, normalized."""
     out = W[..., 1:] / W[..., :1]
-    return out / np.linalg.norm(out, axis=-1, keepdims=True)
+    out /= np.linalg.norm(out, axis=-1, keepdims=True)
+    return out
 
 
 def grad_phi(v: np.ndarray, z: np.ndarray) -> np.ndarray:

@@ -9,7 +9,7 @@ import pytest
 
 from snakeplan import io as sio
 from snakeplan.cli import main
-from snakeplan.generate import random_config, random_so0
+from snakeplan.generate import random_config, random_so0, straight_config
 from snakeplan.lorentz import LieElement
 from snakeplan.planner import plan_group_path
 
@@ -170,12 +170,26 @@ class TestCli:
         m = self._gen_matrix(tmp_path)
         c = self._gen_config(tmp_path)
         out = tmp_path / "steer"
+        capsys.readouterr()
         assert main(["steer", "--matrix", m, "--config", c,
                      "--out-dir", str(out), "--step", "0.05"]) == 0
         assert (out / "head_trace.csv").exists()
         assert (out / "final_config.json").exists()
         head = (out / "head_trace.csv").read_text().splitlines()
         assert head[0] == "t,x1,x2,x3"
+        result = json.loads(capsys.readouterr().out)["outputs"]["result"]
+        assert 0 <= result["fit_worst_step"] < result["steps"]
+        assert result["fit_restricted_steps"] == 0
+
+    def test_steer_straight_config_counts_restricted_fits(self, tmp_path, capsys):
+        # a straight configuration stays straight, so A_u is singular at every step
+        m = self._gen_matrix(tmp_path)
+        c = str(tmp_path / "straight.json")
+        sio.dump_json(sio.config_to_json(straight_config(3)), c)
+        capsys.readouterr()
+        assert main(["steer", "--matrix", m, "--config", c]) == 0
+        result = json.loads(capsys.readouterr().out)["outputs"]["result"]
+        assert result["fit_restricted_steps"] == result["steps"] > 0
 
     def test_velocity_fit_check_can_fail(self, tmp_path, capsys, monkeypatch):
         # the check refits the recorded velocities, so one node moved by 1e-3
@@ -185,19 +199,22 @@ class TestCli:
         m, c = self._gen_matrix(tmp_path), self._gen_config(tmp_path)
         capsys.readouterr()
         steer = cli.steer_config
+        steps = []
 
         def perturbed(*args, **kwargs):
             path = steer(*args, **kwargs)
-            path.velocities[len(path.velocities) // 2, 5] += 1e-3 * np.array([0.6, 0.0, 0.8])
+            steps.append(len(path.velocities) // 2)
+            path.velocities[steps[0], 5] += 1e-3 * np.array([0.6, 0.0, 0.8])
             return path
 
         monkeypatch.setattr(cli, "steer_config", perturbed)
         assert main(["steer", "--matrix", m, "--config", c]) == 3
-        checks = {ch["name"]: ch for ch in json.loads(capsys.readouterr().out)
-                  ["verification"]["checks"]}
+        report = json.loads(capsys.readouterr().out)
+        checks = {ch["name"]: ch for ch in report["verification"]["checks"]}
         assert checks["final_config_distance"]["pass"]
         fit = checks["velocity_fit_residual"]
         assert not fit["pass"] and fit["tol"] == 1e-6 and 1e-5 < fit["value"] < 1e-3
+        assert report["outputs"]["result"]["fit_worst_step"] == steps[0]
 
     def test_lift_head(self, tmp_path, capsys):
         c = self._gen_config(tmp_path)

@@ -369,6 +369,7 @@ class TestSteerConfig:
         plan = plan_group_path(A)
         assert np.array_equal(path.times, plan.times)
         assert len(path.nodes) == len(plan.matrices)
+        assert np.array_equal(path.nodes, mobius_sphere_action_many(plan.matrices, cfg.nodes))
         for k, G in enumerate(plan.matrices):
             ref = act(G, cfg, check=False).nodes
             assert np.max(np.abs(path.nodes[k] - ref)) <= 4.5e-16

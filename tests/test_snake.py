@@ -372,28 +372,61 @@ def normal_equation_fit(u, v, rank_tol):
     return w, l2_norm(u, v - horizontal_gradient(w, u)), bool(not keep.all())
 
 
+def on_grid(grid, nodes):
+    """Configuration with the given (K, n) nodes on grid's partition."""
+    segs = nodes.reshape(grid.segment_count, grid.nodes_per_segment, -1)
+    return SnakeConfig.from_segment_samples(grid.L, grid.partition, list(segs))
+
+
 class TestFitHorizontalMany:
     @pytest.mark.parametrize("n", [2, 3, 8])
-    def test_stack_matches_per_configuration_fits(self, n):
+    def test_stack_matches_per_configuration_fits(self, n, monkeypatch):
+        # a stack with a singular member takes the masked eigen-solve, a
+        # stack of regular configurations the Cholesky-gated solve
         rng = np.random.default_rng(300 + n)
         regular = random_config(rng, n)
-        straight = SnakeConfig.from_segment_samples(
-            regular.L, regular.partition,
-            [np.tile(e(0, n), (regular.nodes_per_segment, 1))] * regular.segment_count,
-        )
-        configs = [regular, straight]
-        nodes = np.stack([c.nodes for c in configs])
-        v = np.stack([project_tangent(c, rng.normal(size=c.nodes.shape)) for c in configs])
-        fit = fit_horizontal_many(regular, nodes, v)
-        assert fit.restricted.tolist() == [False, True]
-        for k, cfg in enumerate(configs):
-            single = fit_horizontal(cfg, v[k])
-            w, residual, restricted = normal_equation_fit(cfg, v[k], 1e-8 * cfg.L)
-            assert single.restricted == restricted == fit.restricted[k]
-            assert abs(single.residual - fit.residual[k]) <= 1e-14
-            assert abs(residual - fit.residual[k]) <= 1e-14
-            assert np.max(np.abs(single.w - fit.w[k])) <= 1e-14
-            assert np.max(np.abs(w - fit.w[k])) <= 1e-14
+        straight = on_grid(regular, np.tile(e(0, n), (regular.nodes.shape[0], 1)))
+        Q, _ = np.linalg.qr(np.random.default_rng(310 + n).normal(size=(n, n)))
+        rotated = on_grid(regular, regular.nodes @ Q.T)
+        eigh = np.linalg.eigh
+        for configs in ([regular, straight], [regular, rotated]):
+            nodes = np.stack([c.nodes for c in configs])
+            v = np.stack([project_tangent(c, rng.normal(size=c.nodes.shape)) for c in configs])
+            calls = []
+            with monkeypatch.context() as mp:
+                mp.setattr(np.linalg, "eigh", lambda A: calls.append(A.shape) or eigh(A))
+                fit = fit_horizontal_many(regular, nodes, v)
+            assert len(calls) == (configs[1] is straight)
+            assert fit.restricted.tolist() == [False, configs[1] is straight]
+            for k, cfg in enumerate(configs):
+                single = fit_horizontal(cfg, v[k])
+                w, residual, restricted = normal_equation_fit(cfg, v[k], 1e-8 * cfg.L)
+                assert single.restricted == restricted == fit.restricted[k]
+                assert abs(single.residual - fit.residual[k]) <= 1e-14
+                assert abs(residual - fit.residual[k]) <= 1e-14
+                assert np.max(np.abs(single.w - fit.w[k])) <= 1e-14
+                assert np.max(np.abs(w - fit.w[k])) <= 1e-14
+
+    @pytest.mark.parametrize("factor", [0.5, 2.0])
+    @pytest.mark.parametrize("n", [3, 8])
+    def test_gate_at_singularity_threshold(self, n, factor):
+        # a two-segment config kinked by +-eps off e1 has lambda_min(A_u) =
+        # L sin^2 eps, here factor * tau with tau = 1e-8 L the mask threshold
+        L = 3.0
+        tau = 1e-8 * L
+        eps = np.arcsin(np.sqrt(factor * tau / L))
+        up = np.cos(eps) * e(0, n) + np.sin(eps) * e(1, n)
+        down = np.cos(eps) * e(0, n) - np.sin(eps) * e(1, n)
+        cfg = SnakeConfig.from_segment_samples(
+            L, [0.0, 0.5 * L, L], [np.tile(up, (16, 1)), np.tile(down, (16, 1))])
+        assert gram_data(cfg).eigenvalues[0] == pytest.approx(factor * tau, rel=1e-6)
+        rng = np.random.default_rng(400 + n)
+        v = project_tangent(cfg, rng.normal(size=cfg.nodes.shape))
+        fit = fit_horizontal_many(cfg, cfg.nodes[None], v[None])
+        w, residual, restricted = normal_equation_fit(cfg, v, tau)
+        assert fit.restricted.tolist() == [restricted] == [factor < 1.0]
+        assert np.max(np.abs(w - fit.w[0])) <= 1e-14 * max(1.0, np.max(np.abs(w)))
+        assert abs(residual - fit.residual[0]) <= 1e-14 * max(1.0, np.max(np.abs(w)))
 
 
 class TestCriticalRadii:
