@@ -35,6 +35,7 @@ from .lorentz import (
     spatial_block,
 )
 from .planner import (
+    LIFT_MARGIN_FACTOR,
     SingularityApproach,
     act,
     commutator_probe,
@@ -220,17 +221,33 @@ def _run_lift_head(sc: Scenario):
 
     spline = CubicSpline(times, points, axis=0)
     path = horizontal_lift(u0, spline, spline.derivative(), t_final=float(times[-1]), dt=step)
+    # recomputed from the final nodes, not read off the lift's own margins
+    final_margin = is_singular(path.final)[1]
     checks = [
         _check("tracking_error", float(path.tracking_errors.max()), track_tol),
-        _check("final_margin", -is_singular(path.final)[1], 0.0),
+        _check("final_margin", -final_margin, -LIFT_MARGIN_FACTOR * u0.L),
     ]
     outputs: dict = {}
     _maybe_write_csv(sc.options, "head_trace.csv",
                      ["t"] + [f"x{i+1}" for i in range(u0.dim)],
                      sio.head_trace_rows(path), outputs)
     _maybe_write_json(sc.options, "final_config.json", sio.config_to_json(path.final), outputs)
+    trace = sc.options.get("trace")
+    if trace is not None:
+        # step-start margins of the lift, then the final one of the check
+        margins = np.append(path.margins, final_margin)
+        try:
+            sio.write_csv(trace, ["t", "margin", "tracking_error"],
+                          zip(path.times, margins, path.tracking_errors))
+        except OSError as exc:
+            raise _IOFailure(str(exc)) from exc
+        outputs["trace"] = trace
+    worst = int(path.margins.argmin())
     result = {"steps": len(path.times) - 1,
-              "max_tracking_error": float(path.tracking_errors.max())}
+              "max_tracking_error": float(path.tracking_errors.max()),
+              "min_margin": float(path.margins[worst]),
+              "min_margin_time": float(path.times[worst]),
+              "eigen_solves": path.eigen_solves}
     return checks, outputs, result
 
 
@@ -387,6 +404,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--config", required=True)
     p.add_argument("--head-curve", required=True)
     p.add_argument("--track-tol", type=float, default=1e-4)
+    p.add_argument("--trace", default=None,
+                   help="CSV of t, lambda_min(A_u) and tracking error at every grid time")
     _common(p, step=1e-3)
 
     p = sub.add_parser("probe-bracket", help="commutator probe of a rotation generator")
@@ -410,7 +429,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _scenario_from_args(args) -> Scenario:
     opts: dict = {}
-    for key in ("tol", "step", "out_dir", "seed", "dim", "track_tol", "radius"):
+    for key in ("tol", "step", "out_dir", "seed", "dim", "track_tol", "radius", "trace"):
         val = getattr(args, key, None)
         if val is not None:
             opts[key] = val

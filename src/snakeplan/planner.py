@@ -33,7 +33,6 @@ from .snake import (
     endpoint,
     fit_horizontal_many,
     horizontal_gradient,
-    is_singular,
     unit_nodes,
 )
 from .sphere import _cone_images, _light_cone, mobius_sphere_action_many
@@ -55,6 +54,7 @@ __all__ = [
 ]
 
 DEFAULT_MAX_STEP = 0.02
+LIFT_MARGIN_FACTOR = 1e-3  # horizontal_lift aborts below lambda_min(A_u) = factor * L
 
 
 class SingularityApproach(RuntimeError):
@@ -338,6 +338,8 @@ class ConfigPath:
     controls: np.ndarray  # (m, n): fitted direction w per step
     velocities: np.ndarray | None = None  # (m, K, n) true velocity at step start
     tracking_errors: np.ndarray | None = None  # head tracking, lifts only
+    margins: np.ndarray | None = None  # (m,) lambda_min(A_u) at step starts, lifts only
+    eigen_solves: int | None = None  # exact eigen-solves of A_u, lifts only
 
     @property
     def head_trace(self) -> np.ndarray:
@@ -404,6 +406,16 @@ def steer_config(
                       velocities=vels)
 
 
+def _certifies(margin: float, delta: np.ndarray, floor: float) -> bool:
+    """True when Weyl's inequality puts lambda_min(A0 + delta) above floor.
+
+    margin is lambda_min of the symmetric A0 and delta a symmetric change:
+    lambda_min(A0 + delta) >= margin - |delta|_2 >= margin - |delta|_F.
+    """
+    slack = margin - floor
+    return slack > 0.0 and np.vdot(delta, delta) < slack * slack
+
+
 def horizontal_lift(
     u0: SnakeConfig,
     head,
@@ -417,14 +429,24 @@ def horizontal_lift(
     head and head_dot map a 1-D array of times in [0, t_final] to an array
     of shape (len, n), as a CubicSpline and its derivative do; each is
     evaluated once per time grid.  Aborts with SingularityApproach when
-    lambda_min(A_u) drops below 1e-3 L; head targets leaving the reachable
-    ball are rejected up front.
+    lambda_min(A_u) drops below LIFT_MARGIN_FACTOR * L; head targets leaving
+    the reachable ball are rejected up front.
+
+    Each step starts with an exact eigen-solve of A_u, which gives the
+    control, the abort check and the step's margin lambda_min(A_u).  The
+    three later RK4 stages solve A w = c' directly when Weyl's inequality
+    certifies them, lambda_min(A) >= lambda_min(A_0) - |A - A_0|_F > 1e-3 L
+    (A_0 the step-start matrix, plus an allowance for eigh's rounding); a
+    stage the certificate cannot vouch for falls back to the exact
+    eigen-solve and abort check, so an abort happens at the same stage as
+    with an eigen-solve at every stage.  The returned path carries the
+    step-start margins and the count of exact eigen-solves.
     """
     n = u0.dim
-    margin_min = 1e-3 * u0.L
-    singular, margin = is_singular(u0, tol=margin_min)
-    if singular:
-        raise SingularityApproach(0.0, margin)
+    margin_min = LIFT_MARGIN_FACTOR * u0.L
+    # eigh's eigenvalues are off from A_u's by a few n eps |A_u|_2 <= n eps L,
+    # and so is the lower triangle it reads; 1e-12 L covers both
+    certified_min = margin_min + 1e-12 * u0.L
 
     def evaluate(curve, ts: np.ndarray) -> np.ndarray:
         vals = np.asarray(curve(ts), dtype=float)
@@ -434,42 +456,67 @@ def horizontal_lift(
 
     m = max(1, int(round(t_final / dt)))
     times = np.linspace(0.0, t_final, m + 1)
+    h = times[1] - times[0]
     heads = evaluate(head, times)
+    # RK4 stage times t, t + h/2 and t + h; t + h rather than the next grid
+    # time, which can differ from it in the last bit
+    rate, rate_mid, rate_end = (evaluate(head_dot, times[:-1] + s) for s in (0.0, 0.5 * h, h))
+    eigen_solves = 0
+
+    def exact(t: float, A: np.ndarray, c_dot: np.ndarray) -> tuple:
+        """(lambda_min(A), w) from one eigen-solve, aborting below margin_min."""
+        nonlocal eigen_solves
+        eigen_solves += 1
+        vals, vecs = np.linalg.eigh(A)
+        if vals[0] < margin_min:
+            raise SingularityApproach(t, float(vals[0]))
+        return vals[0], vecs @ ((vecs.T @ c_dot) / vals)
+
+    def stage(t: float, nodes: np.ndarray, c_dot: np.ndarray, A0: np.ndarray,
+              margin0: float) -> np.ndarray:
+        _, A = _gram(u0.weights, u0.L, nodes)
+        if _certifies(margin0, A - A0, certified_min):
+            w = np.linalg.solve(A, c_dot)
+        else:
+            _, w = exact(t, A, c_dot)
+        return w - (nodes @ w)[:, None] * nodes
+
+    controls = np.empty((m, n))
+    margins = np.empty(m)
+    vels = np.empty((m,) + u0.nodes.shape)
+    nodes = np.empty((m + 1,) + u0.nodes.shape)
+    nodes[0] = u0.nodes
+    # step 0's exact solve comes first, so a singular start aborts before
+    # the head curve is checked
+    _, A0 = _gram(u0.weights, u0.L, u0.nodes)
+    margins[0], controls[0] = exact(0.0, A0, rate[0])
     if np.linalg.norm(heads[0] - endpoint(u0)) > max(1e-6, 1e-9 * u0.L):
         raise ValueError("head curve must start at endpoint(u0)")
     if np.linalg.norm(evaluate(head, np.linspace(0.0, t_final, 257)), axis=1).max() >= u0.L:
         raise ValueError("head target leaves the closed ball of radius L")
-    h = times[1] - times[0]
-    # RK4 stage times t, t + h/2 and t + h; t + h rather than the next grid
-    # time, which can differ from it in the last bit
-    rate, rate_mid, rate_end = (evaluate(head_dot, times[:-1] + s) for s in (0.0, 0.5 * h, h))
-
-    def velocity(t: float, nodes: np.ndarray, c_dot: np.ndarray) -> tuple:
-        _, Aop = _gram(u0.weights, u0.L, nodes)
-        vals, vecs = np.linalg.eigh(Aop)
-        if vals[0] < margin_min:
-            raise SingularityApproach(t, float(vals[0]))
-        w = vecs @ ((vecs.T @ c_dot) / vals)
-        return w[None, :] - (nodes @ w)[:, None] * nodes, w
-
-    controls = np.zeros((m, n))
-    vels = np.zeros((m,) + u0.nodes.shape)
-    nodes = np.empty((m + 1,) + u0.nodes.shape)
-    nodes[0] = u0.nodes
     for k, t in enumerate(times[:-1]):
         y = nodes[k]
-        k1, controls[k] = velocity(t, y, rate[k])
-        k2, _ = velocity(t + 0.5 * h, y + 0.5 * h * k1, rate_mid[k])
-        k3, _ = velocity(t + 0.5 * h, y + 0.5 * h * k2, rate_mid[k])
-        k4, _ = velocity(t + h, y + h * k3, rate_end[k])
-        y = y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        nodes[k + 1] = y / np.linalg.norm(y, axis=1)[:, None]
-        vels[k] = k1
+        if k:
+            _, A0 = _gram(u0.weights, u0.L, y)
+            margins[k], controls[k] = exact(t, A0, rate[k])
+        w = controls[k]
+        k1 = vels[k] = w - (y @ w)[:, None] * y
+        k2 = stage(t + 0.5 * h, y + 0.5 * h * k1, rate_mid[k], A0, margins[k])
+        k3 = stage(t + 0.5 * h, y + 0.5 * h * k2, rate_mid[k], A0, margins[k])
+        k4 = stage(t + h, y + h * k3, rate_end[k], A0, margins[k])
+        # y + h/6 (k1 + 2 k2 + 2 k3 + k4), accumulated in k2
+        k2 += k3
+        k2 *= 2.0
+        k2 += k1
+        k2 += k4
+        k2 *= h / 6.0
+        k2 += y
+        np.divide(k2, np.linalg.norm(k2, axis=1)[:, None], out=nodes[k + 1])
     # row-wise dot products round like np.linalg.norm of one vector
     miss = u0.weights @ nodes - heads
     track = np.sqrt((miss[:, None, :] @ miss[:, :, None])[:, 0, 0])
     return ConfigPath(times=times, grid=u0, nodes=nodes, controls=controls, velocities=vels,
-                      tracking_errors=track)
+                      tracking_errors=track, margins=margins, eigen_solves=eigen_solves)
 
 
 def config_velocity_residuals(path: ConfigPath, subsample: int = 1) -> np.ndarray:

@@ -224,7 +224,7 @@ def snake_curve(u: SnakeConfig, t: float) -> np.ndarray:
 
 @dataclass(frozen=True)
 class GramData:
-    gram: np.ndarray  # Gamma_u = int u u^T, symmetric PSD, trace = L
+    gram: np.ndarray  # Gamma_u = int u u^T, PSD, trace = L, symmetric up to rounding
     a_op: np.ndarray  # A_u = L Id - Gamma_u
     eigenvalues: np.ndarray  # of A_u, ascending
     eigenvectors: np.ndarray  # columns, matching eigenvalues
@@ -239,9 +239,12 @@ def _identity(n: int) -> np.ndarray:
 
 
 def _gram(weights: np.ndarray, L: float, nodes: np.ndarray):
-    """Gamma_u and A_u for one node set or a stack (..., K, n) on one quadrature."""
+    """Gamma_u and A_u for one node set or a stack (..., K, n) on one quadrature.
+
+    The two triangles of the product differ by rounding only; eigh and
+    cholesky read the lower one, so no symmetrizing pass is made.
+    """
     G = (nodes * weights[:, None]).swapaxes(-1, -2) @ nodes
-    G = 0.5 * (G + G.swapaxes(-1, -2))
     return G, L * _identity(nodes.shape[-1]) - G
 
 

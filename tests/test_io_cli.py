@@ -227,6 +227,73 @@ class TestCli:
         report = json.loads(capsys.readouterr().out)
         assert report["verification"]["passed"]
 
+    def _gen_lift_inputs(self, tmp_path, dim=3):
+        c = self._gen_config(tmp_path, dim=dim)
+        h = str(tmp_path / "head.json")
+        assert main(["generate", "--kind", "circle-head-curve", "--seed", "5",
+                     "--dim", str(dim), "--config", c, "--out", h]) == 0
+        return c, h
+
+    def test_lift_head_reports_margins(self, tmp_path, capsys):
+        c, h = self._gen_lift_inputs(tmp_path)
+        capsys.readouterr()
+        assert main(["lift-head", "--config", c, "--head-curve", h, "--step", "1e-2"]) == 0
+        report = json.loads(capsys.readouterr().out)
+        result = report["outputs"]["result"]
+        assert result["steps"] == 100
+        # certified stages take no eigen-solve on this loop
+        assert result["eigen_solves"] == 100
+        assert 1e-3 * 3.0 < result["min_margin"] <= 3.0
+        assert 0.0 <= result["min_margin_time"] < 1.0
+        final = {ch["name"]: ch for ch in report["verification"]["checks"]}["final_margin"]
+        assert final["tol"] == pytest.approx(-1e-3 * 3.0) and final["pass"]
+
+    def test_final_margin_check_can_fail(self, tmp_path, capsys, monkeypatch):
+        # a final config within the abort bound but off the singular set:
+        # its lambda_min(A_u) is positive, which the bound must not pass
+        from snakeplan import cli
+        from snakeplan.snake import unit_nodes
+
+        c, h = self._gen_lift_inputs(tmp_path)
+        capsys.readouterr()
+        lift = cli.horizontal_lift
+
+        def nearly_straight(*args, **kwargs):
+            path = lift(*args, **kwargs)
+            noise = np.random.default_rng(0).normal(size=path.nodes[-1].shape)
+            path.nodes[-1] = unit_nodes(np.eye(3)[0] + 0.01 * noise)
+            return path
+
+        monkeypatch.setattr(cli, "horizontal_lift", nearly_straight)
+        assert main(["lift-head", "--config", c, "--head-curve", h, "--step", "1e-2"]) == 3
+        report = json.loads(capsys.readouterr().out)
+        checks = {ch["name"]: ch for ch in report["verification"]["checks"]}
+        final = checks["final_margin"]
+        assert not final["pass"]
+        assert 0.0 < -final["value"] < -final["tol"] == pytest.approx(1e-3 * 3.0)
+
+    def test_lift_trace_changes_no_artifact(self, tmp_path, capsys):
+        c, h = self._gen_lift_inputs(tmp_path)
+        plain, traced, trace = tmp_path / "plain", tmp_path / "traced", tmp_path / "trace.csv"
+        assert main(["lift-head", "--config", c, "--head-curve", h, "--step", "1e-2",
+                     "--out-dir", str(plain)]) == 0
+        capsys.readouterr()
+        assert main(["lift-head", "--config", c, "--head-curve", h, "--step", "1e-2",
+                     "--out-dir", str(traced), "--trace", str(trace)]) == 0
+        result = json.loads(capsys.readouterr().out)["outputs"]["result"]
+        for name in ("head_trace.csv", "final_config.json"):
+            assert (plain / name).read_bytes() == (traced / name).read_bytes()
+        assert sorted(os.listdir(plain)) == sorted(os.listdir(traced))
+        lines = trace.read_text().splitlines()
+        assert lines[0] == "t,margin,tracking_error" and len(lines) == 102
+        rows = np.array([[float(v) for v in line.split(",")] for line in lines[1:]])
+        assert np.array_equal(rows[:, 0], np.linspace(0.0, 1.0, 101))
+        assert np.all(rows[:, 1] > 1e-3 * 3.0) and rows[0, 2] == 0.0
+        assert rows[:-1, 1].min() == result["min_margin"]
+        assert rows[:, 2].max() == result["max_tracking_error"]
+        assert main(["lift-head", "--config", c, "--head-curve", h, "--step", "1e-2",
+                     "--trace", str(tmp_path / "missing" / "trace.csv")]) == 4
+
     def test_probe_bracket(self, capsys):
         assert main(["probe-bracket", "--i", "1", "--j", "2", "--t", "0.5",
                      "--m", "8", "--dim", "3"]) == 0

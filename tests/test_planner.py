@@ -1,10 +1,14 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from snakeplan.generate import random_config, random_so0, straight_config
 from snakeplan.lorentz import LieElement, basis_Omega, basis_U, exp_h
 from snakeplan.planner import (
+    LIFT_MARGIN_FACTOR,
     SingularityApproach,
+    _certifies,
     act,
     action_velocity,
     boost_leg,
@@ -18,6 +22,7 @@ from snakeplan.planner import (
     su11_geodesic,
 )
 from snakeplan.snake import (
+    _gram,
     config_distance,
     endpoint,
     e_field,
@@ -504,3 +509,156 @@ class TestHorizontalLift:
         with pytest.raises(ValueError):
             horizontal_lift(cfg, lambda t: np.tile(endpoint(cfg) + 0.5, (len(t), 1)),
                             lambda t: np.zeros((len(t), 3)))
+
+
+def four_eigh_lift(u0, head, head_dot, t_final, dt):
+    """Oracle: the lift with an exact eigen-solve and abort check at every
+    RK4 stage.  Returns (nodes, controls, velocities, tracking errors,
+    step-start margins)."""
+    margin_min = LIFT_MARGIN_FACTOR * u0.L
+    m = max(1, int(round(t_final / dt)))
+    times = np.linspace(0.0, t_final, m + 1)
+    h = times[1] - times[0]
+    rate, rate_mid, rate_end = (head_dot(times[:-1] + s) for s in (0.0, 0.5 * h, h))
+
+    def velocity(t, nodes, c_dot):
+        _, A = _gram(u0.weights, u0.L, nodes)
+        vals, vecs = np.linalg.eigh(A)
+        if vals[0] < margin_min:
+            raise SingularityApproach(t, float(vals[0]))
+        w = vecs @ ((vecs.T @ c_dot) / vals)
+        return w[None, :] - (nodes @ w)[:, None] * nodes, w, vals[0]
+
+    controls, margins = np.zeros((m, u0.dim)), np.zeros(m)
+    vels = np.zeros((m,) + u0.nodes.shape)
+    nodes = np.empty((m + 1,) + u0.nodes.shape)
+    nodes[0] = u0.nodes
+    for k, t in enumerate(times[:-1]):
+        y = nodes[k]
+        k1, controls[k], margins[k] = velocity(t, y, rate[k])
+        k2, _, _ = velocity(t + 0.5 * h, y + 0.5 * h * k1, rate_mid[k])
+        k3, _, _ = velocity(t + 0.5 * h, y + 0.5 * h * k2, rate_mid[k])
+        k4, _, _ = velocity(t + h, y + h * k3, rate_end[k])
+        y = y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        nodes[k + 1] = y / np.linalg.norm(y, axis=1)[:, None]
+        vels[k] = k1
+    track = np.linalg.norm(u0.weights @ nodes - head(times), axis=1)
+    return nodes, controls, vels, track, margins
+
+
+def circle_loop(u0):
+    """The benchmark's closed head loop through endpoint(u0), with its rate."""
+    c0 = endpoint(u0)
+    r = min(0.05 * u0.L, 0.25 * (u0.L - np.linalg.norm(c0)))
+    om = 2.0 * np.pi
+
+    def head(t):
+        p = np.tile(c0, (len(t), 1))
+        p[:, 0] += r * (np.cos(om * t) - 1.0)
+        p[:, 1] += r * np.sin(om * t)
+        return p
+
+    def head_dot(t):
+        p = np.zeros((len(t), u0.dim))
+        p[:, 0] = -r * om * np.sin(om * t)
+        p[:, 1] = r * om * np.cos(om * t)
+        return p
+
+    return head, head_dot
+
+
+def toward_boundary(u0, depth=1e-4):
+    """Head pushed radially to (1 - depth) L at t = 1/2 and back: the lift
+    must straighten the snake and approach the singular set."""
+    c0 = endpoint(u0)
+    d = ((1.0 - depth) * u0.L / np.linalg.norm(c0) - 1.0) * c0
+    return (lambda t: c0 + np.multiply.outer(np.sin(np.pi * t), d),
+            lambda t: np.multiply.outer(np.pi * np.cos(np.pi * t), d))
+
+
+def assert_close(got, want, scale=1e-13):
+    assert np.all(np.abs(got - want) <= scale * np.maximum(1.0, np.abs(want)))
+
+
+class TestCertifiedLift:
+    @pytest.mark.parametrize("n", [2, 3, 8])
+    @pytest.mark.parametrize("dt", [1e-3, 4e-3])
+    def test_matches_four_eigh_oracle(self, n, dt):
+        u0 = random_config(np.random.default_rng(7), n)
+        head, head_dot = circle_loop(u0)
+        path = horizontal_lift(u0, head, head_dot, t_final=1.0, dt=dt)
+        nodes, controls, vels, track, margins = four_eigh_lift(u0, head, head_dot, 1.0, dt)
+        assert_close(path.nodes, nodes)
+        assert_close(path.controls, controls)
+        assert_close(path.velocities, vels)
+        assert_close(path.tracking_errors, track)
+        assert_close(path.margins, margins)
+        # every later stage certified: one exact solve per step
+        assert path.eigen_solves == len(path.times) - 1
+
+    @pytest.mark.parametrize("n, dt", [(2, 1e-2), (3, 1e-3), (8, 1e-2)])
+    def test_abort_at_oracle_stage_through_fallback(self, monkeypatch, n, dt):
+        u0 = random_config(np.random.default_rng(3), n, L=2.0)
+        head, head_dot = toward_boundary(u0)
+        with pytest.raises(SingularityApproach) as want:
+            four_eigh_lift(u0, head, head_dot, 1.0, dt)
+        margin_min = LIFT_MARGIN_FACTOR * u0.L
+        calls = {"eigh": 0, "solve": 0}
+        eigh, solve = np.linalg.eigh, np.linalg.solve
+
+        def counting_eigh(A):
+            calls["eigh"] += 1
+            return eigh(A)
+
+        def checked_solve(A, b):
+            # a certified stage: its exact lambda_min must clear the abort bound
+            calls["solve"] += 1
+            assert np.linalg.eigvalsh(A)[0] > margin_min
+            return solve(A, b)
+
+        monkeypatch.setattr(np.linalg, "eigh", counting_eigh)
+        monkeypatch.setattr(np.linalg, "solve", checked_solve)
+        with pytest.raises(SingularityApproach) as got:
+            horizontal_lift(u0, head, head_dot, t_final=1.0, dt=dt)
+        assert 0.0 < got.value.time < 1.0
+        assert got.value.time == want.value.time
+        assert abs(got.value.margin - want.value.margin) <= 1e-12 * u0.L
+        assert got.value.margin < margin_min
+        # four stages per step: the steps started, each with one exact
+        # solve; every eigh beyond those is a stage that fell back
+        steps_started = -(-(calls["eigh"] + calls["solve"]) // 4)
+        assert calls["eigh"] > steps_started
+
+    def test_counts_fallback_solves(self):
+        # a head that comes near the singular set and leaves again: the
+        # stages near the turn fall back, and the lift still completes
+        u0 = random_config(np.random.default_rng(3), 3, L=2.0)
+        head, head_dot = toward_boundary(u0, depth=7e-4)
+        path = horizontal_lift(u0, head, head_dot, t_final=1.0, dt=1e-2)
+        nodes, controls, _, _, margins = four_eigh_lift(u0, head, head_dot, 1.0, 1e-2)
+        assert path.eigen_solves > len(path.times) - 1
+        assert_close(path.nodes, nodes)
+        assert_close(path.margins, margins)
+        # controls solve with A_u near the abort bound: scale by its condition
+        assert_close(path.controls, controls, 1e-13 * u0.L / margins.min())
+        assert path.margins.min() < 1.5 * LIFT_MARGIN_FACTOR * u0.L
+
+    @settings(max_examples=300, deadline=None)
+    @given(n=st.integers(2, 32), seed=st.integers(0, 2**32 - 1),
+           lam_min=st.one_of(st.just(0.0), st.floats(1e-14, 1.0)),
+           size=st.floats(0.0, 2.0), frac=st.floats(0.0, 1.0))
+    def test_weyl_certificate_sound(self, n, seed, lam_min, size, frac):
+        rng = np.random.default_rng(seed)
+        Q, _ = np.linalg.qr(rng.normal(size=(n, n)))
+        A0 = (Q * np.concatenate([[lam_min], rng.uniform(1.0, 2.0, n - 1)])) @ Q.T
+        A0 = 0.5 * (A0 + A0.T)
+        margin = np.linalg.eigvalsh(A0)[0]
+        tau = frac * lam_min
+        D = rng.normal(size=(n, n))
+        D += D.T
+        D *= size * max(margin - tau, 0.0) / np.linalg.norm(D)
+        # the same rounding allowance the lift adds: eigvalsh's eigenvalues
+        # are off by a few n eps |A|_2, and |A0 + D|_2 <= 2 + |D|_F here
+        floor = tau + 1e-12 * (2.0 + np.linalg.norm(D))
+        if _certifies(margin, D, floor):
+            assert np.linalg.eigvalsh(A0 + D)[0] > tau
