@@ -4,8 +4,17 @@ verification reports and plot-ready trajectories.
 Every subcommand builds a Scenario, dispatches it through run(), prints a
 RunReport as JSON on stdout and exits 0 only when all verification checks
 pass.  Exit codes: 2 validation failure, 3 numerical failure, 4 I/O failure.
+Every read or write failure (any OSError, from a payload, --out-dir, --out or
+--trace) exits 4; np.linalg.LinAlgError exits 3.
 A matrix outside SO0(n,1) exits 3 from factorize, plan-group and steer;
 checks on a matrix A scale with |A|_2 = e^{|u|}, residuals with its square.
+
+_COMMANDS holds each subcommand's runner and option defaults: build_parser
+takes its flag defaults from there, and run() puts them under a scenario's
+own options.  Artifacts are built only under --out-dir.  plan.json writes
+each control as its boost vector.  No check compares the plan ledger with the
+controls, or factorize's blocks with each other: controls are unit-norm and
+the blocks commute by construction, so such checks could not fail.
 """
 
 from __future__ import annotations
@@ -36,7 +45,6 @@ from .lorentz import (
 )
 from .planner import (
     LIFT_MARGIN_FACTOR,
-    SingularityApproach,
     act,
     commutator_probe,
     horizontal_lift,
@@ -44,13 +52,18 @@ from .planner import (
     steer_config,
 )
 from .rotations import planar_rotation, so_exp_blocks
-from .snake import config_distance, endpoint, fit_horizontal_many, is_singular
+from .snake import config_distance, fit_horizontal_many, is_singular
 from .sphere import NotOrthochronous
 
 EXIT_OK = 0
 EXIT_VALIDATION = 2
 EXIT_NUMERICAL = 3
 EXIT_IO = 4
+
+# option defaults shared by several subcommands (see _COMMANDS)
+_TOL = 1e-8
+_STEP = 0.02
+_DIM = 3
 
 
 @dataclass
@@ -83,39 +96,30 @@ def _check(name, value, tol):
 
 
 def _load_json(path):
-    try:
-        with open(path) as fh:
+    with open(path) as fh:
+        try:
             return json.load(fh)
-    except OSError as exc:
-        raise _IOFailure(str(exc)) from exc
-    except json.JSONDecodeError as exc:
-        raise ValueError(f"invalid JSON in {path}: {exc}") from exc
+        except json.JSONDecodeError as exc:
+            raise ValueError(f"invalid JSON in {path}: {exc}") from exc
 
 
-class _IOFailure(RuntimeError):
-    pass
-
-
-def _out_path(options, name):
-    out_dir = options.get("out_dir")
-    if out_dir is None:
-        return None
-    os.makedirs(out_dir, exist_ok=True)
-    return os.path.join(out_dir, name)
-
-
-def _maybe_write_json(options, name, obj, outputs):
-    path = _out_path(options, name)
-    if path is not None:
-        sio.dump_json(obj, path)
+def _export(sc, outputs, name, write):
+    """write(path) builds and writes artifact `name`, only under --out-dir."""
+    out_dir = sc.options.get("out_dir")
+    if out_dir is not None:
+        os.makedirs(out_dir, exist_ok=True)
+        path = os.path.join(out_dir, name)
+        write(path)
         outputs[name] = path
 
 
-def _maybe_write_csv(options, name, header, rows, outputs):
-    path = _out_path(options, name)
-    if path is not None:
-        sio.write_csv(path, header, rows)
-        outputs[name] = path
+def _export_head_and_final(sc, outputs, path):
+    """head_trace.csv and final_config.json of a ConfigPath."""
+    header = ["t"] + [f"x{i+1}" for i in range(path.grid.dim)]
+    _export(sc, outputs, "head_trace.csv",
+            lambda p: sio.write_csv(p, header, sio.head_trace_rows(path)))
+    _export(sc, outputs, "final_config.json",
+            lambda p: sio.dump_json(sio.config_to_json(path.final), p))
 
 
 # ---------------------------------------------------------------------------
@@ -124,7 +128,8 @@ def _maybe_write_csv(options, name, header, rows, outputs):
 
 
 def _run_decompose(sc: Scenario):
-    tol = sc.options.get("tol", 1e-8)
+    """boost/orthogonal factorization of a Lorentz matrix"""
+    tol = sc.options["tol"]
     A = sio.matrix_from_json(_load_json(sc.inputs["matrix"]))
     grade, factor = _grade(A, DEFAULT_MEMBERSHIP_TOL)
     if grade is Membership.NOT_LORENTZ:
@@ -136,60 +141,54 @@ def _run_decompose(sc: Scenario):
                tol * _norm2(A)),
     ]
     outputs: dict = {}
-    _maybe_write_json(sc.options, "factors.json", {
+    _export(sc, outputs, "factors.json", lambda p: sio.dump_json({
         "epsilon": float(eps),
         "membership": grade.value,
         "orthogonal": [[float(x) for x in row] for row in Q],
         "boost": sio.matrix_to_json(T),
-    }, outputs)
+    }, p))
     result = {"epsilon": float(eps), "membership": grade.value}
     return checks, outputs, result
 
 
 def _run_factorize(sc: Scenario):
-    tol = sc.options.get("tol", 1e-8)
+    """rotation-block + boost factorization of an SO0 matrix"""
+    tol = sc.options["tol"]
     A = sio.matrix_from_json(_load_json(sc.inputs["matrix"]))
     blocks, u = factorize(A, tol=tol)
     recon = spatial_block(so_exp_blocks(blocks)) @ exp_h(u)
     checks = [
         _check("reconstruction_residual", np.linalg.norm(recon - A), tol * _norm2(A)),
-        _check("block_commutation", max(
-            (np.linalg.norm(a.generator @ b.generator - b.generator @ a.generator)
-             for a in blocks.blocks for b in blocks.blocks if a is not b), default=0.0,
-        ), 1e-10),
     ]
     outputs: dict = {}
-    _maybe_write_json(sc.options, "blocks.json", {
+    _export(sc, outputs, "blocks.json", lambda p: sio.dump_json({
         "blocks": sio.blocks_to_json(blocks),
         "boost_vector": [float(x) for x in u],
-    }, outputs)
+    }, p))
     result = {"angles": [float(b.theta) for b in blocks.blocks],
               "boost_norm": float(np.linalg.norm(u))}
     return checks, outputs, result
 
 
 def _run_plan_group(sc: Scenario):
-    tol = sc.options.get("tol", 1e-8)
-    step = sc.options.get("step", 0.02)
+    """horizontal path from Id to an SO0 matrix"""
     A = sio.matrix_from_json(_load_json(sc.inputs["matrix"]))
-    path = plan_group_path(A, max_step=step, tol=tol)
-    ledger = path.leg_lengths()
+    path = plan_group_path(A, max_step=sc.options["step"], tol=sc.options["tol"])
     checks = [
         _check("endpoint_residual", np.linalg.norm(path.endpoint() - A), 1e-7 * _norm2(A)),
-        _check("ledger_vs_controls", abs(path.length() - sum(ledger.values())), 1e-6),
     ]
     outputs: dict = {}
-    _maybe_write_json(sc.options, "plan.json", sio.group_path_to_json(path), outputs)
-    result = {"length": float(path.length()), "legs": len(path.legs), "ledger": ledger}
+    _export(sc, outputs, "plan.json", lambda p: sio.dump_json(sio.group_path_to_json(path), p))
+    result = {"length": float(path.length()), "legs": len(path.legs),
+              "ledger": path.leg_lengths()}
     return checks, outputs, result
 
 
 def _run_steer(sc: Scenario):
-    tol = sc.options.get("tol", 1e-8)
-    step = sc.options.get("step", 0.02)
+    """steer a configuration along a group plan"""
     A = sio.matrix_from_json(_load_json(sc.inputs["matrix"]))
     u0 = sio.config_from_json(_load_json(sc.inputs["config"]))
-    path = steer_config(u0, A, max_step=step, tol=tol)
+    path = steer_config(u0, A, max_step=sc.options["step"], tol=sc.options["tol"])
     target = act(A, u0)
     fit = fit_horizontal_many(path.grid, path.nodes[:-1], path.velocities)
     fit_res = fit.residual.max(initial=0.0)
@@ -198,14 +197,10 @@ def _run_steer(sc: Scenario):
         _check("velocity_fit_residual", fit_res, 1e-6),
     ]
     outputs: dict = {}
-    _maybe_write_csv(sc.options, "head_trace.csv",
-                     ["t"] + [f"x{i+1}" for i in range(u0.dim)],
-                     sio.head_trace_rows(path), outputs)
-    _maybe_write_csv(sc.options, "snake_polylines.csv",
-                     ["t", "s"] + [f"x{i+1}" for i in range(u0.dim)],
-                     sio.config_path_polyline_rows(path, stride=max(1, len(path.times) // 32)),
-                     outputs)
-    _maybe_write_json(sc.options, "final_config.json", sio.config_to_json(path.final), outputs)
+    _export_head_and_final(sc, outputs, path)
+    _export(sc, outputs, "snake_polylines.csv", lambda p: sio.write_csv(
+        p, ["t", "s"] + [f"x{i+1}" for i in range(u0.dim)],
+        sio.config_path_polyline_rows(path, stride=max(1, len(path.times) // 32))))
     result = {"steps": len(path.times) - 1,
               "fit_worst_step": int(fit.residual.argmax()) if fit.residual.size else None,
               "fit_restricted_steps": int(fit.restricted.sum())}
@@ -213,34 +208,28 @@ def _run_steer(sc: Scenario):
 
 
 def _run_lift_head(sc: Scenario):
-    step = sc.options.get("step", 1e-3)
-    track_tol = sc.options.get("track_tol", 1e-4)
+    """optimal-control lift of a head curve"""
     u0 = sio.config_from_json(_load_json(sc.inputs["config"]))
     times, points = sio.head_curve_from_json(_load_json(sc.inputs["head_curve"]))
     from scipy.interpolate import CubicSpline
 
     spline = CubicSpline(times, points, axis=0)
-    path = horizontal_lift(u0, spline, spline.derivative(), t_final=float(times[-1]), dt=step)
+    path = horizontal_lift(u0, spline, spline.derivative(), t_final=float(times[-1]),
+                           dt=sc.options["step"])
     # recomputed from the final nodes, not read off the lift's own margins
     final_margin = is_singular(path.final)[1]
     checks = [
-        _check("tracking_error", float(path.tracking_errors.max()), track_tol),
+        _check("tracking_error", float(path.tracking_errors.max()), sc.options["track_tol"]),
         _check("final_margin", -final_margin, -LIFT_MARGIN_FACTOR * u0.L),
     ]
     outputs: dict = {}
-    _maybe_write_csv(sc.options, "head_trace.csv",
-                     ["t"] + [f"x{i+1}" for i in range(u0.dim)],
-                     sio.head_trace_rows(path), outputs)
-    _maybe_write_json(sc.options, "final_config.json", sio.config_to_json(path.final), outputs)
+    _export_head_and_final(sc, outputs, path)
     trace = sc.options.get("trace")
     if trace is not None:
         # step-start margins of the lift, then the final one of the check
         margins = np.append(path.margins, final_margin)
-        try:
-            sio.write_csv(trace, ["t", "margin", "tracking_error"],
-                          zip(path.times, margins, path.tracking_errors))
-        except OSError as exc:
-            raise _IOFailure(str(exc)) from exc
+        sio.write_csv(trace, ["t", "margin", "tracking_error"],
+                      zip(path.times, margins, path.tracking_errors))
         outputs["trace"] = trace
     worst = int(path.margins.argmin())
     result = {"steps": len(path.times) - 1,
@@ -252,32 +241,29 @@ def _run_lift_head(sc: Scenario):
 
 
 def _run_probe_bracket(sc: Scenario):
-    n = sc.options.get("dim", 3)
+    """commutator probe of a rotation generator"""
+    n = sc.options["dim"]
     i, j = sc.inputs["i"], sc.inputs["j"]
     t, m = sc.inputs["t"], sc.inputs["m"]
-    step = sc.options.get("step", 0.02)
-    path = commutator_probe(i, j, t, m, n, max_step=step)
+    path = commutator_probe(i, j, t, m, n, max_step=sc.options["step"])
     from .lorentz import basis_Omega
 
     target = planar_rotation(basis_Omega(i, j, n).matrix(), t)
     err = np.linalg.norm(path.endpoint() - target)
-    checks = [
-        _check("ledger_vs_controls", abs(path.length() - sum(path.leg_lengths().values())), 1e-6),
-    ]
     outputs: dict = {}
-    _maybe_write_json(sc.options, "probe.json", {
+    _export(sc, outputs, "probe.json", lambda p: sio.dump_json({
         "m": m, "t": t, "endpoint_error": float(err),
         "path_length": float(path.length()),
-    }, outputs)
+    }, p))
     result = {"endpoint_error": float(err), "length": float(path.length())}
-    return checks, outputs, result
+    return [], outputs, result
 
 
 def _run_generate(sc: Scenario):
+    """seeded payload generator"""
     kind = sc.inputs["generator"]
-    seed = sc.options.get("seed", 0)
-    n = sc.options.get("dim", 3)
-    rng = np.random.default_rng(seed)
+    n = sc.options["dim"]
+    rng = np.random.default_rng(sc.options["seed"])
     checks = []
     outputs: dict = {}
     if kind == "random-so0":
@@ -312,68 +298,54 @@ def _run_generate(sc: Scenario):
     return checks, outputs, result
 
 
-_RUNNERS = {
-    "decompose": _run_decompose,
-    "factorize": _run_factorize,
-    "plan-group": _run_plan_group,
-    "steer": _run_steer,
-    "lift-head": _run_lift_head,
-    "probe-bracket": _run_probe_bracket,
-    "generate": _run_generate,
+# subcommand -> (runner, option defaults); a runner's docstring is its help
+_COMMANDS = {
+    "decompose": (_run_decompose, {"tol": _TOL}),
+    "factorize": (_run_factorize, {"tol": _TOL}),
+    "plan-group": (_run_plan_group, {"tol": _TOL, "step": _STEP}),
+    "steer": (_run_steer, {"tol": _TOL, "step": _STEP}),
+    "lift-head": (_run_lift_head, {"step": 1e-3, "track_tol": 1e-4}),
+    "probe-bracket": (_run_probe_bracket, {"step": _STEP, "dim": _DIM}),
+    "generate": (_run_generate, {"seed": 0, "dim": _DIM}),
 }
 
 
 def run(scenario: Scenario) -> tuple:
-    """Dispatch a scenario; returns (RunReport, exit_code)."""
+    """Dispatch a scenario; returns (RunReport, exit_code).
+
+    The subcommand's defaults sit under the scenario's own options.  A
+    runner that raises leaves a report with the error and no checks.
+    """
     t0 = time.perf_counter()
+    checks, code = [], EXIT_OK
     try:
-        checks, outputs, result = _RUNNERS[scenario.kind](scenario)
-        code = EXIT_OK
-    except _IOFailure as exc:
-        return _failure_report(scenario, t0, "io", str(exc)), EXIT_IO
-    except (ValueError, KeyError, NotLorentz, NotABoost, NotOrthochronous) as exc:
-        kind = "validation"
-        if isinstance(exc, (NotLorentz, NotABoost, NotOrthochronous)):
-            kind = "numerical"
-        code = EXIT_NUMERICAL if kind == "numerical" else EXIT_VALIDATION
-        return _failure_report(scenario, t0, kind, str(exc)), code
-    except (SingularityApproach, RuntimeError, np.linalg.LinAlgError) as exc:
-        return _failure_report(scenario, t0, "numerical", str(exc)), EXIT_NUMERICAL
-    passed = all(c["pass"] for c in checks)
+        runner, defaults = _COMMANDS[scenario.kind]
+        scenario = Scenario(scenario.kind, scenario.inputs, defaults | scenario.options)
+        checks, outputs, result = runner(scenario)
+        outputs["result"] = result
+    except OSError as exc:
+        code, outputs = EXIT_IO, {"error": {"kind": "io", "message": str(exc)}}
+    # the numerical errors subclass ValueError, so they are tested first
+    except (NotLorentz, NotABoost, NotOrthochronous, np.linalg.LinAlgError,
+            RuntimeError) as exc:
+        code, outputs = EXIT_NUMERICAL, {"error": {"kind": "numerical", "message": str(exc)}}
+    except (ValueError, KeyError) as exc:
+        code, outputs = EXIT_VALIDATION, {"error": {"kind": "validation", "message": str(exc)}}
+    passed = code == EXIT_OK and all(c["pass"] for c in checks)
     report = RunReport(
         scenario={"kind": scenario.kind, "inputs": scenario.inputs,
                   "options": scenario.options},
-        outputs=outputs | {"result": result},
+        outputs=outputs,
         checks=checks,
         passed=passed,
         seconds=time.perf_counter() - t0,
     )
-    return report, EXIT_OK if passed else EXIT_NUMERICAL
-
-
-def _failure_report(scenario, t0, kind, message):
-    return RunReport(
-        scenario={"kind": scenario.kind, "inputs": scenario.inputs,
-                  "options": scenario.options},
-        outputs={"error": {"kind": kind, "message": message}},
-        checks=[],
-        passed=False,
-        seconds=time.perf_counter() - t0,
-    )
+    return report, code if code != EXIT_OK or passed else EXIT_NUMERICAL
 
 
 # ---------------------------------------------------------------------------
 # argparse wiring
 # ---------------------------------------------------------------------------
-
-
-def _common(sub, *, tol=False, step=None, out_dir=True):
-    if tol:
-        sub.add_argument("--tol", type=float, default=1e-8)
-    if step is not None:
-        sub.add_argument("--step", type=float, default=step)
-    if out_dir:
-        sub.add_argument("--out-dir", default=None)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -382,89 +354,55 @@ def build_parser() -> argparse.ArgumentParser:
         description="Lorentz decompositions and horizontal snake planning",
     )
     sub = ap.add_subparsers(dest="command", required=True)
+    p = {name: sub.add_parser(name, help=runner.__doc__)
+         for name, (runner, _) in _COMMANDS.items()}
 
-    p = sub.add_parser("decompose", help="boost/orthogonal factorization of a Lorentz matrix")
-    p.add_argument("--matrix", required=True)
-    _common(p, tol=True)
+    # payload flags; set_defaults(inputs=...) names those that become Scenario inputs
+    for name in ("decompose", "factorize", "plan-group"):
+        p[name].add_argument("--matrix", required=True)
+        p[name].set_defaults(inputs=("matrix",))
 
-    p = sub.add_parser("factorize", help="rotation-block + boost factorization of an SO0 matrix")
-    p.add_argument("--matrix", required=True)
-    _common(p, tol=True)
+    p["steer"].add_argument("--matrix", required=True)
+    p["steer"].add_argument("--config", required=True)
+    p["steer"].set_defaults(inputs=("matrix", "config"))
 
-    p = sub.add_parser("plan-group", help="horizontal path from Id to an SO0 matrix")
-    p.add_argument("--matrix", required=True)
-    _common(p, tol=True, step=0.02)
+    p["lift-head"].add_argument("--config", required=True)
+    p["lift-head"].add_argument("--head-curve", required=True)
+    p["lift-head"].add_argument(
+        "--trace", default=None,
+        help="CSV of t, lambda_min(A_u) and tracking error at every grid time")
+    p["lift-head"].set_defaults(inputs=("config", "head_curve"))
 
-    p = sub.add_parser("steer", help="steer a configuration along a group plan")
-    p.add_argument("--matrix", required=True)
-    p.add_argument("--config", required=True)
-    _common(p, tol=True, step=0.02)
+    for flag, kind in (("i", int), ("j", int), ("t", float), ("m", int)):
+        p["probe-bracket"].add_argument(f"--{flag}", type=kind, required=True)
+    p["probe-bracket"].set_defaults(inputs=("i", "j", "t", "m"))
 
-    p = sub.add_parser("lift-head", help="optimal-control lift of a head curve")
-    p.add_argument("--config", required=True)
-    p.add_argument("--head-curve", required=True)
-    p.add_argument("--track-tol", type=float, default=1e-4)
-    p.add_argument("--trace", default=None,
-                   help="CSV of t, lambda_min(A_u) and tracking error at every grid time")
-    _common(p, step=1e-3)
+    p["generate"].add_argument("--kind", dest="generator", required=True,
+                               choices=["random-so0", "random-config", "circle-head-curve"])
+    p["generate"].add_argument("--radius", type=float, default=None)
+    p["generate"].add_argument("--config", default=None,
+                               help="anchor config for circle-head-curve")
+    p["generate"].add_argument("--out", default=None)
+    p["generate"].set_defaults(inputs=("generator", "config"))
 
-    p = sub.add_parser("probe-bracket", help="commutator probe of a rotation generator")
-    p.add_argument("--i", type=int, required=True)
-    p.add_argument("--j", type=int, required=True)
-    p.add_argument("--t", type=float, required=True)
-    p.add_argument("--m", type=int, required=True)
-    p.add_argument("--dim", type=int, default=3)
-    _common(p, step=0.02)
-
-    p = sub.add_parser("generate", help="seeded payload generator")
-    p.add_argument("--kind", required=True,
-                   choices=["random-so0", "random-config", "circle-head-curve"])
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--dim", type=int, default=3)
-    p.add_argument("--radius", type=float, default=None)
-    p.add_argument("--config", default=None, help="anchor config for circle-head-curve")
-    p.add_argument("--out", default=None)
+    for name, (_, defaults) in _COMMANDS.items():
+        for key, value in defaults.items():
+            p[name].add_argument("--" + key.replace("_", "-"), type=type(value), default=value)
+        if name != "generate":
+            p[name].add_argument("--out-dir", default=None)
     return ap
 
 
 def _scenario_from_args(args) -> Scenario:
-    opts: dict = {}
-    for key in ("tol", "step", "out_dir", "seed", "dim", "track_tol", "radius", "trace"):
-        val = getattr(args, key, None)
-        if val is not None:
-            opts[key] = val
-    if args.command == "decompose":
-        return Scenario("decompose", {"matrix": args.matrix}, opts)
-    if args.command == "factorize":
-        return Scenario("factorize", {"matrix": args.matrix}, opts)
-    if args.command == "plan-group":
-        return Scenario("plan-group", {"matrix": args.matrix}, opts)
-    if args.command == "steer":
-        return Scenario("steer", {"matrix": args.matrix, "config": args.config}, opts)
-    if args.command == "lift-head":
-        return Scenario("lift-head",
-                        {"config": args.config, "head_curve": args.head_curve}, opts)
-    if args.command == "probe-bracket":
-        return Scenario("probe-bracket",
-                        {"i": args.i, "j": args.j, "t": args.t, "m": args.m}, opts)
-    if args.command == "generate":
-        inputs = {"generator": args.kind}
-        if args.config is not None:
-            inputs["config"] = args.config
-        if args.out is not None:
-            opts["out"] = args.out
-        return Scenario("generate", inputs, opts)
-    raise ValueError(f"unknown command {args.command!r}")
+    """Inputs are the subcommand's payload flags; options every other flag set."""
+    values = {k: v for k, v in vars(args).items()
+              if v is not None and k not in ("command", "inputs")}
+    inputs = {k: values.pop(k) for k in args.inputs if k in values}
+    return Scenario(args.command, inputs, values)
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
-    try:
-        scenario = _scenario_from_args(args)
-    except ValueError as exc:
-        print(json.dumps({"error": str(exc)}), file=sys.stderr)
-        return EXIT_VALIDATION
-    report, code = run(scenario)
+    report, code = run(_scenario_from_args(build_parser().parse_args(argv)))
     print(json.dumps(report.to_json(), sort_keys=True, indent=1))
     return code
 

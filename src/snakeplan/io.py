@@ -154,11 +154,10 @@ def head_curve_from_json(obj: dict):
 
 
 def group_path_to_json(path: GroupPath) -> dict:
-    """Controls are written as algebra elements with a zero skew part."""
-    zero_skew = [[0.0] * path.dim for _ in range(path.dim)]
+    """Each control is written as its boost vector u (the path is horizontal)."""
     return {
         "times": [float(t) for t in path.times],
-        "controls": [{"u": [float(x) for x in u], "skew": zero_skew} for u in path.controls],
+        "controls": [[float(x) for x in u] for u in path.controls],
         "length": float(path.length()),
         "legs": [
             {

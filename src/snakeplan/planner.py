@@ -21,7 +21,7 @@ action node-wise; their velocities are then genuine horizontal fields.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -70,8 +70,6 @@ class SingularityApproach(RuntimeError):
 class LegRecord:
     kind: str  # "boost" | "rotation"
     length: float
-    start: int  # first step index of the leg
-    end: int  # one past the last step index
     theta: float = 0.0
     u: np.ndarray | None = None
 
@@ -119,14 +117,11 @@ def _chain(n: int, legs) -> GroupPath:
     """Extend Id by every leg in turn, gamma(s) = leg(s - t_end) @ gamma(t_end),
     and concatenate the pieces once."""
     times, mats, controls, records = [np.zeros(1)], [np.eye(n + 1)[None]], [np.zeros((0, n))], []
-    start = 0
     for leg in legs:
         times.append(times[-1][-1] + leg.times[1:])
         mats.append(leg.matrices[1:] @ mats[-1][-1])
         controls.append(leg.controls)
-        end = start + len(leg.controls)
-        records.append(replace(leg.legs[0], start=start, end=end))
-        start = end
+        records.extend(leg.legs)
     return GroupPath(times=np.concatenate(times), matrices=np.concatenate(mats),
                      controls=np.concatenate(controls), legs=records)
 
@@ -147,7 +142,7 @@ def boost_leg(u_vec: np.ndarray, max_step: float = DEFAULT_MAX_STEP) -> GroupPat
     times = np.linspace(0.0, T, m + 1)
     mats = exp_h(times[:, None] * uh)
     return GroupPath(times=times, matrices=mats, controls=np.tile(uh, (m, 1)),
-                     legs=[LegRecord(kind="boost", length=T, start=0, end=m, u=u_vec.copy())])
+                     legs=[LegRecord(kind="boost", length=T, u=u_vec.copy())])
 
 
 def _plane_generator(x: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -199,7 +194,7 @@ def _plane_geodesic_leg(
     taus = 0.5 * (times[:-1] + times[1:])
     controls = np.cos(taus * eta)[:, None] * x - np.sin(taus * eta)[:, None] * y
     return GroupPath(times=times, matrices=mats, controls=controls,
-                     legs=[LegRecord(kind="rotation", length=T, start=0, end=m, theta=theta)])
+                     legs=[LegRecord(kind="rotation", length=T, theta=theta)])
 
 
 def su11_geodesic(theta: float, max_step: float = DEFAULT_MAX_STEP) -> GroupPath:

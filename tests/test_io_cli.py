@@ -156,6 +156,84 @@ class TestCli:
     def test_missing_file_exit_code(self, tmp_path):
         assert main(["decompose", "--matrix", str(tmp_path / "nope.json")]) == 4
 
+    def test_write_failures_exit_4(self, tmp_path, capsys):
+        m, c = self._gen_matrix(tmp_path), self._gen_config(tmp_path)
+        blocker = tmp_path / "blocker"
+        blocker.write_text("")
+        capsys.readouterr()
+        for argv in (["plan-group", "--matrix", m, "--out-dir", str(blocker / "x")],
+                     ["steer", "--matrix", m, "--config", c, "--out-dir", str(blocker)],
+                     ["generate", "--kind", "random-so0", "--out", str(blocker / "x" / "A.json")]):
+            assert main(argv) == 4
+            out, err = capsys.readouterr()
+            report = json.loads(out)
+            assert report["outputs"]["error"]["kind"] == "io"
+            assert report["verification"] == {"checks": [], "passed": False}
+            assert err == ""
+
+    def test_linalg_error_is_numerical(self, tmp_path, capsys, monkeypatch):
+        # LinAlgError subclasses ValueError, yet a singular solve is no input error
+        from snakeplan import cli
+
+        def singular(*args, **kwargs):
+            raise np.linalg.LinAlgError("Singular matrix")
+
+        m = self._gen_matrix(tmp_path)
+        capsys.readouterr()
+        monkeypatch.setattr(cli, "plan_group_path", singular)
+        assert main(["plan-group", "--matrix", m]) == 3
+        error = json.loads(capsys.readouterr().out)["outputs"]["error"]
+        assert error == {"kind": "numerical", "message": "Singular matrix"}
+
+    def test_parser_subcommands_are_the_table(self):
+        import argparse
+
+        from snakeplan import cli
+
+        sub = next(a for a in cli.build_parser()._actions
+                   if isinstance(a, argparse._SubParsersAction))
+        assert list(sub.choices) == list(cli._COMMANDS)
+
+    @pytest.mark.parametrize("argv, inputs, options", [
+        (["decompose", "--matrix", "A.json"], {"matrix": "A.json"}, {"tol": 1e-08}),
+        (["factorize", "--matrix", "A.json"], {"matrix": "A.json"}, {"tol": 1e-08}),
+        (["plan-group", "--matrix", "A.json"], {"matrix": "A.json"},
+         {"tol": 1e-08, "step": 0.02}),
+        (["steer", "--matrix", "A.json", "--config", "c.json"],
+         {"matrix": "A.json", "config": "c.json"}, {"tol": 1e-08, "step": 0.02}),
+        (["lift-head", "--config", "c.json", "--head-curve", "h.json"],
+         {"config": "c.json", "head_curve": "h.json"}, {"step": 0.001, "track_tol": 0.0001}),
+        (["probe-bracket", "--i", "1", "--j", "2", "--t", "0.5", "--m", "8"],
+         {"i": 1, "j": 2, "t": 0.5, "m": 8}, {"step": 0.02, "dim": 3}),
+        (["generate", "--kind", "random-so0"], {"generator": "random-so0"},
+         {"seed": 0, "dim": 3}),
+        (["generate", "--kind", "circle-head-curve", "--config", "c.json", "--radius", "0.1",
+          "--out", "h.json"], {"generator": "circle-head-curve", "config": "c.json"},
+         {"seed": 0, "dim": 3, "radius": 0.1, "out": "h.json"}),
+    ])
+    def test_scenario_from_minimal_argv(self, argv, inputs, options):
+        from snakeplan import cli
+
+        sc = cli._scenario_from_args(cli.build_parser().parse_args(argv))
+        assert (sc.kind, sc.inputs, sc.options) == (argv[0], inputs, options)
+        for got, want in ((sc.inputs, inputs), (sc.options, options)):
+            assert {k: type(v) for k, v in got.items()} == {k: type(v) for k, v in want.items()}
+
+    def test_in_process_run_takes_the_cli_defaults(self, tmp_path, capsys):
+        from snakeplan.cli import Scenario, run
+
+        m = self._gen_matrix(tmp_path)
+        probe = {"i": 1, "j": 2, "t": 0.5, "m": 8}
+        for kind, inputs, argv in (
+                ("plan-group", {"matrix": m}, ["--matrix", m]),
+                ("probe-bracket", probe, [f"--{k}={v}" for k, v in probe.items()])):
+            capsys.readouterr()
+            assert main([kind, *argv]) == 0
+            report, code = run(Scenario(kind, inputs, {}))
+            assert code == 0
+            assert report.outputs["result"] == \
+                json.loads(capsys.readouterr().out)["outputs"]["result"]
+
     def test_factorize_and_plan(self, tmp_path, capsys):
         m = self._gen_matrix(tmp_path)
         capsys.readouterr()

@@ -233,12 +233,9 @@ def assert_matches_legs(path, n, legs):
     assert np.array_equal(path.times, times)
     assert np.array_equal(path.matrices, mats)
     assert np.array_equal(path.controls, np.concatenate([np.zeros((0, n))] + [leg.controls for leg in legs]))
-    # leg records tile [0, steps) in order
-    starts = [leg.start for leg in path.legs]
-    ends = [leg.end for leg in path.legs]
-    assert starts == [0] + ends[:-1]
-    assert ends[-1] == len(path.controls) == len(path.times) - 1
-    assert [r.end - r.start for r in path.legs] == [len(leg.controls) for leg in legs]
+    # one record per leg, in order
+    assert [(r.kind, r.length, r.theta) for r in path.legs] == \
+        [(r.kind, r.length, r.theta) for leg in legs for r in leg.legs]
 
 
 class TestSingleAssembly:
