@@ -11,10 +11,12 @@ checks on a matrix A scale with |A|_2 = e^{|u|}, residuals with its square.
 
 _COMMANDS holds each subcommand's runner and option defaults: build_parser
 takes its flag defaults from there, and run() puts them under a scenario's
-own options.  Artifacts are built only under --out-dir.  plan.json writes
-each control as its boost vector.  No check compares the plan ledger with the
-controls, or factorize's blocks with each other: controls are unit-norm and
-the blocks commute by construction, so such checks could not fail.
+own options.  Timing stays in the report (timing.seconds and the runner's
+timing.stages), never in a result or an artifact.  Artifacts are built only
+under --out-dir.  plan.json writes each control as its boost vector.  No
+check compares the plan ledger with the controls, or factorize's blocks with
+each other: controls are unit-norm and the blocks commute by construction,
+so such checks could not fail.
 """
 
 from __future__ import annotations
@@ -80,13 +82,14 @@ class RunReport:
     checks: list
     passed: bool
     seconds: float
+    stages: dict  # stage name -> wall seconds
 
     def to_json(self) -> dict:
         return {
             "scenario": self.scenario,
             "outputs": self.outputs,
             "verification": {"checks": self.checks, "passed": self.passed},
-            "timing": {"seconds": self.seconds},
+            "timing": {"seconds": self.seconds, "stages": self.stages},
         }
 
 
@@ -127,7 +130,7 @@ def _export_head_and_final(sc, outputs, path):
 # ---------------------------------------------------------------------------
 
 
-def _run_decompose(sc: Scenario):
+def _run_decompose(sc: Scenario, marks: dict):
     """boost/orthogonal factorization of a Lorentz matrix"""
     tol = sc.options["tol"]
     A = sio.matrix_from_json(_load_json(sc.inputs["matrix"]))
@@ -151,7 +154,7 @@ def _run_decompose(sc: Scenario):
     return checks, outputs, result
 
 
-def _run_factorize(sc: Scenario):
+def _run_factorize(sc: Scenario, marks: dict):
     """rotation-block + boost factorization of an SO0 matrix"""
     tol = sc.options["tol"]
     A = sio.matrix_from_json(_load_json(sc.inputs["matrix"]))
@@ -170,7 +173,7 @@ def _run_factorize(sc: Scenario):
     return checks, outputs, result
 
 
-def _run_plan_group(sc: Scenario):
+def _run_plan_group(sc: Scenario, marks: dict):
     """horizontal path from Id to an SO0 matrix"""
     A = sio.matrix_from_json(_load_json(sc.inputs["matrix"]))
     path = plan_group_path(A, max_step=sc.options["step"], tol=sc.options["tol"])
@@ -184,11 +187,13 @@ def _run_plan_group(sc: Scenario):
     return checks, outputs, result
 
 
-def _run_steer(sc: Scenario):
+def _run_steer(sc: Scenario, marks: dict):
     """steer a configuration along a group plan"""
     A = sio.matrix_from_json(_load_json(sc.inputs["matrix"]))
     u0 = sio.config_from_json(_load_json(sc.inputs["config"]))
+    marks["load"] = time.perf_counter()
     path = steer_config(u0, A, max_step=sc.options["step"], tol=sc.options["tol"])
+    marks["steer_config"] = time.perf_counter()
     target = act(A, u0)
     fit = fit_horizontal_many(path.grid, path.nodes[:-1], path.velocities)
     fit_res = fit.residual.max(initial=0.0)
@@ -196,18 +201,21 @@ def _run_steer(sc: Scenario):
         _check("final_config_distance", config_distance(path.final, target), 1e-7),
         _check("velocity_fit_residual", fit_res, 1e-6),
     ]
+    marks["verify"] = time.perf_counter()
     outputs: dict = {}
     _export_head_and_final(sc, outputs, path)
     _export(sc, outputs, "snake_polylines.csv", lambda p: sio.write_csv(
         p, ["t", "s"] + [f"x{i+1}" for i in range(u0.dim)],
         sio.config_path_polyline_rows(path, stride=max(1, len(path.times) // 32))))
-    result = {"steps": len(path.times) - 1,
+    marks["export"] = time.perf_counter()
+    result = {"steps": len(path.times) - 1, "legs": len(path.legs),
+              "nodes": u0.nodes.shape[0],
               "fit_worst_step": int(fit.residual.argmax()) if fit.residual.size else None,
               "fit_restricted_steps": int(fit.restricted.sum())}
     return checks, outputs, result
 
 
-def _run_lift_head(sc: Scenario):
+def _run_lift_head(sc: Scenario, marks: dict):
     """optimal-control lift of a head curve"""
     u0 = sio.config_from_json(_load_json(sc.inputs["config"]))
     times, points = sio.head_curve_from_json(_load_json(sc.inputs["head_curve"]))
@@ -240,7 +248,7 @@ def _run_lift_head(sc: Scenario):
     return checks, outputs, result
 
 
-def _run_probe_bracket(sc: Scenario):
+def _run_probe_bracket(sc: Scenario, marks: dict):
     """commutator probe of a rotation generator"""
     n = sc.options["dim"]
     i, j = sc.inputs["i"], sc.inputs["j"]
@@ -259,7 +267,7 @@ def _run_probe_bracket(sc: Scenario):
     return [], outputs, result
 
 
-def _run_generate(sc: Scenario):
+def _run_generate(sc: Scenario, marks: dict):
     """seeded payload generator"""
     kind = sc.inputs["generator"]
     n = sc.options["dim"]
@@ -298,7 +306,8 @@ def _run_generate(sc: Scenario):
     return checks, outputs, result
 
 
-# subcommand -> (runner, option defaults); a runner's docstring is its help
+# subcommand -> (runner, option defaults); a runner's docstring is its help,
+# and its marks (stage name -> perf_counter at the stage's end) time its stages
 _COMMANDS = {
     "decompose": (_run_decompose, {"tol": _TOL}),
     "factorize": (_run_factorize, {"tol": _TOL}),
@@ -317,11 +326,11 @@ def run(scenario: Scenario) -> tuple:
     runner that raises leaves a report with the error and no checks.
     """
     t0 = time.perf_counter()
-    checks, code = [], EXIT_OK
+    checks, code, marks = [], EXIT_OK, {}
     try:
         runner, defaults = _COMMANDS[scenario.kind]
         scenario = Scenario(scenario.kind, scenario.inputs, defaults | scenario.options)
-        checks, outputs, result = runner(scenario)
+        checks, outputs, result = runner(scenario, marks)
         outputs["result"] = result
     except OSError as exc:
         code, outputs = EXIT_IO, {"error": {"kind": "io", "message": str(exc)}}
@@ -332,6 +341,7 @@ def run(scenario: Scenario) -> tuple:
     except (ValueError, KeyError) as exc:
         code, outputs = EXIT_VALIDATION, {"error": {"kind": "validation", "message": str(exc)}}
     passed = code == EXIT_OK and all(c["pass"] for c in checks)
+    ends = [t0, *marks.values()]
     report = RunReport(
         scenario={"kind": scenario.kind, "inputs": scenario.inputs,
                   "options": scenario.options},
@@ -339,6 +349,7 @@ def run(scenario: Scenario) -> tuple:
         checks=checks,
         passed=passed,
         seconds=time.perf_counter() - t0,
+        stages={name: b - a for name, a, b in zip(marks, ends, ends[1:])},
     )
     return report, code if code != EXIT_OK or passed else EXIT_NUMERICAL
 

@@ -325,16 +325,21 @@ class ConfigPath:
 
     Every step shares the partition and quadrature of grid (the start
     configuration); nodes[k] holds the unit directions at times[k].
+    velocities[k] is the field of controls[k] at nodes[k]; steer's controls
+    are the step midpoints' boost vectors, so forward differences of the
+    nodes differ from it by O(h).  nodes and velocities may be views of
+    node-major (..., n, K) arrays, as steer_config builds them.
     """
 
     times: np.ndarray  # (m+1,)
     grid: SnakeConfig
     nodes: np.ndarray  # (m+1, K, n)
     controls: np.ndarray  # (m, n): fitted direction w per step
-    velocities: np.ndarray | None = None  # (m, K, n) true velocity at step start
+    velocities: np.ndarray | None = None  # (m, K, n) velocity of controls[k] at nodes[k]
     tracking_errors: np.ndarray | None = None  # head tracking, lifts only
     margins: np.ndarray | None = None  # (m,) lambda_min(A_u) at step starts, lifts only
     eigen_solves: int | None = None  # exact eigen-solves of A_u, lifts only
+    legs: list = field(default_factory=list)  # LegRecords of the group plan, steer only
 
     @property
     def head_trace(self) -> np.ndarray:
@@ -353,28 +358,30 @@ class ConfigPath:
 def action_velocity(u: np.ndarray, A: np.ndarray, u0: SnakeConfig) -> np.ndarray:
     """Node-wise velocity of t -> act(exp_h(t u) A, u0) at t = 0.
 
-    u (..., n) and A (..., n+1, n+1) may be stacks; the result is (..., K, n).
+    u (..., n) and A (..., n+1, n+1) may be stacks; the result is (..., K, n),
+    a view of a node-major (..., n, K) array.
     Differentiates the projective light-cone formula directly, so the result
     is independent of the horizontal-gradient expression it is tested against:
-    the light-cone point W = (1, u0) A^T moves with D = W B^T, B the symmetric
+    the light-cone columns W = A (1, u0)^T move with D = B W, B the symmetric
     embedding of u, whose only nonzero blocks are D_t = <W_x, u> and
-    D_x = W_t u; the quotient rule on z = W_x / W_t gives (D_x - z D_t) / W_t.
+    D_x = W_t u; the quotient rule on z = W_x / W_t gives
+    (D_x - z D_t) / W_t = u - W_x D_t / W_t^2.
     """
     W = _light_cone(np.asarray(A, dtype=float), u0.nodes)
     return _cone_velocity(np.asarray(u, dtype=float), W)
 
 
 def _cone_velocity(u: np.ndarray, W: np.ndarray) -> np.ndarray:
-    """(D_x - z D_t) / W_t for light-cone points W (..., K, n+1) moved by the
-    boosts u (..., n), built in place in one (..., K, n) array."""
-    Wt, Wx = W[..., :1], W[..., 1:]
-    Dt = Wx @ u[..., :, None]
-    v = Wt * u[..., None, :]
-    z = Wx / Wt
-    z *= Dt
-    v -= z
-    v /= Wt
-    return v
+    """u - W_x D_t / W_t^2 for light-cone columns W (..., n+1, K) moved by the
+    boosts u (..., n): two passes over rows of K nodes, built in place in one
+    (..., n, K) array and returned as its (..., K, n) view."""
+    Wt, Wx = W[..., :1, :], W[..., 1:, :]
+    s = u[..., None, :] @ Wx
+    s /= Wt
+    s /= Wt
+    v = Wx * s
+    np.subtract(u[..., :, None], v, out=v)
+    return v.swapaxes(-1, -2)
 
 
 def steer_config(
@@ -393,12 +400,13 @@ def steer_config(
         raise ValueError("dimension mismatch between config and matrix")
     plan = plan_group_path(A, max_step=max_step, tol=tol)
     # one light-cone product gives the images of all m+1 steps and the
-    # velocities of the first m, as act and action_velocity would
+    # velocities of the first m, as act and action_velocity would; both are
+    # (..., K, n) views of node-major arrays
     W = _light_cone(plan.matrices, u0.nodes)
     nodes = _cone_images(W)
     vels = _cone_velocity(plan.controls, W[:-1])
     return ConfigPath(times=plan.times, grid=u0, nodes=nodes, controls=plan.controls,
-                      velocities=vels)
+                      velocities=vels, legs=plan.legs)
 
 
 def _certifies(margin: float, delta: np.ndarray, floor: float) -> bool:

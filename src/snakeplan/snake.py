@@ -43,6 +43,9 @@ __all__ = [
 DEFAULT_NODES_PER_SEGMENT = 16
 DEFAULT_MAX_NODE_ANGLE = np.pi / 8
 SINGULARITY_TOL_FACTOR = 1e-8  # scale-aware default: tol = factor * L
+# Rank cut of the fits, factor * L: rounding in forming and factoring A_u
+# hides lambda_min(A_u) below about n eps L, and 64 eps L is twice that at n = 32
+FIT_RANK_FACTOR = 64.0 * np.finfo(float).eps
 
 
 @dataclass(frozen=True)
@@ -305,8 +308,8 @@ class FitResult:
 def fit_horizontal(u: SnakeConfig, v: np.ndarray) -> FitResult:
     """Least-squares horizontal direction: minimize ||v - (w - <w,u>u)||_{L^2}.
 
-    Normal equations reduce to A_u w = int v ds.  A singular A_u is reported
-    and the solve restricted to its range.
+    Normal equations reduce to A_u w = int v ds.  A numerically rank-deficient
+    A_u is reported and the solve restricted to its range.
     """
     fit = fit_horizontal_many(u, u.nodes[None], np.asarray(v, dtype=float)[None])
     return FitResult(w=fit.w[0], residual=float(fit.residual[0]),
@@ -317,21 +320,27 @@ def fit_horizontal_many(grid: SnakeConfig, nodes: np.ndarray, v: np.ndarray) -> 
     """fit_horizontal for a stack of unit node sets (..., K, n) and fields v of
     the same shape, all on grid's partition and quadrature.
 
-    One einsum builds every Gram matrix.  If A_u - tau Id, tau = 1e-8 L, has
-    a Cholesky factor for the whole stack, every lambda_min(A_u) exceeds tau
-    and one batched solve gives w.  Otherwise one batched eigen-solve inverts
-    them, with eigenvalues at or below tau masked out per configuration.
+    One product builds every Gram matrix.  If A_u - c Id, c = 64 eps L (the
+    rank cut FIT_RANK_FACTOR * L, not is_singular's 1e-8 L), has a Cholesky
+    factor for the whole stack, every lambda_min(A_u) exceeds c and one
+    batched solve gives w.  Otherwise one batched eigen-solve inverts them,
+    with eigenvalues at or below c masked out per configuration.  A cut t
+    above c would drop a horizontal component of L^2 norm up to sqrt(t) |w|
+    wherever a strong boost bunches the nodes.
     """
     nodes = np.asarray(nodes, dtype=float)
     v = np.asarray(v, dtype=float)
     _, A = _gram(grid.weights, grid.L, nodes)
-    b = grid.weights @ v
-    tau = SINGULARITY_TOL_FACTOR * grid.L
+    # b and the residual run over rows of K nodes: (..., n, K) views, which
+    # are contiguous for node-major stacks such as steer_config's
+    uT, vT = nodes.swapaxes(-1, -2), v.swapaxes(-1, -2)
+    b = vT @ grid.weights
+    cut = FIT_RANK_FACTOR * grid.L
     try:
-        np.linalg.cholesky(A - tau * _identity(A.shape[-1]))
+        np.linalg.cholesky(A - cut * _identity(A.shape[-1]))
     except np.linalg.LinAlgError:
         vals, vecs = np.linalg.eigh(A)
-        keep = vals > tau
+        keep = vals > cut
         coeffs = np.einsum("...ji,...j->...i", vecs, b)
         scaled = np.where(keep, coeffs / np.where(keep, vals, 1.0), 0.0)
         w = np.einsum("...ij,...j->...i", vecs, scaled)
@@ -339,11 +348,11 @@ def fit_horizontal_many(grid: SnakeConfig, nodes: np.ndarray, v: np.ndarray) -> 
     else:
         w = np.linalg.solve(A, b[..., None])[..., 0]
         restricted = np.zeros(A.shape[:-2], dtype=bool)
-    # v - (w - <w,u>u), built in place: one (..., K, n) temporary for the stack
-    resid = np.einsum("...kj,...j->...k", nodes, w)[..., None] * nodes
-    resid -= w[..., None, :]
-    resid += v
-    residual = np.sqrt(np.einsum("k,...ki,...ki->...", grid.weights, resid, resid))
+    # v - (w - <w,u>u), built in place: one (..., n, K) temporary for the stack
+    resid = (w[..., None, :] @ uT) * uT
+    resid -= w[..., :, None]
+    resid += vT
+    residual = np.sqrt(np.einsum("k,...ik,...ik->...", grid.weights, resid, resid))
     return FitResult(w=w, residual=residual, restricted=restricted)
 
 

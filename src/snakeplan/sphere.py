@@ -6,6 +6,11 @@ projection sends (x1, xbar) to xbar/(1 - x1) in the hyperplane orthogonal
 to e1, with N itself going to the point at infinity.  An SO0(n,1) matrix A
 acts on the sphere through the projectivized forward light cone:
 z maps to w.x/w.t where w = A (1, z).
+
+The batched action stores the light-cone points of K nodes as columns,
+W = A (1, z)^T of shape (..., n+1, K), so every elementwise pass runs over
+rows of K contiguous nodes; its images are (..., K, n) views of node-major
+(..., n, K) arrays.
 """
 
 from __future__ import annotations
@@ -161,7 +166,8 @@ def mobius_sphere_action(A: np.ndarray, z: np.ndarray, check: bool = True) -> np
 def mobius_sphere_action_many(A: np.ndarray, Z: np.ndarray, check: bool = True) -> np.ndarray:
     """Sphere action on the rows of Z (shape (k, n)).
 
-    A is one matrix or a stack (..., n+1, n+1); the images have shape (..., k, n).
+    A is one matrix or a stack (..., n+1, n+1); the images have shape
+    (..., k, n) and are a view of a node-major (..., n, k) array.
     """
     A = np.asarray(A, dtype=float)
     Z = np.asarray(Z, dtype=float)
@@ -172,19 +178,21 @@ def mobius_sphere_action_many(A: np.ndarray, Z: np.ndarray, check: bool = True) 
 
 
 def _light_cone(A: np.ndarray, Z: np.ndarray) -> np.ndarray:
-    """Light-cone points W = (1, z) A^T of the rows z of Z, shape (..., k, n+1)
-    for A of shape (..., n+1, n+1); every W_t must be positive."""
-    W = np.concatenate([np.ones((Z.shape[0], 1)), Z], axis=1) @ np.swapaxes(A, -1, -2)
-    if np.any(W[..., 0] <= 0.0):
+    """Light-cone points W = A (1, z)^T of the rows z of Z as columns, shape
+    (..., n+1, k) for A of shape (..., n+1, n+1); every W_t must be positive."""
+    W = A @ np.concatenate([np.ones((1, Z.shape[0])), Z.T])
+    if np.any(W[..., 0, :] <= 0.0):
         raise NotOrthochronous("some image ray left the forward light cone")
     return W
 
 
 def _cone_images(W: np.ndarray) -> np.ndarray:
-    """Sphere points of light-cone points: the quotient W_x / W_t, normalized."""
-    out = W[..., 1:] / W[..., :1]
-    out /= np.linalg.norm(out, axis=-1, keepdims=True)
-    return out
+    """Sphere points of light-cone columns W (..., n+1, k): the quotient
+    W_x / W_t, normalized, returned as the (..., k, n) view of a node-major
+    array."""
+    out = W[..., 1:, :] / W[..., :1, :]
+    out /= np.sqrt(np.einsum("...ik,...ik->...k", out, out))[..., None, :]
+    return out.swapaxes(-1, -2)
 
 
 def grad_phi(v: np.ndarray, z: np.ndarray) -> np.ndarray:

@@ -269,6 +269,40 @@ class TestCli:
         result = json.loads(capsys.readouterr().out)["outputs"]["result"]
         assert result["fit_restricted_steps"] == result["steps"] > 0
 
+    @pytest.mark.parametrize("w, n, seed", [(8.0, 3, 10), (8.0, 8, 6), (8.0, 16, 10),
+                                            (15.0, 3, 9), (15.0, 8, 9), (15.0, 16, 9)])
+    def test_steer_at_large_rapidity(self, tmp_path, capsys, w, n, seed):
+        # strong boosts bunch the nodes, so lambda_min(A_u) falls below 1e-8 L
+        # (to 1e-14 L at |u| = 15); a fit restricted at 1e-8 L failed the 1e-6
+        # bound on these draws
+        rng = np.random.default_rng(seed)
+        m, c = str(tmp_path / "A.json"), str(tmp_path / "cfg.json")
+        sio.dump_json(sio.matrix_to_json(lorentz_sample(rng, n, w)[0]), m)
+        sio.dump_json(sio.config_to_json(random_config(rng, n)), c)
+        assert main(["steer", "--matrix", m, "--config", c]) == 0
+        checks = json.loads(capsys.readouterr().out)["verification"]["checks"]
+        fit = {ch["name"]: ch for ch in checks}["velocity_fit_residual"]
+        assert fit["pass"] and fit["value"] <= 1e-6
+
+    def test_steer_report_stages_and_counts(self, tmp_path, capsys):
+        m, c = self._gen_matrix(tmp_path), self._gen_config(tmp_path)
+        capsys.readouterr()
+        assert main(["steer", "--matrix", m, "--config", c,
+                     "--out-dir", str(tmp_path / "out")]) == 0
+        report = json.loads(capsys.readouterr().out)
+        result = report["outputs"]["result"]
+        assert set(result) == {"steps", "legs", "nodes", "fit_worst_step",
+                               "fit_restricted_steps"}
+        plan = plan_group_path(sio.matrix_from_json(json.loads(Path(m).read_text())))
+        assert result["legs"] == len(plan.legs) > 0
+        assert result["steps"] == len(plan.controls)
+        assert result["nodes"] == 48
+        timing = report["timing"]
+        stages = timing["stages"]
+        assert set(stages) == {"load", "steer_config", "verify", "export"}
+        assert all(t >= 0.0 for t in stages.values())
+        assert sum(stages.values()) <= timing["seconds"]
+
     def test_velocity_fit_check_can_fail(self, tmp_path, capsys, monkeypatch):
         # the check refits the recorded velocities, so one node moved by 1e-3
         # (not a horizontal field any more) must fail its 1e-6 bound

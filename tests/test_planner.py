@@ -379,6 +379,41 @@ class TestSteerConfig:
             ref = action_velocity(plan.controls[k], plan.matrices[k], cfg)
             assert np.array_equal(path.velocities[k], ref)
 
+    @pytest.mark.parametrize("w", [0.0, 2.0, 8.0, 15.0])
+    @pytest.mark.parametrize("n", [2, 3, 8, 16])
+    def test_nodes_match_per_node_light_cone_formula(self, n, w):
+        # x = w_x / |w_x| with w = A (1, z), one node at a time; the image's
+        # rounding is eps |A|_2 |(1, z)| / w_t relative, so the bound scales
+        # with |A|_2 / w_t per node
+        rng = np.random.default_rng(500 + n)
+        A = lorentz_sample(rng, n, w)[0]
+        cfg = random_config(rng, n)
+        path = steer_config(cfg, A)
+        plan = plan_group_path(A)
+        for k in np.linspace(0, len(plan.matrices) - 1, 9).astype(int):
+            G = plan.matrices[k]
+            scale = 8 * np.finfo(float).eps * np.linalg.norm(G, 2)
+            for j, z in enumerate(cfg.nodes):
+                cone = G @ np.concatenate([[1.0], z])
+                x = cone[1:] / np.linalg.norm(cone[1:])
+                assert np.max(np.abs(path.nodes[k, j] - x)) <= scale / cone[0]
+
+    @pytest.mark.parametrize("n", [2, 3, 8])
+    def test_velocities_match_finite_difference_at_sampled_steps(self, n):
+        # d/dt act(exp_h(t u_k) gamma_k, u0) at t = 0, central difference
+        rng = np.random.default_rng(600 + n)
+        cfg = random_config(rng, n)
+        A = random_so0(rng, n)
+        path = steer_config(cfg, A)
+        plan = plan_group_path(A)
+        eps = 1e-5
+        for k in np.linspace(0, len(plan.controls) - 1, 7).astype(int):
+            u, G = plan.controls[k], plan.matrices[k]
+            plus = act(exp_h(eps * u) @ G, cfg, check=False).nodes
+            minus = act(exp_h(-eps * u) @ G, cfg, check=False).nodes
+            fd = (plus - minus) / (2 * eps)
+            assert np.max(np.abs(path.velocities[k] - fd)) < 1e-8
+
     def test_fd_residuals_match_per_step_fits(self, rng):
         cfg = random_config(rng, 3)
         path = steer_config(cfg, random_so0(rng, 3), max_step=0.05)
