@@ -176,12 +176,16 @@ def _run_factorize(sc: Scenario, marks: dict):
 def _run_plan_group(sc: Scenario, marks: dict):
     """horizontal path from Id to an SO0 matrix"""
     A = sio.matrix_from_json(_load_json(sc.inputs["matrix"]))
+    marks["load"] = time.perf_counter()
     path = plan_group_path(A, max_step=sc.options["step"], tol=sc.options["tol"])
+    marks["plan_group_path"] = time.perf_counter()
     checks = [
         _check("endpoint_residual", np.linalg.norm(path.endpoint() - A), 1e-7 * _norm2(A)),
     ]
+    marks["verify"] = time.perf_counter()
     outputs: dict = {}
     _export(sc, outputs, "plan.json", lambda p: sio.dump_json(sio.group_path_to_json(path), p))
+    marks["export"] = time.perf_counter()
     result = {"length": float(path.length()), "legs": len(path.legs),
               "ledger": path.leg_lengths()}
     return checks, outputs, result
@@ -222,14 +226,17 @@ def _run_lift_head(sc: Scenario, marks: dict):
     from scipy.interpolate import CubicSpline
 
     spline = CubicSpline(times, points, axis=0)
+    marks["load"] = time.perf_counter()
     path = horizontal_lift(u0, spline, spline.derivative(), t_final=float(times[-1]),
                            dt=sc.options["step"])
+    marks["horizontal_lift"] = time.perf_counter()
     # recomputed from the final nodes, not read off the lift's own margins
     final_margin = is_singular(path.final)[1]
     checks = [
         _check("tracking_error", float(path.tracking_errors.max()), sc.options["track_tol"]),
         _check("final_margin", -final_margin, -LIFT_MARGIN_FACTOR * u0.L),
     ]
+    marks["verify"] = time.perf_counter()
     outputs: dict = {}
     _export_head_and_final(sc, outputs, path)
     trace = sc.options.get("trace")
@@ -239,6 +246,7 @@ def _run_lift_head(sc: Scenario, marks: dict):
         sio.write_csv(trace, ["t", "margin", "tracking_error"],
                       zip(path.times, margins, path.tracking_errors))
         outputs["trace"] = trace
+    marks["export"] = time.perf_counter()
     worst = int(path.margins.argmin())
     result = {"steps": len(path.times) - 1,
               "max_tracking_error": float(path.tracking_errors.max()),
@@ -254,15 +262,18 @@ def _run_probe_bracket(sc: Scenario, marks: dict):
     i, j = sc.inputs["i"], sc.inputs["j"]
     t, m = sc.inputs["t"], sc.inputs["m"]
     path = commutator_probe(i, j, t, m, n, max_step=sc.options["step"])
+    marks["commutator_probe"] = time.perf_counter()
     from .lorentz import basis_Omega
 
     target = planar_rotation(basis_Omega(i, j, n).matrix(), t)
     err = np.linalg.norm(path.endpoint() - target)
+    marks["verify"] = time.perf_counter()
     outputs: dict = {}
     _export(sc, outputs, "probe.json", lambda p: sio.dump_json({
         "m": m, "t": t, "endpoint_error": float(err),
         "path_length": float(path.length()),
     }, p))
+    marks["export"] = time.perf_counter()
     result = {"endpoint_error": float(err), "length": float(path.length())}
     return [], outputs, result
 

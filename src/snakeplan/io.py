@@ -195,9 +195,9 @@ def head_trace_rows(path: ConfigPath):
 
 def config_path_polyline_rows(path: ConfigPath, stride: int = 1):
     """Rows (t, s, x_1..x_n): the snake polyline at 33 arc lengths, at every
-    stride-th time."""
+    stride-th time, from the path's stored unit nodes."""
     s = np.linspace(0.0, path.grid.L, 33)
     P = snake_curve_matrix(path.grid, s)
     for k in range(0, len(path.nodes), stride):
-        for s_i, x in zip(s, P @ path.config(k).nodes):
+        for s_i, x in zip(s, P @ path.nodes[k]):
             yield [path.times[k], s_i, *x]

@@ -117,6 +117,12 @@ def classify(A: np.ndarray, tol: float = DEFAULT_MEMBERSHIP_TOL) -> Membership:
     return _grade(np.asarray(A, dtype=float), tol)[0]
 
 
+def _row_norms(x: np.ndarray) -> np.ndarray:
+    """Euclidean norms of the rows of x (..., n); row-wise dot products round
+    like np.linalg.norm of one vector."""
+    return np.sqrt((x[..., None, :] @ x[..., :, None])[..., 0, 0])
+
+
 def exp_h(u: np.ndarray) -> np.ndarray:
     """Closed-form boost exp of the symmetric embedding of u; u = 0 gives Id.
 
@@ -124,8 +130,7 @@ def exp_h(u: np.ndarray) -> np.ndarray:
     """
     u = np.atleast_1d(np.asarray(u, dtype=float))
     n = u.shape[-1]
-    # row-wise dot products round like np.linalg.norm of one vector
-    w = np.sqrt((u[..., None, :] @ u[..., :, None])[..., 0, 0])
+    w = _row_norms(u)
     small = w < _SMALL_OMEGA
     w2 = w * w
     safe = np.where(small, 1.0, w)
@@ -264,14 +269,6 @@ class LieElement:
         M[1:, 0] = self.u
         M[1:, 1:] = self.skew
         return M
-
-    @classmethod
-    def from_matrix(cls, M: np.ndarray) -> "LieElement":
-        M = np.asarray(M, dtype=float)
-        return cls(u=0.5 * (M[0, 1:] + M[1:, 0]), skew=M[1:, 1:])
-
-    def __add__(self, other: "LieElement") -> "LieElement":
-        return LieElement(self.u + other.u, self.skew + other.skew)
 
     def __rmul__(self, t: float) -> "LieElement":
         return LieElement(t * self.u, t * self.skew)

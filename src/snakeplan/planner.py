@@ -25,17 +25,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .lorentz import LieElement, exp_h, factorize, spatial_block
-from .rotations import planar_rotation
-from .snake import (
-    SnakeConfig,
-    _gram,
-    endpoint,
-    fit_horizontal_many,
-    horizontal_gradient,
-    unit_nodes,
-)
-from .sphere import _cone_images, _light_cone, mobius_sphere_action_many
+from .lorentz import LieElement, _row_norms, exp_h, factorize, spatial_block
+from .rotations import _plane_generator, planar_rotation
+from .snake import SnakeConfig, _gram, endpoint, fit_horizontal_many, horizontal_gradient
+from .sphere import _cone_images, _light_cone, mobius_sphere_action_many, sphere_point, tangent_at
 
 __all__ = [
     "GroupPath",
@@ -54,6 +47,9 @@ __all__ = [
 ]
 
 DEFAULT_MAX_STEP = 0.02
+# a geodesic leg turns through one full elliptic period, freq * T = 2 pi,
+# whatever its length T, so it gets at least this many steps
+GEODESIC_MIN_STEPS = 32
 LIFT_MARGIN_FACTOR = 1e-3  # horizontal_lift aborts below lambda_min(A_u) = factor * L
 
 
@@ -95,11 +91,8 @@ class GroupPath:
         return self.matrices[-1]
 
     def length(self) -> float:
-        # row-wise dot products round like np.linalg.norm of one vector, and
         # the left-to-right sum keeps the exported length deterministic
-        c = self.controls
-        speeds = np.sqrt((c[:, None, :] @ c[:, :, None])[:, 0, 0])
-        return float(sum(speeds * np.diff(self.times)))
+        return float(sum(_row_norms(self.controls) * np.diff(self.times)))
 
     def leg_lengths(self) -> dict:
         out = {"boost": 0.0, "rotation": 0.0}
@@ -145,11 +138,6 @@ def boost_leg(u_vec: np.ndarray, max_step: float = DEFAULT_MAX_STEP) -> GroupPat
                      legs=[LegRecord(kind="boost", length=T, u=u_vec.copy())])
 
 
-def _plane_generator(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """Spatial generator g with g x = y, g y = -x, zero off span(x, y)."""
-    return np.outer(y, x) - np.outer(x, y)
-
-
 def _vertical_parameter(theta: float) -> tuple:
     """Vertical parameter eta, elliptic frequency and arc length T of the
     geodesic leg to the angle theta.
@@ -186,7 +174,7 @@ def _plane_geodesic_leg(
     M[1:, 0] = x
     M[1:, 1:] = eta * g
 
-    m = _steps_for(T, max_step)
+    m = max(GEODESIC_MIN_STEPS, _steps_for(T, max_step))
     times = np.linspace(0.0, T, m + 1)
     # (M / freq)^3 = -M / freq, so Exp(tau M) is a planar rotation by freq * tau
     exp_tm = planar_rotation(M / freq, freq * times)
@@ -207,11 +195,9 @@ def su11_geodesic(theta: float, max_step: float = DEFAULT_MAX_STEP) -> GroupPath
     """
     if not 0.0 < abs(theta) <= np.pi + 1e-12:
         raise ValueError("su11_geodesic needs 0 < |theta| <= pi")
-    e1 = np.array([1.0, 0.0])
-    e2 = np.array([0.0, 1.0])
     if theta > 0:
-        return _plane_geodesic_leg(e1, e2, theta, 2, max_step=max_step)
-    return _plane_geodesic_leg(e2, e1, -theta, 2, max_step=max_step)
+        return rotation_leg(2, 1, theta, 2, max_step=max_step)
+    return rotation_leg(1, 2, -theta, 2, max_step=max_step)
 
 
 def rotation_leg(
@@ -301,15 +287,15 @@ def _on_grid(grid: SnakeConfig, nodes: np.ndarray) -> SnakeConfig:
     the resolution bound is relaxed to what the moved nodes realize.
     """
     return SnakeConfig(
-        L=grid.L, partition=grid.partition, nodes=nodes, times=grid.times,
-        weights=grid.weights, nodes_per_segment=grid.nodes_per_segment,
-        max_node_angle=float(np.pi),
+        L=grid.L, partition=grid.partition, nodes=nodes, weights=grid.weights,
+        nodes_per_segment=grid.nodes_per_segment, max_node_angle=float(np.pi),
     )
 
 
-def act(A: np.ndarray, u: SnakeConfig, check: bool = True) -> SnakeConfig:
-    """Node-wise sphere action of A on a configuration, on u's grid."""
-    return _on_grid(u, mobius_sphere_action_many(np.asarray(A, dtype=float), u.nodes, check=check))
+def act(A: np.ndarray, u: SnakeConfig) -> SnakeConfig:
+    """Node-wise sphere action of A, which must lie in SO0(n,1), on a
+    configuration, on u's grid."""
+    return _on_grid(u, mobius_sphere_action_many(np.asarray(A, dtype=float), u.nodes))
 
 
 def infinitesimal_action(X: LieElement, u: SnakeConfig) -> np.ndarray:
@@ -374,7 +360,9 @@ def action_velocity(u: np.ndarray, A: np.ndarray, u0: SnakeConfig) -> np.ndarray
 def _cone_velocity(u: np.ndarray, W: np.ndarray) -> np.ndarray:
     """u - W_x D_t / W_t^2 for light-cone columns W (..., n+1, K) moved by the
     boosts u (..., n): two passes over rows of K nodes, built in place in one
-    (..., n, K) array and returned as its (..., K, n) view."""
+    (..., n, K) array and returned as its (..., K, n) view.  This is the
+    tangent projection of u at z = W_x / W_t, kept apart from
+    sphere.tangent_at so that the velocity fit checks an independent formula."""
     Wt, Wx = W[..., :1, :], W[..., 1:, :]
     s = u[..., None, :] @ Wx
     s /= Wt
@@ -475,6 +463,10 @@ def horizontal_lift(
             raise SingularityApproach(t, float(vals[0]))
         return vals[0], vecs @ ((vecs.T @ c_dot) / vals)
 
+    def tangent(nodes: np.ndarray, w: np.ndarray) -> np.ndarray:
+        # sphere.tangent_at written as one matvec, for every RK4 stage of every step
+        return w - (nodes @ w)[:, None] * nodes
+
     def stage(t: float, nodes: np.ndarray, c_dot: np.ndarray, A0: np.ndarray,
               margin0: float) -> np.ndarray:
         _, A = _gram(u0.weights, u0.L, nodes)
@@ -482,7 +474,7 @@ def horizontal_lift(
             w = np.linalg.solve(A, c_dot)
         else:
             _, w = exact(t, A, c_dot)
-        return w - (nodes @ w)[:, None] * nodes
+        return tangent(nodes, w)
 
     controls = np.empty((m, n))
     margins = np.empty(m)
@@ -502,8 +494,7 @@ def horizontal_lift(
         if k:
             _, A0 = _gram(u0.weights, u0.L, y)
             margins[k], controls[k] = exact(t, A0, rate[k])
-        w = controls[k]
-        k1 = vels[k] = w - (y @ w)[:, None] * y
+        k1 = vels[k] = tangent(y, controls[k])
         k2 = stage(t + 0.5 * h, y + 0.5 * h * k1, rate_mid[k], A0, margins[k])
         k3 = stage(t + 0.5 * h, y + 0.5 * h * k2, rate_mid[k], A0, margins[k])
         k4 = stage(t + h, y + h * k3, rate_end[k], A0, margins[k])
@@ -515,9 +506,7 @@ def horizontal_lift(
         k2 *= h / 6.0
         k2 += y
         np.divide(k2, np.linalg.norm(k2, axis=1)[:, None], out=nodes[k + 1])
-    # row-wise dot products round like np.linalg.norm of one vector
-    miss = u0.weights @ nodes - heads
-    track = np.sqrt((miss[:, None, :] @ miss[:, :, None])[:, 0, 0])
+    track = _row_norms(u0.weights @ nodes - heads)
     return ConfigPath(times=times, grid=u0, nodes=nodes, controls=controls, velocities=vels,
                       tracking_errors=track, margins=margins, eigen_solves=eigen_solves)
 
@@ -529,8 +518,7 @@ def config_velocity_residuals(path: ConfigPath, subsample: int = 1) -> np.ndarra
     the recorded controls.
     """
     k = np.arange(1, len(path.nodes) - 1, subsample)
-    u = unit_nodes(path.nodes[k])
+    u = sphere_point(path.nodes[k])
     dt = path.times[k + 1] - path.times[k - 1]
-    v = (path.nodes[k + 1] - path.nodes[k - 1]) / dt[:, None, None]
-    v = v - np.einsum("...ij,...ij->...i", v, u)[..., None] * u  # tangent part
+    v = tangent_at(u, (path.nodes[k + 1] - path.nodes[k - 1]) / dt[:, None, None])
     return fit_horizontal_many(path.grid, u, v).residual

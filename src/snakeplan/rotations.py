@@ -87,6 +87,12 @@ def _deflate(W: np.ndarray, v: np.ndarray) -> np.ndarray:
     return W - v[:, None] * (v @ W)
 
 
+def _plane_generator(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Generator g with g x = y, g y = -x, zero off span(x, y), for an
+    orthonormal pair (x, y)."""
+    return np.outer(y, x) - np.outer(x, y)
+
+
 def _canonical_block(theta: float, W: np.ndarray, G, count: int) -> RotationBlock:
     """The block of `count` planes with projector W W^T and generator G, its
     frames built from those two alone: each x is an axis projection of what
@@ -101,7 +107,7 @@ def _canonical_block(theta: float, W: np.ndarray, G, count: int) -> RotationBloc
         y = G @ x if G is not None else _take_axis(_deflate(W, x))
         planes.append((x, y))
     if G is None:
-        G = sum(y[:, None] * x - x[:, None] * y for x, y in planes)
+        G = sum(_plane_generator(x, y) for x, y in planes)
     return RotationBlock(theta=theta, planes=tuple(planes), generator=G)
 
 

@@ -18,13 +18,14 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.polynomial import legendre as npleg
 
+from .sphere import sphere_point, tangent_at
+
 __all__ = [
     "SnakeConfig",
     "GramData",
     "FitResult",
     "GaussLegendreRule",
     "gauss_legendre",
-    "unit_nodes",
     "endpoint",
     "snake_curve",
     "snake_curve_matrix",
@@ -82,15 +83,6 @@ def _gauss_grid(partition: np.ndarray, m: int):
     return (mid + half * rule.x).ravel(), (half * rule.w).ravel()
 
 
-def unit_nodes(nodes) -> np.ndarray:
-    """Direction vectors (..., K, n) scaled to unit length; zero rows are rejected."""
-    nodes = np.asarray(nodes, dtype=float)
-    norms = np.linalg.norm(nodes, axis=-1)
-    if np.any(norms < 1e-12):
-        raise ValueError("zero direction vector in configuration")
-    return nodes / norms[..., None]
-
-
 @dataclass(frozen=True)
 class SnakeConfig:
     """Sampled configuration: quadrature grid over the partition plus unit
@@ -99,7 +91,6 @@ class SnakeConfig:
     L: float
     partition: np.ndarray  # (N+1,) strictly increasing, [0, L]
     nodes: np.ndarray  # (K, n) unit vectors at quadrature abscissae
-    times: np.ndarray  # (K,) quadrature abscissae
     weights: np.ndarray  # (K,) quadrature weights, sum = L
     nodes_per_segment: int
     max_node_angle: float = DEFAULT_MAX_NODE_ANGLE
@@ -112,7 +103,7 @@ class SnakeConfig:
             raise ValueError("partition must be strictly increasing")
         if abs(part[0]) > 0 or abs(part[-1] - self.L) > 1e-12 * max(1.0, self.L):
             raise ValueError("partition must run exactly from 0 to L")
-        nodes = unit_nodes(self.nodes)
+        nodes = sphere_point(self.nodes)
         m = self.nodes_per_segment
         nseg = part.shape[0] - 1
         if nodes.shape[0] != nseg * m:
@@ -129,7 +120,6 @@ class SnakeConfig:
                 f"resolution bound {self.max_node_angle:.3f}"
             )
         for name, arr in (("partition", part), ("nodes", nodes),
-                          ("times", np.asarray(self.times, dtype=float)),
                           ("weights", np.asarray(self.weights, dtype=float))):
             arr.setflags(write=False)
             object.__setattr__(self, name, arr)
@@ -159,9 +149,8 @@ class SnakeConfig:
         if dim is not None and vals.shape[1] != dim:
             raise ValueError("direction_fn dimension mismatch")
         return cls(
-            L=float(L), partition=partition, nodes=vals, times=times,
-            weights=weights, nodes_per_segment=nodes_per_segment,
-            max_node_angle=max_node_angle,
+            L=float(L), partition=partition, nodes=vals, weights=weights,
+            nodes_per_segment=nodes_per_segment, max_node_angle=max_node_angle,
         )
 
     @classmethod
@@ -177,11 +166,11 @@ class SnakeConfig:
         m = len(segments[0])
         if any(len(s) != m for s in segments):
             raise ValueError("all segments must carry the same number of nodes")
-        times, weights = _gauss_grid(partition, m)
+        _, weights = _gauss_grid(partition, m)
         return cls(
             L=float(L), partition=partition,
             nodes=np.concatenate([np.asarray(s, dtype=float) for s in segments]),
-            times=times, weights=weights, nodes_per_segment=m,
+            weights=weights, nodes_per_segment=m,
             max_node_angle=max_node_angle,
         )
 
@@ -267,8 +256,7 @@ def is_singular(u: SnakeConfig, tol: float | None = None):
 
 def horizontal_gradient(w: np.ndarray, u: SnakeConfig) -> np.ndarray:
     """Per-node field s -> w - <w, u(s)> u(s); spans the horizontal space."""
-    w = np.asarray(w, dtype=float)
-    return w[None, :] - (u.nodes @ w)[:, None] * u.nodes
+    return tangent_at(u.nodes, np.asarray(w, dtype=float))
 
 
 def e_field(i: int, u: SnakeConfig) -> np.ndarray:
@@ -286,8 +274,7 @@ def differential_endpoint(u: SnakeConfig, v: np.ndarray) -> np.ndarray:
 
 def project_tangent(u: SnakeConfig, v: np.ndarray) -> np.ndarray:
     """Remove the radial component of v at every node."""
-    v = np.asarray(v, dtype=float)
-    return v - np.einsum("ij,ij->i", v, u.nodes)[:, None] * u.nodes
+    return tangent_at(u.nodes, np.asarray(v, dtype=float))
 
 
 def l2_norm(u: SnakeConfig, v: np.ndarray) -> float:
@@ -348,7 +335,8 @@ def fit_horizontal_many(grid: SnakeConfig, nodes: np.ndarray, v: np.ndarray) -> 
     else:
         w = np.linalg.solve(A, b[..., None])[..., 0]
         restricted = np.zeros(A.shape[:-2], dtype=bool)
-    # v - (w - <w,u>u), built in place: one (..., n, K) temporary for the stack
+    # v - (w - <w,u>u), built in place rather than through sphere.tangent_at:
+    # one (..., n, K) temporary for the stack
     resid = (w[..., None, :] @ uT) * uT
     resid -= w[..., :, None]
     resid += vT

@@ -18,6 +18,7 @@ from __future__ import annotations
 import numpy as np
 
 from .lorentz import Membership, classify
+from .rotations import _plane_generator, planar_rotation
 
 __all__ = [
     "INFINITY",
@@ -63,17 +64,19 @@ class NotOrthochronous(ValueError):
 
 
 def sphere_point(z: np.ndarray) -> np.ndarray:
-    """Renormalize onto the unit sphere; rejects near-zero vectors."""
+    """Renormalize a point, or every row of a stack (..., n), onto the unit
+    sphere; rejects near-zero vectors."""
     z = np.asarray(z, dtype=float)
-    r = np.linalg.norm(z)
-    if r < 1e-12:
+    r = np.linalg.norm(z, axis=-1)
+    if np.any(r < 1e-12):
         raise ValueError("cannot normalize a (near) zero vector onto the sphere")
-    return z / r
+    return z / r[..., None]
 
 
 def tangent_at(z: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """Project v onto the tangent space at z (removes the radial component)."""
-    return v - (v @ z) * z
+    """Project v onto the tangent space at z, v - <v, z> z; z and v may be
+    stacks (..., n), and v broadcasts against z."""
+    return v - np.einsum("...i,...i->...", v, z)[..., None] * z
 
 
 def stereographic(z: np.ndarray):
@@ -144,13 +147,12 @@ def _require_so0(A: np.ndarray):
         raise NotOrthochronous("matrix is not in SO0(n,1)")
 
 
-def lorentz_to_hyperbolic(A: np.ndarray, x: np.ndarray, check: bool = True) -> np.ndarray:
+def lorentz_to_hyperbolic(A: np.ndarray, x: np.ndarray) -> np.ndarray:
     """Action on the hyperboloid model pulled back to R^n: g^{-1}(A g(x)),
-    g(x) = (sqrt(1+|x|^2), x)."""
+    g(x) = (sqrt(1+|x|^2), x); A must lie in SO0(n,1)."""
     A = np.asarray(A, dtype=float)
     x = np.asarray(x, dtype=float)
-    if check:
-        _require_so0(A)
+    _require_so0(A)
     gx = np.concatenate([[np.sqrt(1.0 + x @ x)], x])
     y = A @ gx
     if y[0] <= 0.0:
@@ -158,22 +160,22 @@ def lorentz_to_hyperbolic(A: np.ndarray, x: np.ndarray, check: bool = True) -> n
     return y[1:]
 
 
-def mobius_sphere_action(A: np.ndarray, z: np.ndarray, check: bool = True) -> np.ndarray:
+def mobius_sphere_action(A: np.ndarray, z: np.ndarray) -> np.ndarray:
     """Conformal action through the light cone: z -> w.x / w.t, w = A (1, z)."""
-    return mobius_sphere_action_many(A, sphere_point(z)[None], check=check)[0]
+    return mobius_sphere_action_many(A, sphere_point(z)[None])[0]
 
 
-def mobius_sphere_action_many(A: np.ndarray, Z: np.ndarray, check: bool = True) -> np.ndarray:
+def mobius_sphere_action_many(A: np.ndarray, Z: np.ndarray) -> np.ndarray:
     """Sphere action on the rows of Z (shape (k, n)).
 
-    A is one matrix or a stack (..., n+1, n+1); the images have shape
-    (..., k, n) and are a view of a node-major (..., n, k) array.
+    A is one matrix or a stack (..., n+1, n+1), every one in SO0(n,1); the
+    images have shape (..., k, n) and are a view of a node-major (..., n, k)
+    array.
     """
     A = np.asarray(A, dtype=float)
     Z = np.asarray(Z, dtype=float)
-    if check:
-        for G in A.reshape((-1,) + A.shape[-2:]):
-            _require_so0(G)
+    for G in A.reshape((-1,) + A.shape[-2:]):
+        _require_so0(G)
     return _cone_images(_light_cone(A, Z))
 
 
@@ -201,9 +203,7 @@ def grad_phi(v: np.ndarray, z: np.ndarray) -> np.ndarray:
     nv = np.linalg.norm(v)
     if nv == 0.0:
         raise ValueError("grad_phi needs a nonzero direction")
-    z = sphere_point(z)
-    vh = v / nv
-    return vh - (vh @ z) * z
+    return tangent_at(sphere_point(z), v / nv)
 
 
 def xi_field(i: int, z: np.ndarray) -> np.ndarray:
@@ -212,9 +212,7 @@ def xi_field(i: int, z: np.ndarray) -> np.ndarray:
     n = z.shape[0]
     if not 1 <= i <= n:
         raise ValueError(f"index {i} out of range 1..{n}")
-    out = -z[i - 1] * z
-    out[i - 1] += 1.0
-    return out
+    return tangent_at(z, np.eye(n)[i - 1])
 
 
 def xi_bracket(i: int, j: int, z: np.ndarray) -> np.ndarray:
@@ -237,12 +235,8 @@ def bracket_rotation_flow(v: np.ndarray, w: np.ndarray, t: float, z: np.ndarray)
     v = np.asarray(v, dtype=float)
     w = np.asarray(w, dtype=float)
     p = v / np.linalg.norm(v)
-    q = w - (w @ p) * p
+    q = tangent_at(p, w)
     nq = np.linalg.norm(q)
     if nq < 1e-12 * max(1.0, np.linalg.norm(w)):
         raise ValueError("bracket_rotation_flow needs linearly independent v, w")
-    q /= nq
-    z = sphere_point(z)
-    a, b = float(z @ p), float(z @ q)
-    ca, sa = np.cos(t), -np.sin(t)  # rotation by -t
-    return z + (a * ca - b * sa - a) * p + (a * sa + b * ca - b) * q
+    return planar_rotation(_plane_generator(p, q / nq), -t) @ sphere_point(z)

@@ -208,7 +208,7 @@ def test_criterion_06_bracket_rotation():
     # describes; for orthonormal pairs the cubic term cancels and the decay
     # is one order faster (checked separately below).
     def flow(d, s, p):
-        return mobius_sphere_action(exp_h(s * unit(d)), p, check=False)
+        return mobius_sphere_action(exp_h(s * unit(d)), p)
 
     def cycle(v, w, s, p):
         return flow(v, s, flow(w, s, flow(v, -s, flow(w, -s, p))))
@@ -256,7 +256,7 @@ def test_criterion_07_infinitesimal_action_identities():
         G = basis_Omega(i, j, n).matrix()
         Rp = series_expm(eps * G)
         Rm = series_expm(-eps * G)
-        fd = (act(Rp, cfg, check=False).nodes - act(Rm, cfg, check=False).nodes) / (2 * eps)
+        fd = (act(Rp, cfg).nodes - act(Rm, cfg).nodes) / (2 * eps)
         # -[E_i, E_j] evaluated pointwise: u_j e_i - u_i e_j at every node
         minus_bracket = np.zeros_like(cfg.nodes)
         minus_bracket[:, i - 1] = cfg.nodes[:, j - 1]

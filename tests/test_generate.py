@@ -38,7 +38,7 @@ def test_random_config_matches_per_node_series(n):
     for seed in range(6):
         got = random_config(np.random.default_rng(seed), n)
         want = per_node_random_config(np.random.default_rng(seed), n)
-        for name in ("partition", "nodes", "times", "weights"):
+        for name in ("partition", "nodes", "weights"):
             assert np.array_equal(getattr(got, name), getattr(want, name))
         assert (got.L, got.nodes_per_segment) == (want.L, want.nodes_per_segment)
 

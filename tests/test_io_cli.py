@@ -284,24 +284,40 @@ class TestCli:
         fit = {ch["name"]: ch for ch in checks}["velocity_fit_residual"]
         assert fit["pass"] and fit["value"] <= 1e-6
 
-    def test_steer_report_stages_and_counts(self, tmp_path, capsys):
-        m, c = self._gen_matrix(tmp_path), self._gen_config(tmp_path)
-        capsys.readouterr()
-        assert main(["steer", "--matrix", m, "--config", c,
-                     "--out-dir", str(tmp_path / "out")]) == 0
-        report = json.loads(capsys.readouterr().out)
-        result = report["outputs"]["result"]
-        assert set(result) == {"steps", "legs", "nodes", "fit_worst_step",
-                               "fit_restricted_steps"}
-        plan = plan_group_path(sio.matrix_from_json(json.loads(Path(m).read_text())))
-        assert result["legs"] == len(plan.legs) > 0
-        assert result["steps"] == len(plan.controls)
-        assert result["nodes"] == 48
-        timing = report["timing"]
-        stages = timing["stages"]
-        assert set(stages) == {"load", "steer_config", "verify", "export"}
-        assert all(t >= 0.0 for t in stages.values())
-        assert sum(stages.values()) <= timing["seconds"]
+    @pytest.mark.parametrize("command", ["steer", "lift-head", "plan-group", "probe-bracket"])
+    def test_report_stages_and_counts(self, command, tmp_path):
+        # in process, because main prints the report with sorted keys
+        from snakeplan import cli
+
+        m = self._gen_matrix(tmp_path)
+        c, h = self._gen_lift_inputs(tmp_path)
+        argv, stages = {
+            "steer": (["--matrix", m, "--config", c], ["load", "steer_config"]),
+            "lift-head": (["--config", c, "--head-curve", h, "--step", "1e-2"],
+                          ["load", "horizontal_lift"]),
+            "plan-group": (["--matrix", m], ["load", "plan_group_path"]),
+            "probe-bracket": (["--i", "1", "--j", "2", "--t", "0.5", "--m", "8"],
+                              ["commutator_probe"]),
+        }[command]
+        artifacts = []
+        for out in (tmp_path / "out1", tmp_path / "out2"):
+            argv_out = [command, *argv, "--out-dir", str(out)]
+            report, code = cli.run(cli._scenario_from_args(cli.build_parser().parse_args(argv_out)))
+            assert code == 0
+            assert list(report.stages) == stages + ["verify", "export"]
+            assert all(t >= 0.0 for t in report.stages.values())
+            assert sum(report.stages.values()) <= report.seconds
+            artifacts.append({p.name: p.read_bytes() for p in sorted(out.iterdir())})
+        # timings stay in the report: repeated runs write the same bytes
+        assert artifacts[0] == artifacts[1] and artifacts[0]
+        if command == "steer":
+            result = report.outputs["result"]
+            assert set(result) == {"steps", "legs", "nodes", "fit_worst_step",
+                                   "fit_restricted_steps"}
+            plan = plan_group_path(sio.matrix_from_json(json.loads(Path(m).read_text())))
+            assert result["legs"] == len(plan.legs) > 0
+            assert result["steps"] == len(plan.controls)
+            assert result["nodes"] == 48
 
     def test_velocity_fit_check_can_fail(self, tmp_path, capsys, monkeypatch):
         # the check refits the recorded velocities, so one node moved by 1e-3
@@ -364,7 +380,7 @@ class TestCli:
         # a final config within the abort bound but off the singular set:
         # its lambda_min(A_u) is positive, which the bound must not pass
         from snakeplan import cli
-        from snakeplan.snake import unit_nodes
+        from snakeplan.sphere import sphere_point
 
         c, h = self._gen_lift_inputs(tmp_path)
         capsys.readouterr()
@@ -373,7 +389,7 @@ class TestCli:
         def nearly_straight(*args, **kwargs):
             path = lift(*args, **kwargs)
             noise = np.random.default_rng(0).normal(size=path.nodes[-1].shape)
-            path.nodes[-1] = unit_nodes(np.eye(3)[0] + 0.01 * noise)
+            path.nodes[-1] = sphere_point(np.eye(3)[0] + 0.01 * noise)
             return path
 
         monkeypatch.setattr(cli, "horizontal_lift", nearly_straight)

@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 from snakeplan.generate import random_config, random_so0, straight_config
 from snakeplan.lorentz import LieElement, basis_Omega, basis_U, exp_h
 from snakeplan.planner import (
+    GEODESIC_MIN_STEPS,
     LIFT_MARGIN_FACTOR,
     SingularityApproach,
     _certifies,
@@ -128,6 +129,14 @@ class TestRotationLeg:
         assert path.leg_lengths()["rotation"] == pytest.approx(
             np.sqrt(th * (th + 4 * np.pi))
         )
+
+    @pytest.mark.parametrize("theta", [1e-8, 1e-6, 1e-4, 1e-2])
+    def test_short_leg_sampled_by_its_period(self, theta):
+        # a leg turns through one elliptic period however short it is, so its
+        # step controls describe it only with enough steps per period
+        path = rotation_leg(1, 2, theta, 3)
+        assert len(path.controls) >= GEODESIC_MIN_STEPS
+        assert path.consistency_residual() < 5e-5
 
 
 class TestPlanGroupPath:
@@ -317,7 +326,7 @@ class TestInfinitesimalAction:
         eps = 1e-6
         Ap = series_exp(eps * X.matrix())
         Am = series_exp(-eps * X.matrix())
-        fd = (act(Ap, cfg, check=False).nodes - act(Am, cfg, check=False).nodes) / (2 * eps)
+        fd = (act(Ap, cfg).nodes - act(Am, cfg).nodes) / (2 * eps)
         assert np.max(np.linalg.norm(fd - infinitesimal_action(X, cfg), axis=1)) < 1e-6
 
     def test_action_velocity_matches_field(self, rng):
@@ -333,8 +342,8 @@ class TestInfinitesimalAction:
         A = random_so0(rng, n)
         u = rng.normal(size=n)
         eps = 1e-5
-        plus = act(exp_h(eps * u) @ A, cfg, check=False).nodes
-        minus = act(exp_h(-eps * u) @ A, cfg, check=False).nodes
+        plus = act(exp_h(eps * u) @ A, cfg).nodes
+        minus = act(exp_h(-eps * u) @ A, cfg).nodes
         fd = (plus - minus) / (2 * eps)
         assert np.max(np.abs(action_velocity(u, A, cfg) - fd)) < 1e-8
 
@@ -373,7 +382,7 @@ class TestSteerConfig:
         assert len(path.nodes) == len(plan.matrices)
         assert np.array_equal(path.nodes, mobius_sphere_action_many(plan.matrices, cfg.nodes))
         for k, G in enumerate(plan.matrices):
-            ref = act(G, cfg, check=False).nodes
+            ref = act(G, cfg).nodes
             assert np.max(np.abs(path.nodes[k] - ref)) <= 4.5e-16
         for k in range(len(plan.controls)):
             ref = action_velocity(plan.controls[k], plan.matrices[k], cfg)
@@ -409,8 +418,8 @@ class TestSteerConfig:
         eps = 1e-5
         for k in np.linspace(0, len(plan.controls) - 1, 7).astype(int):
             u, G = plan.controls[k], plan.matrices[k]
-            plus = act(exp_h(eps * u) @ G, cfg, check=False).nodes
-            minus = act(exp_h(-eps * u) @ G, cfg, check=False).nodes
+            plus = act(exp_h(eps * u) @ G, cfg).nodes
+            minus = act(exp_h(-eps * u) @ G, cfg).nodes
             fd = (plus - minus) / (2 * eps)
             assert np.max(np.abs(path.velocities[k] - fd)) < 1e-8
 

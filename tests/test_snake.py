@@ -4,6 +4,7 @@ from numpy.polynomial import legendre as npleg
 
 from snakeplan.generate import random_config, straight_config
 from snakeplan.snake import (
+    FIT_RANK_FACTOR,
     SnakeConfig,
     config_distance,
     critical_radii,
@@ -400,7 +401,7 @@ class TestFitHorizontalMany:
             assert fit.restricted.tolist() == [False, configs[1] is straight]
             for k, cfg in enumerate(configs):
                 single = fit_horizontal(cfg, v[k])
-                w, residual, restricted = normal_equation_fit(cfg, v[k], 1e-8 * cfg.L)
+                w, residual, restricted = normal_equation_fit(cfg, v[k], FIT_RANK_FACTOR * cfg.L)
                 assert single.restricted == restricted == fit.restricted[k]
                 assert abs(single.residual - fit.residual[k]) <= 1e-14
                 assert abs(residual - fit.residual[k]) <= 1e-14

@@ -19,6 +19,7 @@ from snakeplan.sphere import (
     sphere_point,
     stereographic,
     stereographic_inv,
+    tangent_at,
     xi_bracket,
     xi_field,
 )
@@ -140,8 +141,8 @@ class TestHyperbolicDistance:
             x, y = rng.normal(size=4), rng.normal(size=4)
             d0 = hyperbolic_distance(x, y)
             d1 = hyperbolic_distance(
-                lorentz_to_hyperbolic(A, x, check=False),
-                lorentz_to_hyperbolic(A, y, check=False),
+                lorentz_to_hyperbolic(A, x),
+                lorentz_to_hyperbolic(A, y),
             )
             assert abs(d0 - d1) < 1e-9
 
@@ -316,7 +317,7 @@ class TestBracketRotationFlow:
         z = rand_unit(rng, n)
 
         def flow(d, s, p):
-            return mobius_sphere_action(exp_h(s * unit(d)), p, check=False)
+            return mobius_sphere_action(exp_h(s * unit(d)), p)
 
         def cycle(s, p):
             # right-to-left composition of Phi^v_s Phi^w_s Phi^v_-s Phi^w_-s
@@ -361,3 +362,19 @@ class TestInfinitesimalDictionary:
 def test_sphere_point_rejects_zero():
     with pytest.raises(ValueError):
         sphere_point(np.zeros(3))
+
+
+def test_sphere_point_and_tangent_at_take_stacks(rng):
+    Z, V = rng.normal(size=(2, 4, 5, 3))
+    U = sphere_point(Z)
+    T = tangent_at(U, V)
+    for idx in np.ndindex(4, 5):
+        assert np.max(np.abs(U[idx] - sphere_point(Z[idx]))) <= 4e-16
+        assert np.max(np.abs(T[idx] - tangent_at(U[idx], V[idx]))) <= 1e-15
+    assert np.max(np.abs(np.einsum("...i,...i->...", T, U))) <= 1e-15
+    # one vector broadcasts against a stack of points
+    w = rng.normal(size=3)
+    assert np.array_equal(tangent_at(U, w), tangent_at(U, np.broadcast_to(w, U.shape)))
+    Z[2, 3] = 0.0
+    with pytest.raises(ValueError):
+        sphere_point(Z)
