@@ -12,11 +12,13 @@ checks on a matrix A scale with |A|_2 = e^{|u|}, residuals with its square.
 _COMMANDS holds each subcommand's runner and option defaults: build_parser
 takes its flag defaults from there, and run() puts them under a scenario's
 own options.  Timing stays in the report (timing.seconds and the runner's
-timing.stages), never in a result or an artifact.  Artifacts are built only
-under --out-dir.  plan.json writes each control as its boost vector.  No
-check compares the plan ledger with the controls, or factorize's blocks with
-each other: controls are unit-norm and the blocks commute by construction,
-so such checks could not fail.
+timing.stages, printed in the order the stages ran), never in a result or an
+artifact.  Artifacts are built only under --out-dir.  plan.json writes each
+control as its boost vector.  lift-head interpolates the head-curve samples
+with spline.not_a_knot, so no subcommand loads scipy.  No check compares
+the plan ledger with the controls, or factorize's blocks with each other:
+controls are unit-norm and the blocks commute by construction, so such
+checks could not fail.
 """
 
 from __future__ import annotations
@@ -56,6 +58,7 @@ from .planner import (
 from .rotations import planar_rotation, so_exp_blocks
 from .snake import config_distance, fit_horizontal_many, is_singular
 from .sphere import NotOrthochronous
+from .spline import not_a_knot
 
 EXIT_OK = 0
 EXIT_VALIDATION = 2
@@ -186,8 +189,8 @@ def _run_plan_group(sc: Scenario, marks: dict):
     outputs: dict = {}
     _export(sc, outputs, "plan.json", lambda p: sio.dump_json(sio.group_path_to_json(path), p))
     marks["export"] = time.perf_counter()
-    result = {"length": float(path.length()), "legs": len(path.legs),
-              "ledger": path.leg_lengths()}
+    result = {"length": float(path.length()), "steps": len(path.controls),
+              "legs": len(path.legs), "ledger": path.leg_lengths()}
     return checks, outputs, result
 
 
@@ -223,12 +226,10 @@ def _run_lift_head(sc: Scenario, marks: dict):
     """optimal-control lift of a head curve"""
     u0 = sio.config_from_json(_load_json(sc.inputs["config"]))
     times, points = sio.head_curve_from_json(_load_json(sc.inputs["head_curve"]))
-    from scipy.interpolate import CubicSpline
-
-    spline = CubicSpline(times, points, axis=0)
     marks["load"] = time.perf_counter()
-    path = horizontal_lift(u0, spline, spline.derivative(), t_final=float(times[-1]),
-                           dt=sc.options["step"])
+    head, head_dot = not_a_knot(times, points)
+    marks["spline"] = time.perf_counter()
+    path = horizontal_lift(u0, head, head_dot, t_final=float(times[-1]), dt=sc.options["step"])
     marks["horizontal_lift"] = time.perf_counter()
     # recomputed from the final nodes, not read off the lift's own margins
     final_margin = is_singular(path.final)[1]
@@ -247,9 +248,10 @@ def _run_lift_head(sc: Scenario, marks: dict):
                       zip(path.times, margins, path.tracking_errors))
         outputs["trace"] = trace
     marks["export"] = time.perf_counter()
-    worst = int(path.margins.argmin())
-    result = {"steps": len(path.times) - 1,
-              "max_tracking_error": float(path.tracking_errors.max()),
+    worst, far = int(path.margins.argmin()), int(path.tracking_errors.argmax())
+    result = {"steps": len(path.times) - 1, "nodes": u0.nodes.shape[0],
+              "max_tracking_error": float(path.tracking_errors[far]),
+              "max_tracking_error_time": float(path.times[far]),
               "min_margin": float(path.margins[worst]),
               "min_margin_time": float(path.times[worst]),
               "eigen_solves": path.eigen_solves}
@@ -274,7 +276,8 @@ def _run_probe_bracket(sc: Scenario, marks: dict):
         "path_length": float(path.length()),
     }, p))
     marks["export"] = time.perf_counter()
-    result = {"endpoint_error": float(err), "length": float(path.length())}
+    result = {"endpoint_error": float(err), "length": float(path.length()),
+              "steps": len(path.controls), "legs": len(path.legs)}
     return [], outputs, result
 
 
@@ -425,7 +428,7 @@ def _scenario_from_args(args) -> Scenario:
 
 def main(argv=None) -> int:
     report, code = run(_scenario_from_args(build_parser().parse_args(argv)))
-    print(json.dumps(report.to_json(), sort_keys=True, indent=1))
+    print(json.dumps(report.to_json(), indent=1))
     return code
 
 

@@ -148,6 +148,8 @@ def head_curve_from_json(obj: dict):
         raise ValueError(f"bad head-curve payload: {exc}") from exc
     if times.ndim != 1 or points.ndim != 2 or points.shape[0] != times.shape[0]:
         raise ValueError("head curve needs matching times and points")
+    if times.shape[0] < 2:
+        raise ValueError("head curve needs at least 2 samples")
     if not np.all(np.diff(times) > 0):
         raise ValueError("head curve times must be strictly increasing")
     return times, points

@@ -418,7 +418,7 @@ def horizontal_lift(
     nodes by w - <w,u>u with classical RK4, renormalizing after every step.
 
     head and head_dot map a 1-D array of times in [0, t_final] to an array
-    of shape (len, n), as a CubicSpline and its derivative do; each is
+    of shape (len, n), as the pair from spline.not_a_knot does; each is
     evaluated once per time grid.  Aborts with SingularityApproach when
     lambda_min(A_u) drops below LIFT_MARGIN_FACTOR * L; head targets leaving
     the reachable ball are rejected up front.

@@ -9,7 +9,7 @@ import pytest
 
 from snakeplan import io as sio
 from snakeplan.cli import main
-from snakeplan.generate import random_config, random_so0, straight_config
+from snakeplan.generate import circle_head_curve, random_config, random_so0, straight_config
 from snakeplan.lorentz import LieElement
 from snakeplan.planner import plan_group_path
 
@@ -59,6 +59,10 @@ class TestJsonRoundtrips:
     def test_head_curve_monotone_times(self):
         with pytest.raises(ValueError):
             sio.head_curve_from_json({"times": [0.0, 0.0], "points": [[0.0], [1.0]]})
+
+    def test_head_curve_needs_two_samples(self):
+        with pytest.raises(ValueError, match="at least 2 samples"):
+            sio.head_curve_from_json({"times": [0.0], "points": [[0.0, 1.0]]})
 
     def test_group_path_payload(self, rng):
         path = plan_group_path(random_so0(rng, 3))
@@ -285,39 +289,64 @@ class TestCli:
         assert fit["pass"] and fit["value"] <= 1e-6
 
     @pytest.mark.parametrize("command", ["steer", "lift-head", "plan-group", "probe-bracket"])
-    def test_report_stages_and_counts(self, command, tmp_path):
-        # in process, because main prints the report with sorted keys
-        from snakeplan import cli
-
+    def test_report_stages_and_counts(self, command, tmp_path, capsys):
         m = self._gen_matrix(tmp_path)
         c, h = self._gen_lift_inputs(tmp_path)
         argv, stages = {
             "steer": (["--matrix", m, "--config", c], ["load", "steer_config"]),
             "lift-head": (["--config", c, "--head-curve", h, "--step", "1e-2"],
-                          ["load", "horizontal_lift"]),
+                          ["load", "spline", "horizontal_lift"]),
             "plan-group": (["--matrix", m], ["load", "plan_group_path"]),
             "probe-bracket": (["--i", "1", "--j", "2", "--t", "0.5", "--m", "8"],
                               ["commutator_probe"]),
         }[command]
         artifacts = []
         for out in (tmp_path / "out1", tmp_path / "out2"):
-            argv_out = [command, *argv, "--out-dir", str(out)]
-            report, code = cli.run(cli._scenario_from_args(cli.build_parser().parse_args(argv_out)))
-            assert code == 0
-            assert list(report.stages) == stages + ["verify", "export"]
-            assert all(t >= 0.0 for t in report.stages.values())
-            assert sum(report.stages.values()) <= report.seconds
+            capsys.readouterr()
+            assert main([command, *argv, "--out-dir", str(out)]) == 0
+            report = json.loads(capsys.readouterr().out)
+            # printed in the order the stages ran
+            timing = report["timing"]
+            assert list(timing["stages"]) == stages + ["verify", "export"]
+            assert all(t >= 0.0 for t in timing["stages"].values())
+            assert sum(timing["stages"].values()) <= timing["seconds"]
             artifacts.append({p.name: p.read_bytes() for p in sorted(out.iterdir())})
         # timings stay in the report: repeated runs write the same bytes
         assert artifacts[0] == artifacts[1] and artifacts[0]
-        if command == "steer":
-            result = report.outputs["result"]
-            assert set(result) == {"steps", "legs", "nodes", "fit_worst_step",
-                                   "fit_restricted_steps"}
+        result = report["outputs"]["result"]
+        if command in ("steer", "plan-group"):
             plan = plan_group_path(sio.matrix_from_json(json.loads(Path(m).read_text())))
             assert result["legs"] == len(plan.legs) > 0
             assert result["steps"] == len(plan.controls)
+        if command == "steer":
+            assert set(result) == {"steps", "legs", "nodes", "fit_worst_step",
+                                   "fit_restricted_steps"}
             assert result["nodes"] == 48
+        if command == "plan-group":
+            assert set(result) == {"length", "steps", "legs", "ledger"}
+        if command == "probe-bracket":
+            from snakeplan.planner import commutator_probe
+
+            path = commutator_probe(1, 2, 0.5, 8, 3)
+            assert set(result) == {"endpoint_error", "length", "steps", "legs"}
+            # four boost legs per cycle
+            assert result["legs"] == len(path.legs) == 4 * 8
+            assert result["steps"] == len(path.controls) == len(path.times) - 1
+        if command == "lift-head":
+            from snakeplan.planner import horizontal_lift
+            from snakeplan.spline import not_a_knot
+
+            u0 = sio.config_from_json(json.loads(Path(c).read_text()))
+            times, points = sio.head_curve_from_json(json.loads(Path(h).read_text()))
+            path = horizontal_lift(u0, *not_a_knot(times, points), t_final=1.0, dt=1e-2)
+            assert set(result) == {"steps", "nodes", "max_tracking_error",
+                                   "max_tracking_error_time", "min_margin",
+                                   "min_margin_time", "eigen_solves"}
+            assert result["nodes"] == u0.nodes.shape[0] == 48
+            worst = int(path.tracking_errors.argmax())
+            assert worst > 0
+            assert result["max_tracking_error"] == path.tracking_errors[worst]
+            assert result["max_tracking_error_time"] == path.times[worst]
 
     def test_velocity_fit_check_can_fail(self, tmp_path, capsys, monkeypatch):
         # the check refits the recorded velocities, so one node moved by 1e-3
@@ -361,6 +390,20 @@ class TestCli:
         assert main(["generate", "--kind", "circle-head-curve", "--seed", "5",
                      "--dim", str(dim), "--config", c, "--out", h]) == 0
         return c, h
+
+    @pytest.mark.parametrize("payload, message", [
+        ({"times": [0.0], "points": [[0.0, 0.0, 1.0]]}, "head curve needs at least 2 samples"),
+        ({"times": [0.0, 0.5, 1.0], "points": [[0.0, 0.0, 1.0], [np.nan, 0.0, 1.0], [0.0, 0.0, 1.0]]},
+         "spline times and points must be finite"),
+    ])
+    def test_lift_head_bad_head_curve_exits_2(self, tmp_path, capsys, payload, message):
+        c = self._gen_config(tmp_path)
+        h = str(tmp_path / "head.json")
+        sio.dump_json(payload, h)
+        capsys.readouterr()
+        assert main(["lift-head", "--config", c, "--head-curve", h]) == 2
+        error = json.loads(capsys.readouterr().out)["outputs"]["error"]
+        assert error == {"kind": "validation", "message": message}
 
     def test_lift_head_reports_margins(self, tmp_path, capsys):
         c, h = self._gen_lift_inputs(tmp_path)
@@ -461,19 +504,24 @@ def test_cli_import_leaves_scipy_optimize_out(tmp_path):
                           text=True, timeout=60, check=True)
     assert proc.stdout.strip() == "False"
 
-    # no scipy module at all: not on import, nor in a steer --out-dir or plan-group run
+    # no scipy module at all: not on import, nor in a steer --out-dir,
+    # plan-group or lift-head --out-dir run
     scipy_loaded = "[m for m in sys.modules if m.split('.')[0] == 'scipy']"
     code = f"import sys, snakeplan.cli; print({scipy_loaded})"
     proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                           text=True, timeout=60, check=True)
     assert proc.stdout.strip() == "[]"
-    A, cfg = str(tmp_path / "A.json"), str(tmp_path / "cfg.json")
+    A, cfg, head = (str(tmp_path / name) for name in ("A.json", "cfg.json", "head.json"))
+    u0 = random_config(np.random.default_rng(5), 3)
     sio.dump_json(sio.matrix_to_json(random_so0(np.random.default_rng(5), 3)), A)
-    sio.dump_json(sio.config_to_json(random_config(np.random.default_rng(5), 3)), cfg)
+    sio.dump_json(sio.config_to_json(u0), cfg)
+    sio.dump_json(sio.head_curve_to_json(*circle_head_curve(u0, 0.05 * u0.L)), head)
     run = ("import sys, snakeplan.cli; code = snakeplan.cli.main(sys.argv[1:]); "
            f"print({scipy_loaded}, file=sys.stderr); sys.exit(code)")
     for argv in (["steer", "--matrix", A, "--config", cfg, "--out-dir", str(tmp_path / "out")],
-                 ["plan-group", "--matrix", A]):
+                 ["plan-group", "--matrix", A],
+                 ["lift-head", "--config", cfg, "--head-curve", head, "--step", "1e-2",
+                  "--out-dir", str(tmp_path / "lift")]):
         proc = subprocess.run([sys.executable, "-c", run, *argv], env=env, capture_output=True,
                               text=True, timeout=60)
         assert proc.returncode == 0, proc.stderr
