@@ -13,7 +13,7 @@ import numpy as np
 from snakeplan import io as sio
 from snakeplan.generate import random_config, random_so0
 from snakeplan.planner import act, steer_config
-from snakeplan.snake import config_distance, fit_horizontal_many
+from snakeplan.snake import config_distance, fit_horizontal
 
 
 def main():
@@ -29,7 +29,7 @@ def main():
     path = steer_config(u0, A, max_step=0.02)
 
     final_gap = config_distance(path.final, act(A, u0))
-    fit_worst = fit_horizontal_many(
+    fit_worst = fit_horizontal(
         path.grid, path.nodes[:-1:5], path.velocities[::5]
     ).residual.max()
     print(f"steps: {len(path.times) - 1}")

@@ -39,9 +39,6 @@ from .snake import (
     differential_endpoint,
     endpoint,
     fit_horizontal,
-    fit_horizontal_many,
-    gram_data,
-    horizontal_gradient,
     is_singular,
     snake_curve,
     snake_curve_matrix,
@@ -49,7 +46,6 @@ from .snake import (
 from .sphere import (
     INFINITY,
     bracket_rotation_flow,
-    grad_phi,
     hyperbolic_distance,
     lorentz_to_hyperbolic,
     mobius_sphere_action,

@@ -15,10 +15,11 @@ own options.  Timing stays in the report (timing.seconds and the runner's
 timing.stages, printed in the order the stages ran), never in a result or an
 artifact.  Artifacts are built only under --out-dir.  plan.json writes each
 control as its boost vector.  lift-head interpolates the head-curve samples
-with spline.not_a_knot, so no subcommand loads scipy.  No check compares
-the plan ledger with the controls, or factorize's blocks with each other:
-controls are unit-norm and the blocks commute by construction, so such
-checks could not fail.
+with spline.not_a_knot, so no subcommand loads scipy; spline and generate
+are imported only by the runners that use them.  No check compares the plan
+ledger with the controls, or factorize's blocks with each other: controls
+are unit-norm and the blocks commute by construction, so such checks could
+not fail.
 """
 
 from __future__ import annotations
@@ -28,11 +29,10 @@ import json
 import os
 import sys
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from . import generate as gen
 from . import io as sio
 from .lorentz import (
     DEFAULT_MEMBERSHIP_TOL,
@@ -41,6 +41,7 @@ from .lorentz import (
     NotLorentz,
     _grade,
     _norm2,
+    basis_Omega,
     classify,
     exp_h,
     factorize,
@@ -49,6 +50,7 @@ from .lorentz import (
 )
 from .planner import (
     LIFT_MARGIN_FACTOR,
+    SingularityApproach,
     act,
     commutator_probe,
     horizontal_lift,
@@ -56,9 +58,8 @@ from .planner import (
     steer_config,
 )
 from .rotations import planar_rotation, so_exp_blocks
-from .snake import config_distance, fit_horizontal_many, is_singular
+from .snake import config_distance, fit_horizontal, is_singular
 from .sphere import NotOrthochronous
-from .spline import not_a_knot
 
 EXIT_OK = 0
 EXIT_VALIDATION = 2
@@ -202,7 +203,7 @@ def _run_steer(sc: Scenario, marks: dict):
     path = steer_config(u0, A, max_step=sc.options["step"], tol=sc.options["tol"])
     marks["steer_config"] = time.perf_counter()
     target = act(A, u0)
-    fit = fit_horizontal_many(path.grid, path.nodes[:-1], path.velocities)
+    fit = fit_horizontal(path.grid, path.nodes[:-1], path.velocities)
     fit_res = fit.residual.max(initial=0.0)
     checks = [
         _check("final_config_distance", config_distance(path.final, target), 1e-7),
@@ -227,9 +228,18 @@ def _run_lift_head(sc: Scenario, marks: dict):
     u0 = sio.config_from_json(_load_json(sc.inputs["config"]))
     times, points = sio.head_curve_from_json(_load_json(sc.inputs["head_curve"]))
     marks["load"] = time.perf_counter()
-    head, head_dot = not_a_knot(times, points)
+    from .spline import not_a_knot
+
+    # the lift runs from t = 0: shift the samples there and the path back
+    t0 = float(times[0])
+    head, head_dot = not_a_knot(times - t0, points)
     marks["spline"] = time.perf_counter()
-    path = horizontal_lift(u0, head, head_dot, t_final=float(times[-1]), dt=sc.options["step"])
+    try:
+        path = horizontal_lift(u0, head, head_dot, t_final=float(times[-1] - t0),
+                               dt=sc.options["step"])
+    except SingularityApproach as exc:
+        raise SingularityApproach(exc.time + t0, exc.margin) from None
+    path = replace(path, times=path.times + t0)
     marks["horizontal_lift"] = time.perf_counter()
     # recomputed from the final nodes, not read off the lift's own margins
     final_margin = is_singular(path.final)[1]
@@ -265,8 +275,6 @@ def _run_probe_bracket(sc: Scenario, marks: dict):
     t, m = sc.inputs["t"], sc.inputs["m"]
     path = commutator_probe(i, j, t, m, n, max_step=sc.options["step"])
     marks["commutator_probe"] = time.perf_counter()
-    from .lorentz import basis_Omega
-
     target = planar_rotation(basis_Omega(i, j, n).matrix(), t)
     err = np.linalg.norm(path.endpoint() - target)
     marks["verify"] = time.perf_counter()
@@ -283,6 +291,8 @@ def _run_probe_bracket(sc: Scenario, marks: dict):
 
 def _run_generate(sc: Scenario, marks: dict):
     """seeded payload generator"""
+    from . import generate as gen
+
     kind = sc.inputs["generator"]
     n = sc.options["dim"]
     rng = np.random.default_rng(sc.options["seed"])

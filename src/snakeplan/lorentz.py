@@ -112,9 +112,9 @@ def _grade(A: np.ndarray, tol: float):
     return (Membership.SO0 if np.linalg.det(Q) > 0.0 else Membership.SO), factor
 
 
-def classify(A: np.ndarray, tol: float = DEFAULT_MEMBERSHIP_TOL) -> Membership:
+def classify(A: np.ndarray) -> Membership:
     """Membership grade: O(n,1), then c>0 for SO, then det(Q)=+1 for SO0."""
-    return _grade(np.asarray(A, dtype=float), tol)[0]
+    return _grade(np.asarray(A, dtype=float), DEFAULT_MEMBERSHIP_TOL)[0]
 
 
 def _row_norms(x: np.ndarray) -> np.ndarray:
@@ -144,15 +144,15 @@ def exp_h(u: np.ndarray) -> np.ndarray:
     return A
 
 
-def log_boost(T: np.ndarray, tol: float = DEFAULT_FACTOR_TOL) -> np.ndarray:
+def log_boost(T: np.ndarray) -> np.ndarray:
     """Recover u with exp_h(u) = T, read from T's first row; rejects non-boosts."""
     T = np.asarray(T, dtype=float)
-    if np.linalg.norm(T - T.T) > tol:
+    if np.linalg.norm(T - T.T) > DEFAULT_FACTOR_TOL:
         raise NotABoost(f"asymmetry {np.linalg.norm(T - T.T):.3e} above tol")
-    if T[0, 0] < 1.0 - tol:
+    if T[0, 0] < 1.0 - DEFAULT_FACTOR_TOL:
         raise NotABoost(f"T00 = {T[0, 0]} < 1")
     u = _boost_factor(T)[2]
-    if np.linalg.norm(exp_h(u) - T) > tol * max(1.0, T[0, 0]):
+    if np.linalg.norm(exp_h(u) - T) > DEFAULT_FACTOR_TOL * max(1.0, T[0, 0]):
         raise NotABoost("spectral mismatch: exp_h(log_boost(T)) != T")
     return u
 
@@ -172,17 +172,18 @@ def _boost_factor(A: np.ndarray) -> tuple:
     return eps, Q, np.arcsinh(w) / w * v if w > 0.0 else v
 
 
-def boost_decompose(A: np.ndarray, tol: float = DEFAULT_FACTOR_TOL) -> BoostFactors:
+def boost_decompose(A: np.ndarray) -> BoostFactors:
     """Polar-type factorization A = diag(eps, Q) @ T, T the boost from A's first row."""
     A = np.asarray(A, dtype=float)
     eps, Q, u = _boost_factor(A)
     T = exp_h(u)
-    if np.linalg.norm(spatial_block(Q, eps) @ T - A) > tol * _norm2(A):
-        raise NotLorentz(f"reconstruction residual above {tol} |A|_2; input not Lorentz?")
+    if np.linalg.norm(spatial_block(Q, eps) @ T - A) > DEFAULT_FACTOR_TOL * _norm2(A):
+        raise NotLorentz(f"reconstruction residual above {DEFAULT_FACTOR_TOL} |A|_2; "
+                         "input not Lorentz?")
     return BoostFactors(eps, Q, T)
 
 
-def kak_decompose(A: np.ndarray, tol: float = DEFAULT_FACTOR_TOL):
+def kak_decompose(A: np.ndarray):
     """A = diag(1,Q') @ exp_h(alpha * e1) @ diag(1, Q^T), Q special orthogonal.
 
     Requires classify(A) in {SO, SO0} (so eps = +1); alpha = |u| and the
@@ -199,7 +200,7 @@ def kak_decompose(A: np.ndarray, tol: float = DEFAULT_FACTOR_TOL):
         Qv[:, -1] *= -1.0  # fix det; flipped column is in the e1-stabilizer
     Qp = Q0 @ Qv
     recon = spatial_block(Qp) @ exp_h(alpha * np.eye(n)[0]) @ spatial_block(Qv).T
-    if np.linalg.norm(recon - A) > tol * _norm2(A):
+    if np.linalg.norm(recon - A) > DEFAULT_FACTOR_TOL * _norm2(A):
         raise NotLorentz("kak reconstruction residual above tol")
     return Qp, alpha, Qv
 
@@ -351,10 +352,10 @@ def factorize(A: np.ndarray, tol: float = DEFAULT_FACTOR_TOL):
     return blocks, u
 
 
-def block_l1_norm(X: LieElement, tol: float = 1e-10) -> float:
+def block_l1_norm(X: LieElement) -> float:
     """|u| + 2 * sum_j (#2x2 planes in E_j) * theta_j from the s-part spectrum."""
     from .rotations import skew_spectral
 
-    blocks = skew_spectral(X.skew, tol=tol)
+    blocks = skew_spectral(X.skew)
     rot = sum(len(b.planes) * b.theta for b in blocks.blocks)
     return X.h_norm() + 2.0 * rot

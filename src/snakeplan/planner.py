@@ -27,7 +27,7 @@ import numpy as np
 
 from .lorentz import LieElement, _row_norms, exp_h, factorize, spatial_block
 from .rotations import _plane_generator, planar_rotation
-from .snake import SnakeConfig, _gram, endpoint, fit_horizontal_many, horizontal_gradient
+from .snake import SnakeConfig, _gram, endpoint, fit_horizontal
 from .sphere import _cone_images, _light_cone, mobius_sphere_action_many, sphere_point, tangent_at
 
 __all__ = [
@@ -302,7 +302,7 @@ def infinitesimal_action(X: LieElement, u: SnakeConfig) -> np.ndarray:
     """Derivative field of the action: a(X)(u)(s) = (w - <w,u>u) + B u(s)."""
     if X.dim != u.dim:
         raise ValueError("dimension mismatch")
-    return horizontal_gradient(X.u, u) + u.nodes @ X.skew.T
+    return tangent_at(u.nodes, X.u) + u.nodes @ X.skew.T
 
 
 @dataclass
@@ -347,7 +347,7 @@ def action_velocity(u: np.ndarray, A: np.ndarray, u0: SnakeConfig) -> np.ndarray
     u (..., n) and A (..., n+1, n+1) may be stacks; the result is (..., K, n),
     a view of a node-major (..., n, K) array.
     Differentiates the projective light-cone formula directly, so the result
-    is independent of the horizontal-gradient expression it is tested against:
+    is independent of the tangent projection it is tested against:
     the light-cone columns W = A (1, u0)^T move with D = B W, B the symmetric
     embedding of u, whose only nonzero blocks are D_t = <W_x, u> and
     D_x = W_t u; the quotient rule on z = W_x / W_t gives
@@ -521,4 +521,4 @@ def config_velocity_residuals(path: ConfigPath, subsample: int = 1) -> np.ndarra
     u = sphere_point(path.nodes[k])
     dt = path.times[k + 1] - path.times[k - 1]
     v = tangent_at(u, (path.nodes[k + 1] - path.nodes[k - 1]) / dt[:, None, None])
-    return fit_horizontal_many(path.grid, u, v).residual
+    return fit_horizontal(path.grid, u, v).residual

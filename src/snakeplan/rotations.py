@@ -30,6 +30,7 @@ __all__ = [
 
 ANGLE_CLUSTER_TOL = 1e-8
 REAL_ANGLE_TOL = 1e-10  # so_log angles this close to 0 or pi are eigenvalues +1 or -1
+SKEW_KERNEL_TOL = 1e-10  # skew_spectral: theta <= tol * max(1, |B|_2) is kernel
 
 
 @dataclass(frozen=True)
@@ -182,20 +183,20 @@ def _log_blocks(Q: np.ndarray, min_angle: float = 0.0) -> RotationBlocks:
     return RotationBlocks(dim=n, blocks=tuple(blocks), kernel_basis=K)
 
 
-def skew_spectral(B: np.ndarray, tol: float = 1e-10) -> RotationBlocks:
+def skew_spectral(B: np.ndarray) -> RotationBlocks:
     """Split a skew matrix into commuting rotation generators.
 
     The Cayley transform C = (Id - B/a)^{-1} (Id + B/a), a = |B|_2, is a
     rotation with B's planes and kernel and the angles
     phi = 2 arctan(theta / a) in (0, pi/2], so the so_log blocks of C give
     B's with theta = a tan(phi / 2), accurate relative to |B|.  Planes with
-    theta <= tol * max(1, a) join the kernel.
+    theta <= SKEW_KERNEL_TOL * max(1, a) join the kernel.
     """
     B = np.asarray(B, dtype=float)
     n = B.shape[0]
     if B.shape != (n, n):
         raise ValueError("skew_spectral needs a square matrix")
-    if np.linalg.norm(B + B.T) > max(tol, 1e-12 * max(1.0, np.linalg.norm(B))):
+    if np.linalg.norm(B + B.T) > max(SKEW_KERNEL_TOL, 1e-12 * max(1.0, np.linalg.norm(B))):
         raise ValueError("input is not skew-symmetric within tolerance")
     B = 0.5 * (B - B.T)
     if n == 0:
@@ -203,7 +204,7 @@ def skew_spectral(B: np.ndarray, tol: float = 1e-10) -> RotationBlocks:
 
     a = float(np.linalg.norm(B, 2)) or 1.0
     C = np.linalg.solve(np.eye(n) - B / a, np.eye(n) + B / a)
-    rb = _log_blocks(C, min_angle=2.0 * np.arctan(tol * max(1.0, a) / a))
+    rb = _log_blocks(C, min_angle=2.0 * np.arctan(SKEW_KERNEL_TOL * max(1.0, a) / a))
     return replace(rb, blocks=tuple(replace(b, theta=float(a * np.tan(0.5 * b.theta))) for b in rb.blocks))
 
 

@@ -5,8 +5,8 @@ A configuration is a piecewise-continuous curve s -> u(s) on the unit
 sphere over a partition of [0, L], sampled at composite Gauss-Legendre
 nodes; every integral below is the corresponding quadrature.  The head of
 the snake is E(u) = int_0^L u(s) ds.  Horizontal tangent fields are exactly
-s -> w - <w, u(s)> u(s); pushing one through the differential of E gives
-A_u w with A_u = L Id - Gamma_u, Gamma_u = int u u^T.
+s -> w - <w, u(s)> u(s), sphere.tangent_at(u.nodes, w); pushing one through
+the differential of E gives A_u w with A_u = L Id - Gamma_u, Gamma_u = int u u^T.
 """
 
 from __future__ import annotations
@@ -22,28 +22,23 @@ from .sphere import sphere_point, tangent_at
 
 __all__ = [
     "SnakeConfig",
-    "GramData",
     "FitResult",
     "GaussLegendreRule",
     "gauss_legendre",
     "endpoint",
     "snake_curve",
     "snake_curve_matrix",
-    "gram_data",
     "is_singular",
-    "horizontal_gradient",
     "e_field",
     "differential_endpoint",
     "fit_horizontal",
-    "fit_horizontal_many",
     "critical_radii",
     "config_distance",
-    "project_tangent",
 ]
 
 DEFAULT_NODES_PER_SEGMENT = 16
 DEFAULT_MAX_NODE_ANGLE = np.pi / 8
-SINGULARITY_TOL_FACTOR = 1e-8  # scale-aware default: tol = factor * L
+SINGULARITY_TOL_FACTOR = 1e-8  # is_singular flags lambda_min(A_u) <= factor * L
 # Rank cut of the fits, factor * L: rounding in forming and factoring A_u
 # hides lambda_min(A_u) below about n eps L, and 64 eps L is twice that at n = 32
 FIT_RANK_FACTOR = 64.0 * np.finfo(float).eps
@@ -214,14 +209,6 @@ def snake_curve(u: SnakeConfig, t: float) -> np.ndarray:
     return snake_curve_matrix(u, t)[0] @ u.nodes
 
 
-@dataclass(frozen=True)
-class GramData:
-    gram: np.ndarray  # Gamma_u = int u u^T, PSD, trace = L, symmetric up to rounding
-    a_op: np.ndarray  # A_u = L Id - Gamma_u
-    eigenvalues: np.ndarray  # of A_u, ascending
-    eigenvectors: np.ndarray  # columns, matching eigenvalues
-
-
 @functools.lru_cache(maxsize=64)
 def _identity(n: int) -> np.ndarray:
     """The n x n identity, shared by every Gram call, hence read-only."""
@@ -240,30 +227,17 @@ def _gram(weights: np.ndarray, L: float, nodes: np.ndarray):
     return G, L * _identity(nodes.shape[-1]) - G
 
 
-def gram_data(u: SnakeConfig) -> GramData:
-    G, A = _gram(u.weights, u.L, u.nodes)
-    vals, vecs = np.linalg.eigh(A)
-    return GramData(gram=G, a_op=A, eigenvalues=vals, eigenvectors=vecs)
-
-
-def is_singular(u: SnakeConfig, tol: float | None = None):
-    """(flag, margin): singular iff lambda_min(A_u) <= tol; margin = lambda_min."""
-    if tol is None:
-        tol = SINGULARITY_TOL_FACTOR * u.L
-    margin = float(gram_data(u).eigenvalues[0])
-    return margin <= tol, margin
-
-
-def horizontal_gradient(w: np.ndarray, u: SnakeConfig) -> np.ndarray:
-    """Per-node field s -> w - <w, u(s)> u(s); spans the horizontal space."""
-    return tangent_at(u.nodes, np.asarray(w, dtype=float))
+def is_singular(u: SnakeConfig):
+    """(flag, margin): singular iff margin = lambda_min(A_u) <= SINGULARITY_TOL_FACTOR * L."""
+    margin = float(np.linalg.eigh(_gram(u.weights, u.L, u.nodes)[1])[0][0])
+    return margin <= SINGULARITY_TOL_FACTOR * u.L, margin
 
 
 def e_field(i: int, u: SnakeConfig) -> np.ndarray:
-    """E_i = horizontal gradient of the i-th head coordinate (1-indexed)."""
+    """E_i = tangent_at(u.nodes, e_i), the gradient of head coordinate i (1-indexed)."""
     w = np.zeros(u.dim)
     w[i - 1] = 1.0
-    return horizontal_gradient(w, u)
+    return tangent_at(u.nodes, w)
 
 
 def differential_endpoint(u: SnakeConfig, v: np.ndarray) -> np.ndarray:
@@ -272,40 +246,19 @@ def differential_endpoint(u: SnakeConfig, v: np.ndarray) -> np.ndarray:
     return u.weights @ v
 
 
-def project_tangent(u: SnakeConfig, v: np.ndarray) -> np.ndarray:
-    """Remove the radial component of v at every node."""
-    return tangent_at(u.nodes, np.asarray(v, dtype=float))
-
-
-def l2_norm(u: SnakeConfig, v: np.ndarray) -> float:
-    v = np.asarray(v, dtype=float)
-    return float(np.sqrt(np.einsum("i,ij,ij->", u.weights, v, v)))
-
-
 @dataclass(frozen=True)
 class FitResult:
-    """Fitted direction, L^2 residual and restricted flag; arrays over the
-    stack for fit_horizontal_many."""
+    """Fitted direction, L^2 residual and restricted flag per node set."""
 
     w: np.ndarray
-    residual: float
-    restricted: bool  # True when A_u was singular and the fit used range(A_u)
+    residual: np.ndarray
+    restricted: np.ndarray  # True where A_u was singular and the fit used range(A_u)
 
 
-def fit_horizontal(u: SnakeConfig, v: np.ndarray) -> FitResult:
-    """Least-squares horizontal direction: minimize ||v - (w - <w,u>u)||_{L^2}.
-
-    Normal equations reduce to A_u w = int v ds.  A numerically rank-deficient
-    A_u is reported and the solve restricted to its range.
-    """
-    fit = fit_horizontal_many(u, u.nodes[None], np.asarray(v, dtype=float)[None])
-    return FitResult(w=fit.w[0], residual=float(fit.residual[0]),
-                     restricted=bool(fit.restricted[0]))
-
-
-def fit_horizontal_many(grid: SnakeConfig, nodes: np.ndarray, v: np.ndarray) -> FitResult:
-    """fit_horizontal for a stack of unit node sets (..., K, n) and fields v of
-    the same shape, all on grid's partition and quadrature.
+def fit_horizontal(grid: SnakeConfig, nodes: np.ndarray, v: np.ndarray) -> FitResult:
+    """Least-squares horizontal direction, minimizing ||v - (w - <w,u>u)||_{L^2}
+    by A_u w = int v ds, for unit node sets u (K, n) or (..., K, n) and fields
+    v of the same shape, all on grid's partition and quadrature.
 
     One product builds every Gram matrix.  If A_u - c Id, c = 64 eps L (the
     rank cut FIT_RANK_FACTOR * L, not is_singular's 1e-8 L), has a Cholesky

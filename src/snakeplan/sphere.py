@@ -32,7 +32,6 @@ __all__ = [
     "lorentz_to_hyperbolic",
     "mobius_sphere_action",
     "mobius_sphere_action_many",
-    "grad_phi",
     "xi_field",
     "xi_bracket",
     "bracket_rotation_flow",
@@ -74,8 +73,9 @@ def sphere_point(z: np.ndarray) -> np.ndarray:
 
 
 def tangent_at(z: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """Project v onto the tangent space at z, v - <v, z> z; z and v may be
-    stacks (..., n), and v broadcasts against z."""
+    """Project v onto the tangent space at z, v - <v, z> z: the sphere gradient
+    of z -> <v, z>, and on a snake's nodes the horizontal field of v.  z and v
+    may be stacks (..., n), and v broadcasts against z."""
     return v - np.einsum("...i,...i->...", v, z)[..., None] * z
 
 
@@ -197,17 +197,8 @@ def _cone_images(W: np.ndarray) -> np.ndarray:
     return out.swapaxes(-1, -2)
 
 
-def grad_phi(v: np.ndarray, z: np.ndarray) -> np.ndarray:
-    """Sphere gradient of z -> <v/|v|, z>:  v/|v| - <v/|v|, z> z."""
-    v = np.asarray(v, dtype=float)
-    nv = np.linalg.norm(v)
-    if nv == 0.0:
-        raise ValueError("grad_phi needs a nonzero direction")
-    return tangent_at(sphere_point(z), v / nv)
-
-
 def xi_field(i: int, z: np.ndarray) -> np.ndarray:
-    """xi_i(z) = e_i - z_i z (1-indexed); equals grad_phi(e_i, z)."""
+    """xi_i(z) = e_i - z_i z (1-indexed), the sphere gradient of z -> z_i."""
     z = sphere_point(z)
     n = z.shape[0]
     if not 1 <= i <= n:

@@ -18,6 +18,11 @@ def series_expm(M: np.ndarray, terms: int = 30) -> np.ndarray:
     return out
 
 
+def l2_norm(u, v: np.ndarray) -> float:
+    """L^2 norm of a per-node field v on configuration u's quadrature."""
+    return float(np.sqrt(np.einsum("i,ij,ij->", u.weights, v, v)))
+
+
 @pytest.fixture
 def rng():
     return np.random.default_rng(20240813)

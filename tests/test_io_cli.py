@@ -465,6 +465,44 @@ class TestCli:
         assert main(["lift-head", "--config", c, "--head-curve", h, "--step", "1e-2",
                      "--trace", str(tmp_path / "missing" / "trace.csv")]) == 4
 
+    def test_lift_head_from_a_later_start_time(self, tmp_path, capsys):
+        # samples from t = 0.5 lift over their own span, as the same samples
+        # from t = 0 do, with every time moved by 0.5
+        c = self._gen_config(tmp_path, seed=7)
+        h, later = str(tmp_path / "head.json"), str(tmp_path / "later.json")
+        assert main(["generate", "--kind", "circle-head-curve", "--seed", "7",
+                     "--dim", "3", "--config", c, "--out", h]) == 0
+        payload = json.loads(Path(h).read_text())
+        payload["times"] = [t + 0.5 for t in payload["times"]]
+        sio.dump_json(payload, later)
+        runs = []
+        for name, head in (("plain", h), ("later", later)):
+            out, trace = tmp_path / name, tmp_path / f"{name}.csv"
+            capsys.readouterr()
+            assert main(["lift-head", "--config", c, "--head-curve", head, "--step", "1e-2",
+                         "--out-dir", str(out), "--trace", str(trace)]) == 0
+            result = json.loads(capsys.readouterr().out)["outputs"]["result"]
+            final = sio.config_from_json(json.loads((out / "final_config.json").read_text()))
+            heads = np.loadtxt(out / "head_trace.csv", delimiter=",", skiprows=1)
+            runs.append((result, final.nodes, heads, np.loadtxt(trace, delimiter=",", skiprows=1)))
+        (r0, nodes0, heads0, trace0), (r1, nodes1, heads1, trace1) = runs
+        assert heads1[0, 0] == 0.5 and trace1[0, 0] == 0.5
+        assert np.max(np.abs(heads1[:, 0] - heads0[:, 0] - 0.5)) <= 1e-12
+        assert np.max(np.abs(trace1[:, 0] - trace0[:, 0] - 0.5)) <= 1e-12
+        assert np.max(np.abs(trace1[:, 2] - trace0[:, 2])) <= 1e-12
+        assert np.max(np.abs(nodes1 - nodes0)) <= 1e-12
+        assert r1["steps"] == r0["steps"]
+        assert r1["max_tracking_error_time"] == pytest.approx(r0["max_tracking_error_time"] + 0.5)
+
+    def test_lift_head_abort_reports_the_sample_time(self, tmp_path, capsys):
+        # a straight snake is singular, so the lift aborts at its first time
+        c, h = str(tmp_path / "straight.json"), str(tmp_path / "head.json")
+        sio.dump_json(sio.config_to_json(straight_config(3)), c)
+        sio.dump_json({"times": [0.5, 1.0, 1.5], "points": [[0.0, 0.0, 0.0]] * 3}, h)
+        assert main(["lift-head", "--config", c, "--head-curve", h]) == 3
+        message = json.loads(capsys.readouterr().out)["outputs"]["error"]["message"]
+        assert message.endswith("at t = 0.500000")
+
     def test_probe_bracket(self, capsys):
         assert main(["probe-bracket", "--i", "1", "--j", "2", "--t", "0.5",
                      "--m", "8", "--dim", "3"]) == 0
@@ -504,10 +542,12 @@ def test_cli_import_leaves_scipy_optimize_out(tmp_path):
                           text=True, timeout=60, check=True)
     assert proc.stdout.strip() == "False"
 
-    # no scipy module at all: not on import, nor in a steer --out-dir,
-    # plan-group or lift-head --out-dir run
-    scipy_loaded = "[m for m in sys.modules if m.split('.')[0] == 'scipy']"
-    code = f"import sys, snakeplan.cli; print({scipy_loaded})"
+    # no scipy module at all, and snakeplan.spline and snakeplan.generate only
+    # in the lift-head and generate runs that use them: not on import, nor in
+    # a steer --out-dir or plan-group run
+    loaded = ("[m for m in sys.modules if m.split('.')[0] == 'scipy'"
+              " or m in ('snakeplan.spline', 'snakeplan.generate')]")
+    code = f"import sys, snakeplan.cli; print({loaded})"
     proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                           text=True, timeout=60, check=True)
     assert proc.stdout.strip() == "[]"
@@ -517,12 +557,16 @@ def test_cli_import_leaves_scipy_optimize_out(tmp_path):
     sio.dump_json(sio.config_to_json(u0), cfg)
     sio.dump_json(sio.head_curve_to_json(*circle_head_curve(u0, 0.05 * u0.L)), head)
     run = ("import sys, snakeplan.cli; code = snakeplan.cli.main(sys.argv[1:]); "
-           f"print({scipy_loaded}, file=sys.stderr); sys.exit(code)")
-    for argv in (["steer", "--matrix", A, "--config", cfg, "--out-dir", str(tmp_path / "out")],
-                 ["plan-group", "--matrix", A],
-                 ["lift-head", "--config", cfg, "--head-curve", head, "--step", "1e-2",
-                  "--out-dir", str(tmp_path / "lift")]):
+           f"print({loaded}, file=sys.stderr); sys.exit(code)")
+    for argv, lazy in (
+        (["steer", "--matrix", A, "--config", cfg, "--out-dir", str(tmp_path / "out")], []),
+        (["plan-group", "--matrix", A], []),
+        (["lift-head", "--config", cfg, "--head-curve", head, "--step", "1e-2",
+          "--out-dir", str(tmp_path / "lift")], ["snakeplan.spline"]),
+        (["generate", "--kind", "random-config", "--seed", "5", "--out",
+          str(tmp_path / "gen.json")], ["snakeplan.generate"]),
+    ):
         proc = subprocess.run([sys.executable, "-c", run, *argv], env=env, capture_output=True,
                               text=True, timeout=60)
         assert proc.returncode == 0, proc.stderr
-        assert proc.stderr.strip().splitlines()[-1] == "[]"
+        assert proc.stderr.strip().splitlines()[-1] == str(lazy)

@@ -28,13 +28,10 @@ from snakeplan.snake import (
     endpoint,
     e_field,
     fit_horizontal,
-    horizontal_gradient,
-    l2_norm,
-    project_tangent,
 )
-from snakeplan.sphere import mobius_sphere_action_many
+from snakeplan.sphere import mobius_sphere_action_many, tangent_at
 
-from conftest import DIMS, RAPIDITIES, lorentz_sample
+from conftest import DIMS, RAPIDITIES, l2_norm, lorentz_sample
 
 
 def rot_matrix(theta, n=2):
@@ -333,7 +330,7 @@ class TestInfinitesimalAction:
         cfg = random_config(rng, 3)
         w = rng.normal(size=3)
         v = action_velocity(w, np.eye(4), cfg)
-        assert np.max(np.abs(v - horizontal_gradient(w, cfg))) < 1e-12
+        assert np.max(np.abs(v - tangent_at(cfg.nodes, w))) < 1e-12
 
     @pytest.mark.parametrize("n", [2, 3, 8])
     def test_action_velocity_matches_finite_difference(self, n):
@@ -361,7 +358,7 @@ class TestSteerConfig:
         path = steer_config(cfg, A, max_step=0.05)
         assert config_distance(path.final, act(A, cfg)) < 1e-9
         for k in range(len(path.velocities)):
-            fit = fit_horizontal(path.config(k), path.velocities[k])
+            fit = fit_horizontal(path.grid, path.config(k).nodes, path.velocities[k])
             assert fit.residual < 1e-10
 
     def test_random_so0_final_config(self, rng):
@@ -430,7 +427,7 @@ class TestSteerConfig:
         for k in range(1, len(path.nodes) - 1, 3):
             uk = path.config(k)
             fd = (path.nodes[k + 1] - path.nodes[k - 1]) / (path.times[k + 1] - path.times[k - 1])
-            ref.append(fit_horizontal(uk, project_tangent(uk, fd)).residual)
+            ref.append(fit_horizontal(uk, uk.nodes, tangent_at(uk.nodes, fd)).residual)
         got = config_velocity_residuals(path, subsample=3)
         assert got.shape == (len(ref),)
         assert np.max(np.abs(got - ref)) <= 1e-14
@@ -471,11 +468,11 @@ class TestHorizontalLift:
         k = len(path.nodes) // 2
         ucfg = path.config(k)
         v = path.velocities[k]
-        assert fit_horizontal(ucfg, v).residual < 1e-10
+        assert fit_horizontal(ucfg, ucfg.nodes, v).residual < 1e-10
         # minimality: velocity is L2-orthogonal to sampled kernel fields
         for _ in range(5):
-            raw = project_tangent(ucfg, np.random.default_rng(1).normal(size=v.shape))
-            kern = raw - horizontal_gradient(fit_horizontal(ucfg, raw).w, ucfg)
+            raw = tangent_at(ucfg.nodes, np.random.default_rng(1).normal(size=v.shape))
+            kern = raw - tangent_at(ucfg.nodes, fit_horizontal(ucfg, ucfg.nodes, raw).w)
             inner = np.einsum("i,ij,ij->", ucfg.weights, v, kern)
             assert abs(inner) < 1e-9 * max(1.0, l2_norm(ucfg, v) * l2_norm(ucfg, kern))
 

@@ -6,22 +6,21 @@ from snakeplan.generate import random_config, straight_config
 from snakeplan.snake import (
     FIT_RANK_FACTOR,
     SnakeConfig,
+    _gram,
     config_distance,
     critical_radii,
     differential_endpoint,
     endpoint,
     e_field,
     fit_horizontal,
-    fit_horizontal_many,
     gauss_legendre,
-    gram_data,
-    horizontal_gradient,
     is_singular,
-    l2_norm,
-    project_tangent,
     snake_curve,
     snake_curve_matrix,
 )
+from snakeplan.sphere import tangent_at
+
+from conftest import l2_norm
 
 
 def e(i, n):
@@ -220,28 +219,32 @@ class TestSnakeCurveMatrix:
                 arr[0] = 1.0
 
 
+def gram(u):
+    """(Gamma_u, A_u) of a configuration."""
+    return _gram(u.weights, u.L, u.nodes)
+
+
 class TestGramData:
+    # Gamma_u and A_u as _gram builds them
     def test_constant_direction_rank_one(self):
         cfg = constant_config(e(0, 3), L=2.0)
-        gd = gram_data(cfg)
-        assert np.allclose(gd.gram, 2.0 * np.outer(e(0, 3), e(0, 3)), atol=1e-12)
-        assert gd.eigenvalues[0] == pytest.approx(0.0, abs=1e-12)
+        G, A = gram(cfg)
+        assert np.allclose(G, 2.0 * np.outer(e(0, 3), e(0, 3)), atol=1e-12)
+        assert np.linalg.eigh(A)[0][0] == pytest.approx(0.0, abs=1e-12)
 
     def test_circle_sweep_half_half(self):
         cfg = circle_config(L=2 * np.pi, n=3)
-        gd = gram_data(cfg)
         expect = np.zeros((3, 3))
         expect[0, 0] = expect[1, 1] = np.pi
-        assert np.linalg.norm(gd.gram - expect) < 1e-10
+        assert np.linalg.norm(gram(cfg)[0] - expect) < 1e-10
 
     def test_trace_is_length(self, rng):
         cfg = random_config(rng, 5)
-        assert np.trace(gram_data(cfg).gram) == pytest.approx(cfg.L, abs=1e-8)
+        assert np.trace(gram(cfg)[0]) == pytest.approx(cfg.L, abs=1e-8)
 
     def test_spectrum_in_zero_L(self, rng):
         cfg = random_config(rng, 4)
-        gd = gram_data(cfg)
-        gvals = np.linalg.eigvalsh(gd.gram)
+        gvals = np.linalg.eigvalsh(gram(cfg)[0])
         assert gvals[0] >= -1e-9
         assert gvals[-1] <= cfg.L + 1e-9
 
@@ -286,21 +289,17 @@ class TestIsSingular:
 class TestHorizontalFields:
     def test_zero_direction(self, rng):
         cfg = random_config(rng, 3)
-        assert np.linalg.norm(horizontal_gradient(np.zeros(3), cfg)) == 0.0
+        assert np.linalg.norm(tangent_at(cfg.nodes, np.zeros(3))) == 0.0
 
     def test_constant_config_orthogonal_direction(self):
         cfg = constant_config(e(0, 3))
-        v = horizontal_gradient(e(1, 3), cfg)
+        v = e_field(2, cfg)
         assert np.allclose(v, np.tile(e(1, 3), (cfg.nodes.shape[0], 1)))
 
     def test_tangency(self, rng):
         cfg = random_config(rng, 4)
-        v = horizontal_gradient(rng.normal(size=4), cfg)
+        v = tangent_at(cfg.nodes, rng.normal(size=4))
         assert np.max(np.abs(np.einsum("ij,ij->i", v, cfg.nodes))) < 1e-12
-
-    def test_e_field_is_coordinate_gradient(self, rng):
-        cfg = random_config(rng, 3)
-        assert np.allclose(e_field(2, cfg), horizontal_gradient(e(1, 3), cfg))
 
 
 class TestDifferentialEndpoint:
@@ -309,21 +308,21 @@ class TestDifferentialEndpoint:
         assert np.linalg.norm(differential_endpoint(cfg, np.zeros_like(cfg.nodes))) == 0.0
 
     def test_core_identity_a_u(self, rng):
-        # T_u E (horizontal_gradient(w)) = A_u w
+        # T_u E (w - <w,u>u) = A_u w
         for _ in range(10):
             cfg = random_config(rng, 4)
             w = rng.normal(size=4)
-            got = differential_endpoint(cfg, horizontal_gradient(w, cfg))
-            assert np.linalg.norm(got - gram_data(cfg).a_op @ w) < 1e-9
+            got = differential_endpoint(cfg, tangent_at(cfg.nodes, w))
+            assert np.linalg.norm(got - gram(cfg)[1] @ w) < 1e-9
 
     def test_orthogonal_constant_case(self):
         cfg = constant_config(e(1, 2), L=2.0)
-        got = differential_endpoint(cfg, horizontal_gradient(e(0, 2), cfg))
+        got = differential_endpoint(cfg, e_field(1, cfg))
         assert np.allclose(got, 2.0 * e(0, 2), atol=1e-12)
 
     def test_matches_finite_difference_of_endpoint(self, rng):
         cfg = random_config(rng, 3)
-        v = project_tangent(cfg, rng.normal(size=cfg.nodes.shape))
+        v = tangent_at(cfg.nodes, rng.normal(size=cfg.nodes.shape))
         eps = 1e-6
 
         def heads(sign):
@@ -339,38 +338,38 @@ class TestFitHorizontal:
     def test_roundtrip_recovery(self, rng):
         cfg = random_config(rng, 4)
         w0 = rng.normal(size=4)
-        res = fit_horizontal(cfg, horizontal_gradient(w0, cfg))
+        res = fit_horizontal(cfg, cfg.nodes, tangent_at(cfg.nodes, w0))
         assert np.linalg.norm(res.w - w0) < 1e-9
         assert res.residual < 1e-9
         assert not res.restricted
 
     def test_kernel_field_residual_is_norm(self, rng):
         cfg = random_config(rng, 3)
-        v = project_tangent(cfg, rng.normal(size=cfg.nodes.shape))
-        fit = fit_horizontal(cfg, v)
-        kernel_part = v - horizontal_gradient(fit.w, cfg)
-        fit2 = fit_horizontal(cfg, kernel_part)
+        v = tangent_at(cfg.nodes, rng.normal(size=cfg.nodes.shape))
+        fit = fit_horizontal(cfg, cfg.nodes, v)
+        kernel_part = v - tangent_at(cfg.nodes, fit.w)
+        fit2 = fit_horizontal(cfg, cfg.nodes, kernel_part)
         assert np.linalg.norm(fit2.w) < 1e-9
         assert fit2.residual == pytest.approx(l2_norm(cfg, kernel_part), abs=1e-10)
 
     def test_zero_field(self, rng):
         cfg = random_config(rng, 3)
-        res = fit_horizontal(cfg, np.zeros_like(cfg.nodes))
+        res = fit_horizontal(cfg, cfg.nodes, np.zeros_like(cfg.nodes))
         assert np.linalg.norm(res.w) == 0.0 and res.residual == 0.0
 
     def test_singular_config_restricted(self):
         cfg = straight_config(3)
-        res = fit_horizontal(cfg, horizontal_gradient(e(1, 3), cfg))
+        res = fit_horizontal(cfg, cfg.nodes, e_field(2, cfg))
         assert res.restricted
 
 
 def normal_equation_fit(u, v, rank_tol):
     """Reference fit: per-configuration Gram eigen-solve on range(A_u)."""
-    gd = gram_data(u)
-    keep = gd.eigenvalues > rank_tol
-    coeffs = gd.eigenvectors.T @ differential_endpoint(u, v)
-    w = gd.eigenvectors[:, keep] @ (coeffs[keep] / gd.eigenvalues[keep])
-    return w, l2_norm(u, v - horizontal_gradient(w, u)), bool(not keep.all())
+    vals, vecs = np.linalg.eigh(gram(u)[1])
+    keep = vals > rank_tol
+    coeffs = vecs.T @ differential_endpoint(u, v)
+    w = vecs[:, keep] @ (coeffs[keep] / vals[keep])
+    return w, l2_norm(u, v - tangent_at(u.nodes, w)), bool(not keep.all())
 
 
 def on_grid(grid, nodes):
@@ -380,6 +379,7 @@ def on_grid(grid, nodes):
 
 
 class TestFitHorizontalMany:
+    # fit_horizontal on stacks of node sets
     @pytest.mark.parametrize("n", [2, 3, 8])
     def test_stack_matches_per_configuration_fits(self, n, monkeypatch):
         # a stack with a singular member takes the masked eigen-solve, a
@@ -392,15 +392,15 @@ class TestFitHorizontalMany:
         eigh = np.linalg.eigh
         for configs in ([regular, straight], [regular, rotated]):
             nodes = np.stack([c.nodes for c in configs])
-            v = np.stack([project_tangent(c, rng.normal(size=c.nodes.shape)) for c in configs])
+            v = tangent_at(nodes, rng.normal(size=nodes.shape))
             calls = []
             with monkeypatch.context() as mp:
                 mp.setattr(np.linalg, "eigh", lambda A: calls.append(A.shape) or eigh(A))
-                fit = fit_horizontal_many(regular, nodes, v)
+                fit = fit_horizontal(regular, nodes, v)
             assert len(calls) == (configs[1] is straight)
             assert fit.restricted.tolist() == [False, configs[1] is straight]
             for k, cfg in enumerate(configs):
-                single = fit_horizontal(cfg, v[k])
+                single = fit_horizontal(cfg, cfg.nodes, v[k])
                 w, residual, restricted = normal_equation_fit(cfg, v[k], FIT_RANK_FACTOR * cfg.L)
                 assert single.restricted == restricted == fit.restricted[k]
                 assert abs(single.residual - fit.residual[k]) <= 1e-14
@@ -423,9 +423,9 @@ class TestFitHorizontalMany:
         for members in (rotated, np.concatenate([rotated, [straight]])):
             configs = [on_grid(regular, nodes) for nodes in members]
             nodes = np.stack([c.nodes for c in configs])
-            v = np.stack([project_tangent(c, rng.normal(size=c.nodes.shape)) for c in configs])
-            fit = fit_horizontal_many(regular, nodes, v)
-            view = fit_horizontal_many(regular, node_major(nodes), node_major(v))
+            v = tangent_at(nodes, rng.normal(size=nodes.shape))
+            fit = fit_horizontal(regular, nodes, v)
+            view = fit_horizontal(regular, node_major(nodes), node_major(v))
             assert fit.restricted.tolist() == view.restricted.tolist()
             assert fit.restricted.tolist() == [False] * 4 + [True] * (len(members) - 4)
             assert np.max(np.abs(fit.w - view.w)) <= 1e-14
@@ -444,10 +444,10 @@ class TestFitHorizontalMany:
         cfg = SnakeConfig.from_segment_samples(
             L, [0.0, 0.5 * L, L], [np.tile(up, (16, 1)), np.tile(down, (16, 1))])
         # at 2e-14 the computed eigenvalue carries rounding of a few eps_mach L
-        assert gram_data(cfg).eigenvalues[0] == pytest.approx(factor * cut, rel=0.05)
+        assert np.linalg.eigh(gram(cfg)[1])[0][0] == pytest.approx(factor * cut, rel=0.05)
         rng = np.random.default_rng(400 + n)
-        v = project_tangent(cfg, rng.normal(size=cfg.nodes.shape))
-        fit = fit_horizontal_many(cfg, cfg.nodes[None], v[None])
+        v = tangent_at(cfg.nodes, rng.normal(size=cfg.nodes.shape))
+        fit = fit_horizontal(cfg, cfg.nodes[None], v[None])
         w, residual, restricted = normal_equation_fit(cfg, v, cut)
         assert fit.restricted.tolist() == [restricted] == [factor < 1.0]
         assert np.max(np.abs(w - fit.w[0])) <= 1e-14 * max(1.0, np.max(np.abs(w)))
