@@ -174,15 +174,12 @@ def group_path_to_json(path: GroupPath) -> dict:
     }
 
 
-def _fmt(x: float) -> str:
-    return format(float(x), ".17g")
-
-
 def write_csv(path, header: list, rows) -> None:
+    """One line per row, one %.17g value per header column."""
+    line = ",".join(["%.17g"] * len(header)) + "\n"
     with open(path, "w") as fh:
         fh.write(",".join(header) + "\n")
-        for row in rows:
-            fh.write(",".join(_fmt(x) for x in row) + "\n")
+        fh.writelines(line % tuple(row) for row in rows)
 
 
 def sphere_path_rows(times: np.ndarray, points: np.ndarray):

@@ -290,12 +290,17 @@ def basis_U(i: int, n: int) -> LieElement:
     return LieElement(u=u)
 
 
+def _plane_indices(i: int, j: int, n: int) -> None:
+    """Reject a coordinate plane (i, j) of R^n unless i != j, both in 1..n."""
+    if i == j:
+        raise ValueError(f"plane indices ({i},{j}) must differ")
+    if not (1 <= i <= n and 1 <= j <= n):
+        raise ValueError(f"plane indices ({i},{j}) out of range 1..{n}")
+
+
 def basis_Omega(i: int, j: int, n: int) -> LieElement:
     """Omega_ij, 1-indexed rotation generator: entry (i,j) = 1, (j,i) = -1."""
-    if i == j:
-        raise ValueError("Omega_ij needs i != j")
-    if not (1 <= i <= n and 1 <= j <= n):
-        raise ValueError(f"indices ({i},{j}) out of range 1..{n}")
+    _plane_indices(i, j, n)
     B = np.zeros((n, n))
     B[i - 1, j - 1] = 1.0
     B[j - 1, i - 1] = -1.0

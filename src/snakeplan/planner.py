@@ -25,7 +25,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .lorentz import LieElement, _row_norms, exp_h, factorize, spatial_block
+from .lorentz import LieElement, _plane_indices, _row_norms, exp_h, factorize, spatial_block
 from .rotations import _plane_generator, planar_rotation
 from .snake import SnakeConfig, _gram, endpoint, fit_horizontal
 from .sphere import _cone_images, _light_cone, mobius_sphere_action_many, sphere_point, tangent_at
@@ -120,6 +120,8 @@ def _chain(n: int, legs) -> GroupPath:
 
 
 def _steps_for(length: float, max_step: float) -> int:
+    if not 0.0 < max_step < np.inf:
+        raise ValueError(f"step must be positive and finite, got {max_step}")
     return max(2, int(np.ceil(length / max_step)))
 
 
@@ -204,10 +206,7 @@ def rotation_leg(
     i: int, j: int, theta: float, n: int, max_step: float = DEFAULT_MAX_STEP
 ) -> GroupPath:
     """Geodesic leg to Exp(theta * Omega_ij) in SO0(n,1), angle folded into (0, pi]."""
-    if i == j:
-        raise ValueError("rotation_leg needs i != j")
-    if not (1 <= i <= n and 1 <= j <= n):
-        raise ValueError(f"plane indices ({i},{j}) out of range 1..{n}")
+    _plane_indices(i, j, n)
     # Exp(theta Omega_ij) has generator e_i e_j^T - e_j e_i^T, which is the
     # plane generator of the ordered frame (e_j, e_i)
     x = np.zeros(n)
@@ -256,8 +255,7 @@ def commutator_probe(
     alternates between repetitions, which cancels the cubic BCH term and
     yields an O(1/m) endpoint error.
     """
-    if i == j:
-        raise ValueError("commutator_probe needs i != j")
+    _plane_indices(i, j, n)
     if m < 1:
         raise ValueError("m >= 1 required")
     if t == 0.0:
@@ -362,7 +360,7 @@ def _cone_velocity(u: np.ndarray, W: np.ndarray) -> np.ndarray:
     boosts u (..., n): two passes over rows of K nodes, built in place in one
     (..., n, K) array and returned as its (..., K, n) view.  This is the
     tangent projection of u at z = W_x / W_t, kept apart from
-    sphere.tangent_at so that the velocity fit checks an independent formula."""
+    sphere.tangent_at so that steer's velocity check compares two formulas."""
     Wt, Wx = W[..., :1, :], W[..., 1:, :]
     s = u[..., None, :] @ Wx
     s /= Wt
@@ -445,6 +443,8 @@ def horizontal_lift(
             raise ValueError(f"head curve gave shape {vals.shape}, expected {(ts.shape[0], n)}")
         return vals
 
+    if not 0.0 < dt < np.inf:
+        raise ValueError(f"step must be positive and finite, got {dt}")
     m = max(1, int(round(t_final / dt)))
     times = np.linspace(0.0, t_final, m + 1)
     h = times[1] - times[0]

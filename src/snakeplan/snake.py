@@ -220,8 +220,8 @@ def _identity(n: int) -> np.ndarray:
 def _gram(weights: np.ndarray, L: float, nodes: np.ndarray):
     """Gamma_u and A_u for one node set or a stack (..., K, n) on one quadrature.
 
-    The two triangles of the product differ by rounding only; eigh and
-    cholesky read the lower one, so no symmetrizing pass is made.
+    The two triangles of the product differ by rounding only; eigh reads
+    the lower one, so no symmetrizing pass is made.
     """
     G = (nodes * weights[:, None]).swapaxes(-1, -2) @ nodes
     return G, L * _identity(nodes.shape[-1]) - G
@@ -255,46 +255,40 @@ class FitResult:
     restricted: np.ndarray  # True where A_u was singular and the fit used range(A_u)
 
 
+def _horizontal_residual(grid: SnakeConfig, nodes: np.ndarray, w: np.ndarray,
+                         v: np.ndarray) -> np.ndarray:
+    """||v - (w - <w,u>u)||_{L^2} per node set u (..., K, n), built in place
+    over rows of K nodes in one (..., n, K) buffer (contiguous reads for
+    node-major stacks such as steer_config's), not through sphere.tangent_at."""
+    uT = nodes.swapaxes(-1, -2)
+    resid = (w[..., None, :] @ uT) * uT
+    resid -= w[..., :, None]
+    resid += v.swapaxes(-1, -2)
+    return np.sqrt(np.einsum("k,...ik,...ik->...", grid.weights, resid, resid))
+
+
 def fit_horizontal(grid: SnakeConfig, nodes: np.ndarray, v: np.ndarray) -> FitResult:
     """Least-squares horizontal direction, minimizing ||v - (w - <w,u>u)||_{L^2}
     by A_u w = int v ds, for unit node sets u (K, n) or (..., K, n) and fields
     v of the same shape, all on grid's partition and quadrature.
 
-    One product builds every Gram matrix.  If A_u - c Id, c = 64 eps L (the
-    rank cut FIT_RANK_FACTOR * L, not is_singular's 1e-8 L), has a Cholesky
-    factor for the whole stack, every lambda_min(A_u) exceeds c and one
-    batched solve gives w.  Otherwise one batched eigen-solve inverts them,
-    with eigenvalues at or below c masked out per configuration.  A cut t
+    v must be tangent at u: only then is int v ds the normal equation's
+    right-hand side.  One batched eigen-solve inverts every A_u, masking
+    eigenvalues at or below c = 64 eps L (FIT_RANK_FACTOR * L, not
+    is_singular's 1e-8 L); such fits are restricted to range(A_u).  A cut t
     above c would drop a horizontal component of L^2 norm up to sqrt(t) |w|
     wherever a strong boost bunches the nodes.
     """
     nodes = np.asarray(nodes, dtype=float)
     v = np.asarray(v, dtype=float)
     _, A = _gram(grid.weights, grid.L, nodes)
-    # b and the residual run over rows of K nodes: (..., n, K) views, which
-    # are contiguous for node-major stacks such as steer_config's
-    uT, vT = nodes.swapaxes(-1, -2), v.swapaxes(-1, -2)
-    b = vT @ grid.weights
-    cut = FIT_RANK_FACTOR * grid.L
-    try:
-        np.linalg.cholesky(A - cut * _identity(A.shape[-1]))
-    except np.linalg.LinAlgError:
-        vals, vecs = np.linalg.eigh(A)
-        keep = vals > cut
-        coeffs = np.einsum("...ji,...j->...i", vecs, b)
-        scaled = np.where(keep, coeffs / np.where(keep, vals, 1.0), 0.0)
-        w = np.einsum("...ij,...j->...i", vecs, scaled)
-        restricted = ~keep.all(axis=-1)
-    else:
-        w = np.linalg.solve(A, b[..., None])[..., 0]
-        restricted = np.zeros(A.shape[:-2], dtype=bool)
-    # v - (w - <w,u>u), built in place rather than through sphere.tangent_at:
-    # one (..., n, K) temporary for the stack
-    resid = (w[..., None, :] @ uT) * uT
-    resid -= w[..., :, None]
-    resid += vT
-    residual = np.sqrt(np.einsum("k,...ik,...ik->...", grid.weights, resid, resid))
-    return FitResult(w=w, residual=residual, restricted=restricted)
+    vals, vecs = np.linalg.eigh(A)
+    keep = vals > FIT_RANK_FACTOR * grid.L
+    coeffs = np.einsum("...ji,...j->...i", vecs, v.swapaxes(-1, -2) @ grid.weights)
+    scaled = np.where(keep, coeffs / np.where(keep, vals, 1.0), 0.0)
+    w = np.einsum("...ij,...j->...i", vecs, scaled)
+    return FitResult(w=w, residual=_horizontal_residual(grid, nodes, w, v),
+                     restricted=~keep.all(axis=-1))
 
 
 def critical_radii(partition) -> np.ndarray:

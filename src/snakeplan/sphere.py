@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .lorentz import Membership, classify
+from .lorentz import Membership, _plane_indices, classify
 from .rotations import _plane_generator, planar_rotation
 
 __all__ = [
@@ -208,12 +208,9 @@ def xi_field(i: int, z: np.ndarray) -> np.ndarray:
 
 def xi_bracket(i: int, j: int, z: np.ndarray) -> np.ndarray:
     """[xi_i, xi_j](z) = z_i e_j - z_j e_i."""
-    if i == j:
-        raise ValueError("xi_bracket needs i != j")
     z = sphere_point(z)
     n = z.shape[0]
-    if not (1 <= i <= n and 1 <= j <= n):
-        raise ValueError(f"indices ({i},{j}) out of range 1..{n}")
+    _plane_indices(i, j, n)
     out = np.zeros(n)
     out[j - 1] = z[i - 1]
     out[i - 1] = -z[j - 1]

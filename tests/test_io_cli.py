@@ -80,6 +80,18 @@ def test_csv_float_format(tmp_path):
     assert text[1].startswith("0.3333333333333333")
 
 
+def test_csv_matches_per_float_formatting(tmp_path):
+    # one %-format per row prints each value as format(float(x), ".17g") did
+    edge = [-0.0, 0.0, 5e-324, 2**53 + 1, np.inf, -np.inf, np.nan, 1.0 / 3.0, np.float64(0.1)]
+    rng = np.random.default_rng(0)
+    values = edge + list(rng.choice([-1.0, 1.0], 9_999) * 10.0 ** rng.uniform(-300, 300, 9_999))
+    rows = [values[k:k + 3] for k in range(0, len(values), 3)]
+    p = tmp_path / "edge.csv"
+    sio.write_csv(p, ["a", "b", "c"], rows)
+    want = ["a,b,c"] + [",".join(format(float(x), ".17g") for x in row) for row in rows]
+    assert p.read_text().splitlines() == want
+
+
 def test_sphere_path_csv(tmp_path, rng):
     ts = np.linspace(0.0, 1.0, 5)
     Z = rng.normal(size=(5, 3))
@@ -156,6 +168,30 @@ class TestCli:
         p = tmp_path / "broken.json"
         p.write_text("{\"dim\": 2, \"rows\": [[1,0],[0,1]]}")
         assert main(["decompose", "--matrix", str(p)]) == 2
+
+    @pytest.mark.parametrize("command, extra, message", [
+        ("plan-group", ["--step", "0"], "step must be positive and finite, got 0.0"),
+        ("lift-head", ["--step", "0"], "step must be positive and finite, got 0.0"),
+        ("probe-bracket", ["--step", "0"], "step must be positive and finite, got 0.0"),
+        ("plan-group", ["--step", "-1"], "step must be positive and finite, got -1.0"),
+        ("steer", ["--step", "-0.5"], "step must be positive and finite, got -0.5"),
+        ("lift-head", ["--step", "-0.1"], "step must be positive and finite, got -0.1"),
+        ("plan-group", ["--step", "nan"], "step must be positive and finite, got nan"),
+        ("lift-head", ["--step", "nan"], "step must be positive and finite, got nan"),
+        ("probe-bracket", ["--i", "4", "--dim", "3"], "plane indices (4,2) out of range 1..3"),
+    ], ids=["plan-group-0", "lift-head-0", "probe-bracket-0", "plan-group-neg", "steer-neg",
+            "lift-head-neg", "plan-group-nan", "lift-head-nan", "probe-bracket-axis"])
+    def test_bad_step_or_axis_exits_2(self, tmp_path, capsys, command, extra, message):
+        m = self._gen_matrix(tmp_path)
+        c, h = self._gen_lift_inputs(tmp_path)
+        argv = {"plan-group": ["--matrix", m], "steer": ["--matrix", m, "--config", c],
+                "lift-head": ["--config", c, "--head-curve", h],
+                "probe-bracket": ["--i", "1", "--j", "2", "--t", "0.5", "--m", "8"]}[command]
+        capsys.readouterr()
+        assert main([command, *argv, *extra]) == 2
+        out, err = capsys.readouterr()
+        assert json.loads(out)["outputs"]["error"] == {"kind": "validation", "message": message}
+        assert err == ""
 
     def test_missing_file_exit_code(self, tmp_path):
         assert main(["decompose", "--matrix", str(tmp_path / "nope.json")]) == 4
@@ -259,34 +295,39 @@ class TestCli:
         assert (out / "final_config.json").exists()
         head = (out / "head_trace.csv").read_text().splitlines()
         assert head[0] == "t,x1,x2,x3"
-        result = json.loads(capsys.readouterr().out)["outputs"]["result"]
-        assert 0 <= result["fit_worst_step"] < result["steps"]
-        assert result["fit_restricted_steps"] == 0
+        report = json.loads(capsys.readouterr().out)
+        result = report["outputs"]["result"]
+        assert 0 <= result["velocity_worst_step"] < result["steps"]
+        assert report["verification"]["passed"]
 
     def test_steer_straight_config_counts_restricted_fits(self, tmp_path, capsys):
-        # a straight configuration stays straight, so A_u is singular at every step
+        # a straight configuration stays straight, so A_u is singular at every
+        # step; the recorded controls need no fit, so the check reads rounding
         m = self._gen_matrix(tmp_path)
         c = str(tmp_path / "straight.json")
         sio.dump_json(sio.config_to_json(straight_config(3)), c)
         capsys.readouterr()
         assert main(["steer", "--matrix", m, "--config", c]) == 0
-        result = json.loads(capsys.readouterr().out)["outputs"]["result"]
-        assert result["fit_restricted_steps"] == result["steps"] > 0
+        report = json.loads(capsys.readouterr().out)
+        assert report["outputs"]["result"]["steps"] > 0
+        check = {ch["name"]: ch for ch in report["verification"]["checks"]}
+        residual = check["velocity_control_residual"]
+        assert residual["pass"] and residual["value"] <= 1e-12
 
     @pytest.mark.parametrize("w, n, seed", [(8.0, 3, 10), (8.0, 8, 6), (8.0, 16, 10),
                                             (15.0, 3, 9), (15.0, 8, 9), (15.0, 16, 9)])
     def test_steer_at_large_rapidity(self, tmp_path, capsys, w, n, seed):
         # strong boosts bunch the nodes, so lambda_min(A_u) falls below 1e-8 L
         # (to 1e-14 L at |u| = 15); a fit restricted at 1e-8 L failed the 1e-6
-        # bound on these draws
+        # bound on these draws, while the recorded controls match to rounding
         rng = np.random.default_rng(seed)
         m, c = str(tmp_path / "A.json"), str(tmp_path / "cfg.json")
         sio.dump_json(sio.matrix_to_json(lorentz_sample(rng, n, w)[0]), m)
         sio.dump_json(sio.config_to_json(random_config(rng, n)), c)
         assert main(["steer", "--matrix", m, "--config", c]) == 0
         checks = json.loads(capsys.readouterr().out)["verification"]["checks"]
-        fit = {ch["name"]: ch for ch in checks}["velocity_fit_residual"]
-        assert fit["pass"] and fit["value"] <= 1e-6
+        residual = {ch["name"]: ch for ch in checks}["velocity_control_residual"]
+        assert residual["pass"] and residual["value"] <= 1e-12
 
     @pytest.mark.parametrize("command", ["steer", "lift-head", "plan-group", "probe-bracket"])
     def test_report_stages_and_counts(self, command, tmp_path, capsys):
@@ -319,8 +360,7 @@ class TestCli:
             assert result["legs"] == len(plan.legs) > 0
             assert result["steps"] == len(plan.controls)
         if command == "steer":
-            assert set(result) == {"steps", "legs", "nodes", "fit_worst_step",
-                                   "fit_restricted_steps"}
+            assert set(result) == {"steps", "legs", "nodes", "velocity_worst_step"}
             assert result["nodes"] == 48
         if command == "plan-group":
             assert set(result) == {"length", "steps", "legs", "ledger"}
@@ -349,8 +389,8 @@ class TestCli:
             assert result["max_tracking_error_time"] == path.times[worst]
 
     def test_velocity_fit_check_can_fail(self, tmp_path, capsys, monkeypatch):
-        # the check refits the recorded velocities, so one node moved by 1e-3
-        # (not a horizontal field any more) must fail its 1e-6 bound
+        # the check compares each velocity with its recorded control's field,
+        # so one node moved by 1e-3 must fail its 1e-6 bound
         from snakeplan import cli
 
         m, c = self._gen_matrix(tmp_path), self._gen_config(tmp_path)
@@ -369,9 +409,34 @@ class TestCli:
         report = json.loads(capsys.readouterr().out)
         checks = {ch["name"]: ch for ch in report["verification"]["checks"]}
         assert checks["final_config_distance"]["pass"]
-        fit = checks["velocity_fit_residual"]
-        assert not fit["pass"] and fit["tol"] == 1e-6 and 1e-5 < fit["value"] < 1e-3
-        assert report["outputs"]["result"]["fit_worst_step"] == steps[0]
+        residual = checks["velocity_control_residual"]
+        assert not residual["pass"] and residual["tol"] == 1e-6
+        assert 1e-5 < residual["value"] < 1e-3
+        assert report["outputs"]["result"]["velocity_worst_step"] == steps[0]
+
+    @pytest.mark.parametrize("dim", [3, 8])
+    def test_velocity_check_catches_a_light_cone_defect(self, tmp_path, capsys,
+                                                        monkeypatch, dim):
+        # D_t / W_t^2 scaled by 1 + 1e-5 in the quotient rule v = u - W_x D_t / W_t^2,
+        # that is v + 1e-5 (v - u): the velocities leave the recorded controls'
+        # fields by about 1e-5
+        from snakeplan import planner
+
+        m, c = self._gen_matrix(tmp_path, seed=7, dim=dim), self._gen_config(tmp_path, 7, dim)
+        capsys.readouterr()
+        cone_velocity = planner._cone_velocity
+
+        def scaled(u, W):
+            v = cone_velocity(u, W)
+            return v + 1e-5 * (v - u[..., None, :])
+
+        monkeypatch.setattr(planner, "_cone_velocity", scaled)
+        assert main(["steer", "--matrix", m, "--config", c]) == 3
+        checks = {ch["name"]: ch for ch in
+                  json.loads(capsys.readouterr().out)["verification"]["checks"]}
+        assert checks["final_config_distance"]["pass"]
+        residual = checks["velocity_control_residual"]
+        assert not residual["pass"] and 1e-6 < residual["value"] < 1e-4
 
     def test_lift_head(self, tmp_path, capsys):
         c = self._gen_config(tmp_path)

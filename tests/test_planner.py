@@ -224,6 +224,18 @@ class TestCommutatorProbe:
         assert errs[1] / errs[0] == pytest.approx(0.5, abs=0.2)
 
 
+    @pytest.mark.parametrize("i, j", [(0, 1), (1, 4), (2, 2)])
+    def test_axes_outside_1_to_n_rejected(self, i, j):
+        # index 0 would otherwise boost along the last axis, as e[-1]
+        with pytest.raises(ValueError, match="plane indices"):
+            commutator_probe(i, j, 0.5, 4, 3)
+
+    @pytest.mark.parametrize("step", [0.0, -0.02, np.nan, np.inf])
+    def test_step_must_be_positive_and_finite(self, step):
+        with pytest.raises(ValueError, match="step must be positive and finite"):
+            commutator_probe(1, 2, 0.5, 4, 3, max_step=step)
+
+
 def concat_reference(n, legs):
     """Per-leg concatenation: re-copy the whole path for every leg."""
     times, mats = np.zeros(1), np.eye(n + 1)[None]
@@ -505,6 +517,14 @@ class TestHorizontalLift:
         with pytest.raises(SingularityApproach):
             horizontal_lift(cfg, lambda t: np.tile(c0, (len(t), 1)),
                             lambda t: np.zeros((len(t), 3)))
+
+    @pytest.mark.parametrize("dt", [0.0, -0.1, np.nan, np.inf])
+    def test_step_must_be_positive_and_finite(self, rng, dt):
+        cfg = random_config(rng, 3)
+        c0 = endpoint(cfg)
+        with pytest.raises(ValueError, match="step must be positive and finite"):
+            horizontal_lift(cfg, lambda t: np.tile(c0, (len(t), 1)),
+                            lambda t: np.zeros((len(t), 3)), dt=dt)
 
     def test_head_outside_ball_rejected(self, rng):
         cfg = random_config(rng, 3, L=1.0)
