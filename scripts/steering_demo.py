@@ -40,7 +40,7 @@ def main():
     sio.write_csv(
         os.path.join(args.out_dir, "head_trace.csv"),
         ["t"] + [f"x{i + 1}" for i in range(args.dim)],
-        sio.head_trace_rows(path),
+        sio.sphere_path_rows(path.times, path.head_trace),
     )
     sio.write_csv(
         os.path.join(args.out_dir, "snake_polylines.csv"),

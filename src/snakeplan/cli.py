@@ -35,12 +35,14 @@ import numpy as np
 
 from . import io as sio
 from .lorentz import (
+    DEFAULT_FACTOR_TOL,
     DEFAULT_MEMBERSHIP_TOL,
     Membership,
     NotABoost,
     NotLorentz,
     _grade,
     _norm2,
+    _positive,
     basis_Omega,
     classify,
     exp_h,
@@ -49,6 +51,8 @@ from .lorentz import (
     spatial_block,
 )
 from .planner import (
+    DEFAULT_LIFT_STEP,
+    DEFAULT_MAX_STEP,
     LIFT_MARGIN_FACTOR,
     SingularityApproach,
     act,
@@ -66,10 +70,7 @@ EXIT_VALIDATION = 2
 EXIT_NUMERICAL = 3
 EXIT_IO = 4
 
-# option defaults shared by several subcommands (see _COMMANDS)
-_TOL = 1e-8
-_STEP = 0.02
-_DIM = 3
+_DIM = 3  # probe-bracket's and generate's --dim (see _COMMANDS)
 
 
 @dataclass
@@ -124,7 +125,7 @@ def _export_head_and_final(sc, outputs, path):
     """head_trace.csv and final_config.json of a ConfigPath."""
     header = ["t"] + [f"x{i+1}" for i in range(path.grid.dim)]
     _export(sc, outputs, "head_trace.csv",
-            lambda p: sio.write_csv(p, header, sio.head_trace_rows(path)))
+            lambda p: sio.write_csv(p, header, sio.sphere_path_rows(path.times, path.head_trace)))
     _export(sc, outputs, "final_config.json",
             lambda p: sio.dump_json(sio.config_to_json(path.final), p))
 
@@ -332,12 +333,12 @@ def _run_generate(sc: Scenario, marks: dict):
 # subcommand -> (runner, option defaults); a runner's docstring is its help,
 # and its marks (stage name -> perf_counter at the stage's end) time its stages
 _COMMANDS = {
-    "decompose": (_run_decompose, {"tol": _TOL}),
-    "factorize": (_run_factorize, {"tol": _TOL}),
-    "plan-group": (_run_plan_group, {"tol": _TOL, "step": _STEP}),
-    "steer": (_run_steer, {"tol": _TOL, "step": _STEP}),
-    "lift-head": (_run_lift_head, {"step": 1e-3, "track_tol": 1e-4}),
-    "probe-bracket": (_run_probe_bracket, {"step": _STEP, "dim": _DIM}),
+    "decompose": (_run_decompose, {"tol": DEFAULT_FACTOR_TOL}),
+    "factorize": (_run_factorize, {"tol": DEFAULT_FACTOR_TOL}),
+    "plan-group": (_run_plan_group, {"tol": DEFAULT_FACTOR_TOL, "step": DEFAULT_MAX_STEP}),
+    "steer": (_run_steer, {"tol": DEFAULT_FACTOR_TOL, "step": DEFAULT_MAX_STEP}),
+    "lift-head": (_run_lift_head, {"step": DEFAULT_LIFT_STEP, "track_tol": 1e-4}),
+    "probe-bracket": (_run_probe_bracket, {"step": DEFAULT_MAX_STEP, "dim": _DIM}),
     "generate": (_run_generate, {"seed": 0, "dim": _DIM}),
 }
 
@@ -353,6 +354,11 @@ def run(scenario: Scenario) -> tuple:
     try:
         runner, defaults = _COMMANDS[scenario.kind]
         scenario = Scenario(scenario.kind, scenario.inputs, defaults | scenario.options)
+        for key in ("tol", "track_tol"):
+            if key in scenario.options:
+                _positive("--" + key.replace("_", "-"), scenario.options[key])
+        if not np.isfinite(scenario.options.get("radius", 0.0)):
+            raise ValueError(f"--radius must be finite, got {scenario.options['radius']}")
         checks, outputs, result = runner(scenario, marks)
         outputs["result"] = result
     except OSError as exc:

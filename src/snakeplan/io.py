@@ -32,7 +32,6 @@ __all__ = [
     "dump_json",
     "write_csv",
     "sphere_path_rows",
-    "head_trace_rows",
     "config_path_polyline_rows",
 ]
 
@@ -185,11 +184,6 @@ def write_csv(path, header: list, rows) -> None:
 def sphere_path_rows(times: np.ndarray, points: np.ndarray):
     for t, z in zip(times, points):
         yield [t, *z]
-
-
-def head_trace_rows(path: ConfigPath):
-    for t, h in zip(path.times, path.head_trace):
-        yield [t, *h]
 
 
 def config_path_polyline_rows(path: ConfigPath, stride: int = 1):

@@ -96,6 +96,12 @@ def lorentz_residual(A: np.ndarray) -> float:
     return float(np.linalg.norm(pseudo_adjoint(A) @ A - np.eye(m)))
 
 
+def _positive(name: str, value: float) -> None:
+    """Reject a step or tolerance that is not positive and finite."""
+    if not 0.0 < value < np.inf:
+        raise ValueError(f"{name} must be positive and finite, got {value}")
+
+
 def _norm2(A: np.ndarray) -> float:
     """|A|_2 = |A00| + |A[0, 1:]| = e^{|u|} of a Lorentz matrix, from its first row."""
     return float(abs(A[0, 0]) + np.linalg.norm(A[0, 1:]))
@@ -283,11 +289,14 @@ class LieElement:
 
 def basis_U(i: int, n: int) -> LieElement:
     """U_i, 1-indexed boost generator."""
+    _axis_index(i, n)
+    return LieElement(u=np.eye(n)[i - 1])
+
+
+def _axis_index(i: int, n: int) -> None:
+    """Reject an axis index i of R^n outside 1..n."""
     if not 1 <= i <= n:
         raise ValueError(f"index {i} out of range 1..{n}")
-    u = np.zeros(n)
-    u[i - 1] = 1.0
-    return LieElement(u=u)
 
 
 def _plane_indices(i: int, j: int, n: int) -> None:
@@ -348,6 +357,7 @@ def factorize(A: np.ndarray, tol: float = DEFAULT_FACTOR_TOL):
     """
     from .rotations import so_log
 
+    _positive("tol", tol)
     A = np.asarray(A, dtype=float)
     grade, factor = _grade(A, max(tol, DEFAULT_MEMBERSHIP_TOL))
     if grade is not Membership.SO0:

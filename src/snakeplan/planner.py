@@ -25,10 +25,12 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .lorentz import LieElement, _plane_indices, _row_norms, exp_h, factorize, spatial_block
+from .lorentz import (DEFAULT_FACTOR_TOL, LieElement, _plane_indices, _positive, _row_norms,
+                      exp_h, factorize, spatial_block)
 from .rotations import _plane_generator, planar_rotation
 from .snake import SnakeConfig, _gram, endpoint, fit_horizontal
-from .sphere import _cone_images, _light_cone, mobius_sphere_action_many, sphere_point, tangent_at
+from .sphere import (_cone_images, _cone_velocity, _light_cone, mobius_sphere_action_many,
+                     sphere_point, tangent_at)
 
 __all__ = [
     "GroupPath",
@@ -47,6 +49,7 @@ __all__ = [
 ]
 
 DEFAULT_MAX_STEP = 0.02
+DEFAULT_LIFT_STEP = 1e-3  # horizontal_lift's dt
 # a geodesic leg turns through one full elliptic period, freq * T = 2 pi,
 # whatever its length T, so it gets at least this many steps
 GEODESIC_MIN_STEPS = 32
@@ -120,8 +123,7 @@ def _chain(n: int, legs) -> GroupPath:
 
 
 def _steps_for(length: float, max_step: float) -> int:
-    if not 0.0 < max_step < np.inf:
-        raise ValueError(f"step must be positive and finite, got {max_step}")
+    _positive("step", max_step)
     return max(2, int(np.ceil(length / max_step)))
 
 
@@ -225,7 +227,7 @@ def rotation_leg(
 def plan_group_path(
     A: np.ndarray,
     max_step: float = DEFAULT_MAX_STEP,
-    tol: float = 1e-8,
+    tol: float = DEFAULT_FACTOR_TOL,
 ) -> GroupPath:
     """Horizontal path from Id to A built from the global factorization.
 
@@ -234,6 +236,7 @@ def plan_group_path(
     prod_j Exp(theta_j B_j) * exp_h(u) = A.  factorize rejects input
     outside SO0(n,1) with NotLorentz.
     """
+    _positive("step", max_step)
     A = np.asarray(A, dtype=float)
     n = A.shape[0] - 1
     blocks, u = factorize(A, tol=tol)
@@ -256,8 +259,11 @@ def commutator_probe(
     yields an O(1/m) endpoint error.
     """
     _plane_indices(i, j, n)
+    _positive("step", max_step)
     if m < 1:
         raise ValueError("m >= 1 required")
+    if not np.isfinite(t):
+        raise ValueError(f"t must be finite, got {t}")
     if t == 0.0:
         return _chain(n, [])
     if t < 0.0:
@@ -309,17 +315,18 @@ class ConfigPath:
 
     Every step shares the partition and quadrature of grid (the start
     configuration); nodes[k] holds the unit directions at times[k].
-    velocities[k] is the field of controls[k] at nodes[k]; steer's controls
-    are the step midpoints' boost vectors, so forward differences of the
-    nodes differ from it by O(h).  nodes and velocities may be views of
-    node-major (..., n, K) arrays, as steer_config builds them.
+    velocities holds steer's light-cone velocities only: velocities[k] is
+    the field of controls[k], a step midpoint's boost vector, at nodes[k],
+    within O(h) of the nodes' forward differences.  A lift stores none; its
+    velocity at step k is tangent_at(nodes[k], controls[k]).  nodes and
+    velocities may be views of node-major (..., n, K) arrays.
     """
 
     times: np.ndarray  # (m+1,)
     grid: SnakeConfig
     nodes: np.ndarray  # (m+1, K, n)
     controls: np.ndarray  # (m, n): fitted direction w per step
-    velocities: np.ndarray | None = None  # (m, K, n) velocity of controls[k] at nodes[k]
+    velocities: np.ndarray | None = None  # (m, K, n) light-cone velocities, steer only
     tracking_errors: np.ndarray | None = None  # head tracking, lifts only
     margins: np.ndarray | None = None  # (m,) lambda_min(A_u) at step starts, lifts only
     eigen_solves: int | None = None  # exact eigen-solves of A_u, lifts only
@@ -339,42 +346,11 @@ class ConfigPath:
         return self.config(-1)
 
 
-def action_velocity(u: np.ndarray, A: np.ndarray, u0: SnakeConfig) -> np.ndarray:
-    """Node-wise velocity of t -> act(exp_h(t u) A, u0) at t = 0.
-
-    u (..., n) and A (..., n+1, n+1) may be stacks; the result is (..., K, n),
-    a view of a node-major (..., n, K) array.
-    Differentiates the projective light-cone formula directly, so the result
-    is independent of the tangent projection it is tested against:
-    the light-cone columns W = A (1, u0)^T move with D = B W, B the symmetric
-    embedding of u, whose only nonzero blocks are D_t = <W_x, u> and
-    D_x = W_t u; the quotient rule on z = W_x / W_t gives
-    (D_x - z D_t) / W_t = u - W_x D_t / W_t^2.
-    """
-    W = _light_cone(np.asarray(A, dtype=float), u0.nodes)
-    return _cone_velocity(np.asarray(u, dtype=float), W)
-
-
-def _cone_velocity(u: np.ndarray, W: np.ndarray) -> np.ndarray:
-    """u - W_x D_t / W_t^2 for light-cone columns W (..., n+1, K) moved by the
-    boosts u (..., n): two passes over rows of K nodes, built in place in one
-    (..., n, K) array and returned as its (..., K, n) view.  This is the
-    tangent projection of u at z = W_x / W_t, kept apart from
-    sphere.tangent_at so that steer's velocity check compares two formulas."""
-    Wt, Wx = W[..., :1, :], W[..., 1:, :]
-    s = u[..., None, :] @ Wx
-    s /= Wt
-    s /= Wt
-    v = Wx * s
-    np.subtract(u[..., :, None], v, out=v)
-    return v.swapaxes(-1, -2)
-
-
 def steer_config(
     u0: SnakeConfig,
     A: np.ndarray,
     max_step: float = DEFAULT_MAX_STEP,
-    tol: float = 1e-8,
+    tol: float = DEFAULT_FACTOR_TOL,
 ) -> ConfigPath:
     """Push u0 along a horizontal group path to act(A, u0).
 
@@ -385,14 +361,11 @@ def steer_config(
     if u0.dim != A.shape[0] - 1:
         raise ValueError("dimension mismatch between config and matrix")
     plan = plan_group_path(A, max_step=max_step, tol=tol)
-    # one light-cone product gives the images of all m+1 steps and the
-    # velocities of the first m, as act and action_velocity would; both are
-    # (..., K, n) views of node-major arrays
+    # one light-cone product gives the images of all m+1 steps, as act would,
+    # and the velocities of the first m, as views of node-major arrays
     W = _light_cone(plan.matrices, u0.nodes)
-    nodes = _cone_images(W)
-    vels = _cone_velocity(plan.controls, W[:-1])
-    return ConfigPath(times=plan.times, grid=u0, nodes=nodes, controls=plan.controls,
-                      velocities=vels, legs=plan.legs)
+    return ConfigPath(times=plan.times, grid=u0, nodes=_cone_images(W), controls=plan.controls,
+                      velocities=_cone_velocity(plan.controls, W[:-1]), legs=plan.legs)
 
 
 def _certifies(margin: float, delta: np.ndarray, floor: float) -> bool:
@@ -410,7 +383,7 @@ def horizontal_lift(
     head,
     head_dot,
     t_final: float = 1.0,
-    dt: float = 1e-3,
+    dt: float = DEFAULT_LIFT_STEP,
 ) -> ConfigPath:
     """Minimal-energy lift of a head curve: solve A_u w = c'(t), advance the
     nodes by w - <w,u>u with classical RK4, renormalizing after every step.
@@ -443,8 +416,7 @@ def horizontal_lift(
             raise ValueError(f"head curve gave shape {vals.shape}, expected {(ts.shape[0], n)}")
         return vals
 
-    if not 0.0 < dt < np.inf:
-        raise ValueError(f"step must be positive and finite, got {dt}")
+    _positive("step", dt)
     m = max(1, int(round(t_final / dt)))
     times = np.linspace(0.0, t_final, m + 1)
     h = times[1] - times[0]
@@ -478,7 +450,6 @@ def horizontal_lift(
 
     controls = np.empty((m, n))
     margins = np.empty(m)
-    vels = np.empty((m,) + u0.nodes.shape)
     nodes = np.empty((m + 1,) + u0.nodes.shape)
     nodes[0] = u0.nodes
     # step 0's exact solve comes first, so a singular start aborts before
@@ -494,7 +465,7 @@ def horizontal_lift(
         if k:
             _, A0 = _gram(u0.weights, u0.L, y)
             margins[k], controls[k] = exact(t, A0, rate[k])
-        k1 = vels[k] = tangent(y, controls[k])
+        k1 = tangent(y, controls[k])
         k2 = stage(t + 0.5 * h, y + 0.5 * h * k1, rate_mid[k], A0, margins[k])
         k3 = stage(t + 0.5 * h, y + 0.5 * h * k2, rate_mid[k], A0, margins[k])
         k4 = stage(t + h, y + h * k3, rate_end[k], A0, margins[k])
@@ -507,7 +478,7 @@ def horizontal_lift(
         k2 += y
         np.divide(k2, np.linalg.norm(k2, axis=1)[:, None], out=nodes[k + 1])
     track = _row_norms(u0.weights @ nodes - heads)
-    return ConfigPath(times=times, grid=u0, nodes=nodes, controls=controls, velocities=vels,
+    return ConfigPath(times=times, grid=u0, nodes=nodes, controls=controls,
                       tracking_errors=track, margins=margins, eigen_solves=eigen_solves)
 
 

@@ -19,6 +19,8 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
+from .lorentz import _positive
+
 __all__ = [
     "RotationBlock",
     "RotationBlocks",
@@ -219,6 +221,7 @@ def so_log(Q: np.ndarray, tol: float = 1e-9):
     eigenvectors the solver picked.  Rejects improper or non-orthogonal
     input.
     """
+    _positive("tol", tol)
     Q = np.asarray(Q, dtype=float)
     n = Q.shape[0]
     if Q.shape != (n, n):

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.polynomial import legendre as npleg
 
-from .sphere import sphere_point, tangent_at
+from .sphere import sphere_point, xi_field
 
 __all__ = [
     "SnakeConfig",
@@ -234,10 +234,8 @@ def is_singular(u: SnakeConfig):
 
 
 def e_field(i: int, u: SnakeConfig) -> np.ndarray:
-    """E_i = tangent_at(u.nodes, e_i), the gradient of head coordinate i (1-indexed)."""
-    w = np.zeros(u.dim)
-    w[i - 1] = 1.0
-    return tangent_at(u.nodes, w)
+    """E_i = xi_i at every node, the gradient of head coordinate i (1-indexed)."""
+    return xi_field(i, u.nodes)
 
 
 def differential_endpoint(u: SnakeConfig, v: np.ndarray) -> np.ndarray:

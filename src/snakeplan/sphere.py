@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .lorentz import Membership, _plane_indices, classify
+from .lorentz import Membership, _axis_index, _plane_indices, classify
 from .rotations import _plane_generator, planar_rotation
 
 __all__ = [
@@ -197,12 +197,30 @@ def _cone_images(W: np.ndarray) -> np.ndarray:
     return out.swapaxes(-1, -2)
 
 
+def _cone_velocity(u: np.ndarray, W: np.ndarray) -> np.ndarray:
+    """Velocity at t = 0 of the sphere points of exp_h(t u) W, for light-cone
+    columns W (..., n+1, K) and boosts u (..., n).
+
+    W moves with D = B W, B the symmetric embedding of u, whose only nonzero
+    blocks are D_t = <W_x, u> and D_x = W_t u; the quotient rule on
+    z = W_x / W_t gives (D_x - z D_t) / W_t = u - W_x D_t / W_t^2, built in
+    two passes over rows of K nodes and returned as the (..., K, n) view of
+    a node-major array.  It is the tangent projection of u at z, kept apart
+    from tangent_at so that steer's velocity check compares two formulas."""
+    Wt, Wx = W[..., :1, :], W[..., 1:, :]
+    s = u[..., None, :] @ Wx
+    s /= Wt
+    s /= Wt
+    v = Wx * s
+    np.subtract(u[..., :, None], v, out=v)
+    return v.swapaxes(-1, -2)
+
+
 def xi_field(i: int, z: np.ndarray) -> np.ndarray:
-    """xi_i(z) = e_i - z_i z (1-indexed), the sphere gradient of z -> z_i."""
+    """xi_i(z) = e_i - z_i z (1-indexed) at z or a stack (..., n), the gradient of z -> z_i."""
     z = sphere_point(z)
-    n = z.shape[0]
-    if not 1 <= i <= n:
-        raise ValueError(f"index {i} out of range 1..{n}")
+    n = z.shape[-1]
+    _axis_index(i, n)
     return tangent_at(z, np.eye(n)[i - 1])
 
 

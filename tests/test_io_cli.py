@@ -193,6 +193,48 @@ class TestCli:
         assert json.loads(out)["outputs"]["error"] == {"kind": "validation", "message": message}
         assert err == ""
 
+    @pytest.mark.parametrize("argv, message", [
+        (["plan-group", "--matrix", "I", "--step", "0"],
+         "step must be positive and finite, got 0.0"),
+        (["steer", "--matrix", "I", "--config", "C", "--step", "-1"],
+         "step must be positive and finite, got -1.0"),
+        (["probe-bracket", "--i", "1", "--j", "2", "--t", "0", "--m", "8", "--step", "0"],
+         "step must be positive and finite, got 0.0"),
+        (["probe-bracket", "--i", "1", "--j", "2", "--t", "inf", "--m", "8"],
+         "t must be finite, got inf"),
+        (["probe-bracket", "--i", "1", "--j", "2", "--t", "nan", "--m", "8"],
+         "t must be finite, got nan"),
+        (["decompose", "--matrix", "A", "--tol", "-1"],
+         "--tol must be positive and finite, got -1.0"),
+        (["plan-group", "--matrix", "A", "--tol", "-1"],
+         "--tol must be positive and finite, got -1.0"),
+        (["factorize", "--matrix", "A", "--tol", "nan"],
+         "--tol must be positive and finite, got nan"),
+        (["steer", "--matrix", "A", "--config", "C", "--tol", "nan"],
+         "--tol must be positive and finite, got nan"),
+        (["lift-head", "--config", "C", "--head-curve", "H", "--track-tol", "nan"],
+         "--track-tol must be positive and finite, got nan"),
+        (["lift-head", "--config", "C", "--head-curve", "H", "--track-tol", "-1"],
+         "--track-tol must be positive and finite, got -1.0"),
+        (["generate", "--kind", "circle-head-curve", "--config", "C", "--radius", "nan"],
+         "--radius must be finite, got nan"),
+    ], ids=["plan-group-identity-step-0", "steer-identity-step-neg", "probe-t-0-step-0",
+            "probe-t-inf", "probe-t-nan", "decompose-tol-neg", "plan-group-tol-neg",
+            "factorize-tol-nan", "steer-tol-nan", "lift-head-track-tol-nan",
+            "lift-head-track-tol-neg", "generate-radius-nan"])
+    def test_bad_option_exits_2_whatever_the_input(self, tmp_path, capsys, argv, message):
+        # the step is checked on entry, so a matrix that needs no leg (the
+        # identity I) or a zero angle t does not let a bad step through
+        identity = tmp_path / "I.json"
+        sio.dump_json(sio.matrix_to_json(np.eye(4)), identity)
+        c, h = self._gen_lift_inputs(tmp_path)
+        paths = {"I": str(identity), "A": self._gen_matrix(tmp_path), "C": c, "H": h}
+        capsys.readouterr()
+        assert main([paths.get(a, a) for a in argv]) == 2
+        out, err = capsys.readouterr()
+        assert json.loads(out)["outputs"]["error"] == {"kind": "validation", "message": message}
+        assert err == ""
+
     def test_missing_file_exit_code(self, tmp_path):
         assert main(["decompose", "--matrix", str(tmp_path / "nope.json")]) == 4
 

@@ -375,6 +375,14 @@ class TestFactorize:
         with pytest.raises(NotLorentz):
             factorize(lorentz_sample(rng, 3, 8.0, **kw)[0])
 
+    @pytest.mark.parametrize("tol", [0.0, -1.0, np.nan, np.inf])
+    def test_tol_must_be_positive_and_finite(self, tol):
+        # a nan tol would skip the membership test, as residual > nan is False
+        A = np.arange(16.0).reshape(4, 4)
+        with pytest.raises(ValueError, match="tol must be positive and finite") as err:
+            factorize(A, tol=tol)
+        assert not isinstance(err.value, NotLorentz)
+
 
 class TestBlockL1Norm:
     def test_pure_boost_part(self, rng):

@@ -11,7 +11,6 @@ from snakeplan.planner import (
     SingularityApproach,
     _certifies,
     act,
-    action_velocity,
     boost_leg,
     commutator_probe,
     config_velocity_residuals,
@@ -29,7 +28,7 @@ from snakeplan.snake import (
     e_field,
     fit_horizontal,
 )
-from snakeplan.sphere import mobius_sphere_action_many, tangent_at
+from snakeplan.sphere import _cone_velocity, _light_cone, mobius_sphere_action_many, tangent_at
 
 from conftest import DIMS, RAPIDITIES, l2_norm, lorentz_sample
 
@@ -235,6 +234,19 @@ class TestCommutatorProbe:
         with pytest.raises(ValueError, match="step must be positive and finite"):
             commutator_probe(1, 2, 0.5, 4, 3, max_step=step)
 
+    @pytest.mark.parametrize("step", [0.0, -1.0, np.nan])
+    def test_step_checked_before_any_leg(self, step):
+        # t = 0 and the identity need no leg; the step is still checked
+        with pytest.raises(ValueError, match="step must be positive and finite"):
+            commutator_probe(1, 2, 0.0, 4, 3, max_step=step)
+        with pytest.raises(ValueError, match="step must be positive and finite"):
+            plan_group_path(np.eye(4), max_step=step)
+
+    @pytest.mark.parametrize("t", [np.inf, -np.inf, np.nan])
+    def test_t_must_be_finite(self, t):
+        with pytest.raises(ValueError, match="t must be finite"):
+            commutator_probe(1, 2, t, 4, 3)
+
 
 def concat_reference(n, legs):
     """Per-leg concatenation: re-copy the whole path for every leg."""
@@ -341,7 +353,7 @@ class TestInfinitesimalAction:
     def test_action_velocity_matches_field(self, rng):
         cfg = random_config(rng, 3)
         w = rng.normal(size=3)
-        v = action_velocity(w, np.eye(4), cfg)
+        v = _cone_velocity(w, _light_cone(np.eye(4), cfg.nodes))
         assert np.max(np.abs(v - tangent_at(cfg.nodes, w))) < 1e-12
 
     @pytest.mark.parametrize("n", [2, 3, 8])
@@ -354,7 +366,7 @@ class TestInfinitesimalAction:
         plus = act(exp_h(eps * u) @ A, cfg).nodes
         minus = act(exp_h(-eps * u) @ A, cfg).nodes
         fd = (plus - minus) / (2 * eps)
-        assert np.max(np.abs(action_velocity(u, A, cfg) - fd)) < 1e-8
+        assert np.max(np.abs(_cone_velocity(u, _light_cone(A, cfg.nodes)) - fd)) < 1e-8
 
 
 class TestSteerConfig:
@@ -394,7 +406,7 @@ class TestSteerConfig:
             ref = act(G, cfg).nodes
             assert np.max(np.abs(path.nodes[k] - ref)) <= 4.5e-16
         for k in range(len(plan.controls)):
-            ref = action_velocity(plan.controls[k], plan.matrices[k], cfg)
+            ref = _cone_velocity(plan.controls[k], _light_cone(plan.matrices[k], cfg.nodes))
             assert np.array_equal(path.velocities[k], ref)
 
     @pytest.mark.parametrize("w", [0.0, 2.0, 8.0, 15.0])
@@ -470,6 +482,14 @@ class TestHorizontalLift:
                                t_final=1.0, dt=1e-3)
         assert path.tracking_errors.max() < 1e-4
 
+    def test_stores_no_velocities(self, rng):
+        # a lift's velocity at step k is tangent_at(nodes[k], controls[k])
+        cfg = random_config(rng, 3)
+        c0 = endpoint(cfg)
+        path = horizontal_lift(cfg, lambda t: np.tile(c0, (len(t), 1)),
+                               lambda t: np.zeros((len(t), 3)), t_final=0.1, dt=1e-2)
+        assert path.velocities is None
+
     def test_velocities_horizontal_and_minimal(self, rng):
         cfg = random_config(rng, 3, L=2.0)
         c0 = endpoint(cfg)
@@ -479,7 +499,7 @@ class TestHorizontalLift:
                                t_final=1.0, dt=5e-3)
         k = len(path.nodes) // 2
         ucfg = path.config(k)
-        v = path.velocities[k]
+        v = tangent_at(path.nodes[k], path.controls[k])
         assert fit_horizontal(ucfg, ucfg.nodes, v).residual < 1e-10
         # minimality: velocity is L2-orthogonal to sampled kernel fields
         for _ in range(5):
@@ -648,7 +668,7 @@ class TestCertifiedLift:
         nodes, controls, vels, track, margins = four_eigh_lift(u0, head, head_dot, 1.0, dt)
         assert_close(path.nodes, nodes)
         assert_close(path.controls, controls)
-        assert_close(path.velocities, vels)
+        assert_close(tangent_at(path.nodes[:-1], path.controls[:, None]), vels)
         assert_close(path.tracking_errors, track)
         assert_close(path.margins, margins)
         # every later stage certified: one exact solve per step

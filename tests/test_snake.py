@@ -291,6 +291,12 @@ class TestHorizontalFields:
         cfg = random_config(rng, 3)
         assert np.linalg.norm(tangent_at(cfg.nodes, np.zeros(3))) == 0.0
 
+    @pytest.mark.parametrize("i", [0, 4])
+    def test_e_field_index_outside_1_to_n_rejected(self, rng, i):
+        # index 0 would otherwise give the field of the last axis, as e[-1]
+        with pytest.raises(ValueError, match=f"index {i} out of range 1..3"):
+            e_field(i, random_config(rng, 3))
+
     def test_constant_config_orthogonal_direction(self):
         cfg = constant_config(e(0, 3))
         v = e_field(2, cfg)
