@@ -6,8 +6,10 @@ RunReport as JSON on stdout and exits 0 only when all verification checks
 pass.  Exit codes: 2 validation failure, 3 numerical failure, 4 I/O failure.
 Every read or write failure (any OSError, from a payload, --out-dir, --out or
 --trace) exits 4; np.linalg.LinAlgError exits 3.
-A matrix outside SO0(n,1) exits 3 from factorize, plan-group and steer;
-checks on a matrix A scale with |A|_2 = e^{|u|}, residuals with its square.
+No option sets a tolerance: a matrix failing classify's membership test exits
+3 from all four matrix subcommands, one outside SO0(n,1) from all but
+decompose.  Checks on a matrix A scale with |A|_2 = e^{|u|}, residuals with
+its square.  A --dim below 2 or more than planner.MAX_STEPS steps exit 2.
 
 _COMMANDS holds each subcommand's runner and option defaults: build_parser
 takes its flag defaults from there, and run() puts them under a scenario's
@@ -137,7 +139,6 @@ def _export_head_and_final(sc, outputs, path):
 
 def _run_decompose(sc: Scenario, marks: dict):
     """boost/orthogonal factorization of a Lorentz matrix"""
-    tol = sc.options["tol"]
     A = sio.matrix_from_json(_load_json(sc.inputs["matrix"]))
     grade, factor = _grade(A, DEFAULT_MEMBERSHIP_TOL)
     if grade is Membership.NOT_LORENTZ:
@@ -146,7 +147,7 @@ def _run_decompose(sc: Scenario, marks: dict):
     T = exp_h(u)
     checks = [
         _check("reconstruction_residual", np.linalg.norm(spatial_block(Q, eps) @ T - A),
-               tol * _norm2(A)),
+               DEFAULT_FACTOR_TOL * _norm2(A)),
     ]
     outputs: dict = {}
     _export(sc, outputs, "factors.json", lambda p: sio.dump_json({
@@ -161,12 +162,12 @@ def _run_decompose(sc: Scenario, marks: dict):
 
 def _run_factorize(sc: Scenario, marks: dict):
     """rotation-block + boost factorization of an SO0 matrix"""
-    tol = sc.options["tol"]
     A = sio.matrix_from_json(_load_json(sc.inputs["matrix"]))
-    blocks, u = factorize(A, tol=tol)
+    blocks, u = factorize(A)
     recon = spatial_block(so_exp_blocks(blocks)) @ exp_h(u)
     checks = [
-        _check("reconstruction_residual", np.linalg.norm(recon - A), tol * _norm2(A)),
+        _check("reconstruction_residual", np.linalg.norm(recon - A),
+               DEFAULT_FACTOR_TOL * _norm2(A)),
     ]
     outputs: dict = {}
     _export(sc, outputs, "blocks.json", lambda p: sio.dump_json({
@@ -182,7 +183,7 @@ def _run_plan_group(sc: Scenario, marks: dict):
     """horizontal path from Id to an SO0 matrix"""
     A = sio.matrix_from_json(_load_json(sc.inputs["matrix"]))
     marks["load"] = time.perf_counter()
-    path = plan_group_path(A, max_step=sc.options["step"], tol=sc.options["tol"])
+    path = plan_group_path(A, max_step=sc.options["step"])
     marks["plan_group_path"] = time.perf_counter()
     checks = [
         _check("endpoint_residual", np.linalg.norm(path.endpoint() - A), 1e-7 * _norm2(A)),
@@ -201,7 +202,7 @@ def _run_steer(sc: Scenario, marks: dict):
     A = sio.matrix_from_json(_load_json(sc.inputs["matrix"]))
     u0 = sio.config_from_json(_load_json(sc.inputs["config"]))
     marks["load"] = time.perf_counter()
-    path = steer_config(u0, A, max_step=sc.options["step"], tol=sc.options["tol"])
+    path = steer_config(u0, A, max_step=sc.options["step"])
     marks["steer_config"] = time.perf_counter()
     target = act(A, u0)
     # each velocity against the field of the control steer recorded for it
@@ -333,10 +334,10 @@ def _run_generate(sc: Scenario, marks: dict):
 # subcommand -> (runner, option defaults); a runner's docstring is its help,
 # and its marks (stage name -> perf_counter at the stage's end) time its stages
 _COMMANDS = {
-    "decompose": (_run_decompose, {"tol": DEFAULT_FACTOR_TOL}),
-    "factorize": (_run_factorize, {"tol": DEFAULT_FACTOR_TOL}),
-    "plan-group": (_run_plan_group, {"tol": DEFAULT_FACTOR_TOL, "step": DEFAULT_MAX_STEP}),
-    "steer": (_run_steer, {"tol": DEFAULT_FACTOR_TOL, "step": DEFAULT_MAX_STEP}),
+    "decompose": (_run_decompose, {}),
+    "factorize": (_run_factorize, {}),
+    "plan-group": (_run_plan_group, {"step": DEFAULT_MAX_STEP}),
+    "steer": (_run_steer, {"step": DEFAULT_MAX_STEP}),
     "lift-head": (_run_lift_head, {"step": DEFAULT_LIFT_STEP, "track_tol": 1e-4}),
     "probe-bracket": (_run_probe_bracket, {"step": DEFAULT_MAX_STEP, "dim": _DIM}),
     "generate": (_run_generate, {"seed": 0, "dim": _DIM}),
@@ -354,9 +355,10 @@ def run(scenario: Scenario) -> tuple:
     try:
         runner, defaults = _COMMANDS[scenario.kind]
         scenario = Scenario(scenario.kind, scenario.inputs, defaults | scenario.options)
-        for key in ("tol", "track_tol"):
-            if key in scenario.options:
-                _positive("--" + key.replace("_", "-"), scenario.options[key])
+        if "track_tol" in scenario.options:
+            _positive("--track-tol", scenario.options["track_tol"])
+        if scenario.options.get("dim", 2) < 2:
+            raise ValueError(f"--dim must be at least 2, got {scenario.options['dim']}")
         if not np.isfinite(scenario.options.get("radius", 0.0)):
             raise ValueError(f"--radius must be finite, got {scenario.options['radius']}")
         checks, outputs, result = runner(scenario, marks)

@@ -153,8 +153,8 @@ def exp_h(u: np.ndarray) -> np.ndarray:
 def log_boost(T: np.ndarray) -> np.ndarray:
     """Recover u with exp_h(u) = T, read from T's first row; rejects non-boosts."""
     T = np.asarray(T, dtype=float)
-    if np.linalg.norm(T - T.T) > DEFAULT_FACTOR_TOL:
-        raise NotABoost(f"asymmetry {np.linalg.norm(T - T.T):.3e} above tol")
+    if np.linalg.norm(T - T.T) > DEFAULT_FACTOR_TOL * _norm2(T):
+        raise NotABoost(f"asymmetry {np.linalg.norm(T - T.T):.3e} above tol |T|_2")
     if T[0, 0] < 1.0 - DEFAULT_FACTOR_TOL:
         raise NotABoost(f"T00 = {T[0, 0]} < 1")
     u = _boost_factor(T)[2]
@@ -350,21 +350,21 @@ def embed_lie(X: LieElement, m: int) -> LieElement:
     return LieElement(u=u, skew=B)
 
 
-def factorize(A: np.ndarray, tol: float = DEFAULT_FACTOR_TOL):
+def factorize(A: np.ndarray):
     """Global factorization A = prod_j Exp(theta_j B_j) * exp_h(u) for SO0 inputs.
 
+    A is admitted by classify's membership test.  Q's rounding defect grows
+    like eps |A|_2, so its orthogonality test is DEFAULT_FACTOR_TOL * |A|_2.
     Returns (RotationBlocks of the orthogonal factor, boost vector u).
     """
-    from .rotations import so_log
+    from .rotations import _so_log_within
 
-    _positive("tol", tol)
     A = np.asarray(A, dtype=float)
-    grade, factor = _grade(A, max(tol, DEFAULT_MEMBERSHIP_TOL))
+    grade, factor = _grade(A, DEFAULT_MEMBERSHIP_TOL)
     if grade is not Membership.SO0:
         raise NotLorentz(f"factorize needs an SO0 input, got {grade.value}")
     _, Q, u = factor
-    _, blocks = so_log(Q, tol=tol)
-    return blocks, u
+    return _so_log_within(Q, DEFAULT_FACTOR_TOL * _norm2(A)), u
 
 
 def block_l1_norm(X: LieElement) -> float:

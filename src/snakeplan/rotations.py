@@ -19,8 +19,6 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .lorentz import _positive
-
 __all__ = [
     "RotationBlock",
     "RotationBlocks",
@@ -63,10 +61,6 @@ class RotationBlocks:
         thetas = [b.theta for b in self.blocks]
         if any(t2 >= t1 for t1, t2 in zip(thetas, thetas[1:])):
             raise ValueError("block angles must be strictly decreasing")
-
-    @property
-    def thetas(self) -> list:
-        return [b.theta for b in self.blocks]
 
     def generator_sum(self) -> np.ndarray:
         """sum_j theta_j B_j, the skew matrix the blocks reconstruct."""
@@ -210,31 +204,35 @@ def skew_spectral(B: np.ndarray) -> RotationBlocks:
     return replace(rb, blocks=tuple(replace(b, theta=float(a * np.tan(0.5 * b.theta))) for b in rb.blocks))
 
 
-def so_log(Q: np.ndarray, tol: float = 1e-9):
+def so_log(Q: np.ndarray):
     """Principal logarithm of a special-orthogonal matrix as rotation blocks.
 
     Returns (B, blocks) with Exp(B) = Q, angles folded into (0, pi]; the
     eigenspace of eigenvalue 1 becomes the kernel basis.  The blocks are
     those of Q's polar factor, which Newton-Schulz steps reach from a Q
-    orthogonal within tol.  Plane and kernel frames are canonical: built
+    orthogonal within 1e-9.  Plane and kernel frames are canonical: built
     from each block's projector and generator, which do not depend on the
     eigenvectors the solver picked.  Rejects improper or non-orthogonal
     input.
     """
-    _positive("tol", tol)
-    Q = np.asarray(Q, dtype=float)
+    rb = _so_log_within(np.asarray(Q, dtype=float), 1e-9)
+    return rb.generator_sum(), rb
+
+
+def _so_log_within(Q: np.ndarray, tol: float) -> RotationBlocks:
+    """so_log's blocks of a Q with |Q^T Q - Id|_F <= tol, rebuilding Q within 10 tol."""
     n = Q.shape[0]
     if Q.shape != (n, n):
         raise ValueError("so_log needs a square matrix")
     E = Q.T @ Q - np.eye(n)
     d = float(np.linalg.norm(E))
-    if d > max(tol, 1e-10):
+    if d > tol:
         raise ValueError("input is not orthogonal within tolerance")
 
     rb = _log_blocks(_newton_schulz(Q, E, d))  # the polar factor: +-1 read 0 and pi
-    if not np.linalg.norm(so_exp_blocks(rb) - Q) <= max(tol, 1e-9) * 10:
+    if not np.linalg.norm(so_exp_blocks(rb) - Q) <= 10.0 * tol:
         raise ValueError("so_log reconstruction failed; input too far from SO(n)")
-    return rb.generator_sum(), rb
+    return rb
 
 
 def planar_rotation(G: np.ndarray, angle) -> np.ndarray:

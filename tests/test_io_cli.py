@@ -10,7 +10,7 @@ import pytest
 from snakeplan import io as sio
 from snakeplan.cli import main
 from snakeplan.generate import circle_head_curve, random_config, random_so0, straight_config
-from snakeplan.lorentz import LieElement
+from snakeplan.lorentz import LieElement, exp_h
 from snakeplan.planner import plan_group_path
 
 from conftest import lorentz_sample
@@ -149,17 +149,54 @@ class TestCli:
         assert main(argv) == expected
 
     @pytest.mark.parametrize("n", [3, 8])
-    def test_factorize_and_plan_at_rapidity_15(self, tmp_path, capsys, n):
+    def test_factorize_plan_and_steer_at_rapidity_19(self, tmp_path, capsys, n):
+        # Q's rounding defect, about 3e-16 |A|_2, passes an orthogonality
+        # test scaled by |A|_2 = e^19
         p = tmp_path / "A.json"
-        sio.dump_json(sio.matrix_to_json(lorentz_sample(np.random.default_rng(n), n, 15.0)[0]), p)
-        for command in ("factorize", "plan-group"):
-            assert main([command, "--matrix", str(p)]) == 0
+        sio.dump_json(sio.matrix_to_json(lorentz_sample(np.random.default_rng(n), n, 19.0)[0]), p)
+        c = self._gen_config(tmp_path, dim=n)
+        capsys.readouterr()
+        for argv in (["factorize"], ["plan-group"], ["steer", "--config", c]):
+            assert main([*argv, "--matrix", str(p)]) == 0
             assert json.loads(capsys.readouterr().out)["verification"]["passed"]
 
-    def test_decompose_reconstruction_check_can_fail(self, tmp_path, capsys):
+    @pytest.mark.parametrize("n", [3, 8])
+    @pytest.mark.parametrize("w", [20.0, 25.0, 30.0])
+    def test_valid_input_at_large_rapidity_is_no_validation_error(self, tmp_path, capsys, n, w):
+        # beyond rapidity 19 a check may fail (exit 3), but no error is raised
+        p = tmp_path / "A.json"
+        sio.dump_json(sio.matrix_to_json(lorentz_sample(np.random.default_rng(n), n, w)[0]), p)
+        c = self._gen_config(tmp_path, dim=n)
+        capsys.readouterr()
+        for argv in (["factorize"], ["plan-group"], ["steer", "--config", c]):
+            code = main([*argv, "--matrix", str(p)])
+            report = json.loads(capsys.readouterr().out)
+            assert "error" not in report["outputs"]
+            assert code == (0 if report["verification"]["passed"] else 3)
+
+    def test_one_membership_test_for_every_matrix_subcommand(self, tmp_path, capsys):
+        # relative Lorentz residual 1.6e-9: above classify's 1e-9 |A|_2^2
+        A = random_so0(np.random.default_rng(7), 3)
+        A += 1e-9 * np.random.default_rng(1).normal(size=A.shape)
+        p = tmp_path / "A.json"
+        sio.dump_json(sio.matrix_to_json(A), p)
+        c = self._gen_config(tmp_path)
+        capsys.readouterr()
+        for argv in (["decompose"], ["factorize"], ["plan-group"], ["steer", "--config", c]):
+            assert main([*argv, "--matrix", str(p)]) == 3
+            report = json.loads(capsys.readouterr().out)
+            error = report["outputs"]["error"]
+            assert error["kind"] == "numerical" and "lorentz" in error["message"].lower()
+            # rejected on entry: no stage after loading the payloads ran
+            assert list(report["timing"]["stages"]) in ([], ["load"])
+
+    def test_decompose_reconstruction_check_can_fail(self, tmp_path, capsys, monkeypatch):
+        from snakeplan import cli
+
         m = self._gen_matrix(tmp_path, seed=7)
         capsys.readouterr()
-        assert main(["decompose", "--matrix", m, "--tol", "1e-18"]) == 3
+        monkeypatch.setattr(cli, "exp_h", lambda u: (1.0 + 1e-7) * exp_h(u))
+        assert main(["decompose", "--matrix", m]) == 3
         checks = json.loads(capsys.readouterr().out)["verification"]["checks"]
         assert [c["name"] for c in checks] == ["reconstruction_residual"]
         assert not checks[0]["pass"]
@@ -204,24 +241,29 @@ class TestCli:
          "t must be finite, got inf"),
         (["probe-bracket", "--i", "1", "--j", "2", "--t", "nan", "--m", "8"],
          "t must be finite, got nan"),
-        (["decompose", "--matrix", "A", "--tol", "-1"],
-         "--tol must be positive and finite, got -1.0"),
-        (["plan-group", "--matrix", "A", "--tol", "-1"],
-         "--tol must be positive and finite, got -1.0"),
-        (["factorize", "--matrix", "A", "--tol", "nan"],
-         "--tol must be positive and finite, got nan"),
-        (["steer", "--matrix", "A", "--config", "C", "--tol", "nan"],
-         "--tol must be positive and finite, got nan"),
         (["lift-head", "--config", "C", "--head-curve", "H", "--track-tol", "nan"],
          "--track-tol must be positive and finite, got nan"),
         (["lift-head", "--config", "C", "--head-curve", "H", "--track-tol", "-1"],
          "--track-tol must be positive and finite, got -1.0"),
         (["generate", "--kind", "circle-head-curve", "--config", "C", "--radius", "nan"],
          "--radius must be finite, got nan"),
+        (["lift-head", "--config", "C", "--head-curve", "H", "--step", "1e-15"],
+         "step = 1e-15 gives 1e+15 steps, more than MAX_STEPS = 100000"),
+        (["probe-bracket", "--i", "1", "--j", "2", "--t", "1e300", "--m", "1"],
+         "t = 1e+300, m = 1, step = 0.02 gives 2e+152 steps, more than MAX_STEPS = 100000"),
+        (["probe-bracket", "--i", "1", "--j", "2", "--t", "0.5", "--m", "100000"],
+         "t = 0.5, m = 100000, step = 0.02 gives 8e+05 steps, more than MAX_STEPS = 100000"),
+        (["generate", "--kind", "random-so0", "--dim", "0"], "--dim must be at least 2, got 0"),
+        (["generate", "--kind", "random-config", "--dim", "-1"],
+         "--dim must be at least 2, got -1"),
+        (["generate", "--kind", "random-config", "--dim", "1"], "--dim must be at least 2, got 1"),
+        (["probe-bracket", "--i", "1", "--j", "2", "--t", "0.5", "--m", "8", "--dim", "1"],
+         "--dim must be at least 2, got 1"),
     ], ids=["plan-group-identity-step-0", "steer-identity-step-neg", "probe-t-0-step-0",
-            "probe-t-inf", "probe-t-nan", "decompose-tol-neg", "plan-group-tol-neg",
-            "factorize-tol-nan", "steer-tol-nan", "lift-head-track-tol-nan",
-            "lift-head-track-tol-neg", "generate-radius-nan"])
+            "probe-t-inf", "probe-t-nan", "lift-head-track-tol-nan",
+            "lift-head-track-tol-neg", "generate-radius-nan", "lift-head-step-cap",
+            "probe-t-cap", "probe-m-cap", "generate-so0-dim-0", "generate-config-dim-neg",
+            "generate-config-dim-1", "probe-dim-1"])
     def test_bad_option_exits_2_whatever_the_input(self, tmp_path, capsys, argv, message):
         # the step is checked on entry, so a matrix that needs no leg (the
         # identity I) or a zero angle t does not let a bad step through
@@ -277,12 +319,11 @@ class TestCli:
         assert list(sub.choices) == list(cli._COMMANDS)
 
     @pytest.mark.parametrize("argv, inputs, options", [
-        (["decompose", "--matrix", "A.json"], {"matrix": "A.json"}, {"tol": 1e-08}),
-        (["factorize", "--matrix", "A.json"], {"matrix": "A.json"}, {"tol": 1e-08}),
-        (["plan-group", "--matrix", "A.json"], {"matrix": "A.json"},
-         {"tol": 1e-08, "step": 0.02}),
+        (["decompose", "--matrix", "A.json"], {"matrix": "A.json"}, {}),
+        (["factorize", "--matrix", "A.json"], {"matrix": "A.json"}, {}),
+        (["plan-group", "--matrix", "A.json"], {"matrix": "A.json"}, {"step": 0.02}),
         (["steer", "--matrix", "A.json", "--config", "c.json"],
-         {"matrix": "A.json", "config": "c.json"}, {"tol": 1e-08, "step": 0.02}),
+         {"matrix": "A.json", "config": "c.json"}, {"step": 0.02}),
         (["lift-head", "--config", "c.json", "--head-curve", "h.json"],
          {"config": "c.json", "head_curve": "h.json"}, {"step": 0.001, "track_tol": 0.0001}),
         (["probe-bracket", "--i", "1", "--j", "2", "--t", "0.5", "--m", "8"],

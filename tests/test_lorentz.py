@@ -24,6 +24,7 @@ from snakeplan.lorentz import (
     lorentz_product,
     lorentz_residual,
     pseudo_adjoint,
+    spatial_block,
 )
 from snakeplan.rotations import so_exp_blocks
 
@@ -176,6 +177,19 @@ class TestLogBoost:
             u = rng.normal(size=6)
             u *= rng.uniform(0, 5) / np.linalg.norm(u)
             assert np.linalg.norm(log_boost(exp_h(u)) - u) < 1e-9
+
+    @pytest.mark.parametrize("n", [3, 8])
+    @pytest.mark.parametrize("w", [20.0, 25.0])
+    def test_conjugated_roundtrip_at_large_rapidity(self, n, w):
+        # R^T exp_h(u) R = exp_h(R^T u) is symmetric within about 1e-16 |T|_2,
+        # which an asymmetry test scaled by |T|_2 admits
+        for seed in range(20):
+            rng = np.random.default_rng(seed)
+            R = random_rotation(rng, n)
+            d = rng.normal(size=n)
+            u = w * d / np.linalg.norm(d)
+            T = spatial_block(R).T @ exp_h(u) @ spatial_block(R)
+            assert np.linalg.norm(log_boost(T) - R.T @ u) <= 1e-12
 
     def test_rejects_rotation(self, rng):
         P = np.eye(5)
@@ -375,13 +389,22 @@ class TestFactorize:
         with pytest.raises(NotLorentz):
             factorize(lorentz_sample(rng, 3, 8.0, **kw)[0])
 
-    @pytest.mark.parametrize("tol", [0.0, -1.0, np.nan, np.inf])
-    def test_tol_must_be_positive_and_finite(self, tol):
-        # a nan tol would skip the membership test, as residual > nan is False
-        A = np.arange(16.0).reshape(4, 4)
-        with pytest.raises(ValueError, match="tol must be positive and finite") as err:
-            factorize(A, tol=tol)
-        assert not isinstance(err.value, NotLorentz)
+    def test_admits_what_classify_admits(self):
+        # relative Lorentz residual 1.6e-9: classify's 1e-9 |A|_2^2 rejects it
+        A = random_so0(np.random.default_rng(7), 3)
+        A += 1e-9 * np.random.default_rng(1).normal(size=A.shape)
+        assert classify(A) is Membership.NOT_LORENTZ
+        with pytest.raises(NotLorentz):
+            factorize(A)
+
+    @pytest.mark.parametrize("n", [3, 8])
+    def test_reconstruction_at_rapidity_19(self, n):
+        # Q's rounding defect, about 3e-16 |A|_2, is far above an absolute 1e-8
+        for seed in range(12):
+            A, _ = lorentz_sample(np.random.default_rng(seed), n, 19.0)
+            blocks, u = factorize(A)
+            recon = spatial_block(so_exp_blocks(blocks)) @ exp_h(u)
+            assert np.linalg.norm(recon - A) <= 1e-8 * np.linalg.norm(A, 2)
 
 
 class TestBlockL1Norm:

@@ -8,6 +8,7 @@ from snakeplan.lorentz import LieElement, basis_Omega, basis_U, exp_h
 from snakeplan.planner import (
     GEODESIC_MIN_STEPS,
     LIFT_MARGIN_FACTOR,
+    MAX_STEPS,
     SingularityApproach,
     _certifies,
     act,
@@ -246,6 +247,21 @@ class TestCommutatorProbe:
     def test_t_must_be_finite(self, t):
         with pytest.raises(ValueError, match="t must be finite"):
             commutator_probe(1, 2, t, 4, 3)
+
+    @pytest.mark.parametrize("t, m", [(1e300, 1), (-1e300, 1), (0.5, MAX_STEPS // 8 + 1)])
+    def test_step_count_capped_before_any_leg(self, monkeypatch, t, m):
+        from snakeplan import planner
+
+        def no_leg(*args, **kwargs):
+            raise AssertionError("a leg was built")
+
+        monkeypatch.setattr(planner, "boost_leg", no_leg)
+        with pytest.raises(ValueError, match=f"more than MAX_STEPS = {MAX_STEPS}"):
+            commutator_probe(1, 2, t, m, 3)
+
+    def test_leg_step_count_capped(self):
+        with pytest.raises(ValueError, match="step = 1e-06 gives 1e\\+06 steps"):
+            plan_group_path(exp_h(np.array([1.0, 0.0, 0.0])), max_step=1e-6)
 
 
 def concat_reference(n, legs):
@@ -545,6 +561,14 @@ class TestHorizontalLift:
         with pytest.raises(ValueError, match="step must be positive and finite"):
             horizontal_lift(cfg, lambda t: np.tile(c0, (len(t), 1)),
                             lambda t: np.zeros((len(t), 3)), dt=dt)
+
+    @pytest.mark.parametrize("dt", [1e-6, 1e-15, 1e-320])
+    def test_step_count_capped_before_the_head_is_read(self, rng, dt):
+        def unread(t):
+            raise AssertionError("the head curve was evaluated")
+
+        with pytest.raises(ValueError, match=f"more than MAX_STEPS = {MAX_STEPS}"):
+            horizontal_lift(random_config(rng, 3), unread, unread, dt=dt)
 
     def test_head_outside_ball_rejected(self, rng):
         cfg = random_config(rng, 3, L=1.0)
