@@ -12,8 +12,8 @@ import numpy as np
 
 from snakeplan import io as sio
 from snakeplan.generate import random_config, random_so0
-from snakeplan.planner import act, steer_config
-from snakeplan.snake import config_distance, fit_horizontal
+from snakeplan.planner import act, steer_config, step_consistency
+from snakeplan.snake import config_distance
 
 
 def main():
@@ -29,12 +29,12 @@ def main():
     path = steer_config(u0, A, max_step=0.02)
 
     final_gap = config_distance(path.final, act(A, u0))
-    fit_worst = fit_horizontal(
-        path.grid, path.nodes[:-1:5], path.velocities[::5]
-    ).residual.max()
+    resid, bound = step_consistency(path)
+    worst = int(np.argmax(resid / bound))
     print(f"steps: {len(path.times) - 1}")
     print(f"final distance to act(A, u0): {final_gap:.3e}")
-    print(f"worst velocity fit residual (subsampled): {fit_worst:.3e}")
+    print(f"worst step-consistency residual: {resid[worst]:.3e} "
+          f"(bound {bound[worst]:.3e}, step {worst})")
 
     os.makedirs(args.out_dir, exist_ok=True)
     sio.write_csv(

@@ -9,7 +9,8 @@ Every read or write failure (any OSError, from a payload, --out-dir, --out or
 No option sets a tolerance: a matrix failing classify's membership test exits
 3 from all four matrix subcommands, one outside SO0(n,1) from all but
 decompose.  Checks on a matrix A scale with |A|_2 = e^{|u|}, residuals with
-its square.  A --dim below 2 or more than planner.MAX_STEPS steps exit 2.
+its square.  A --dim below 2, more than planner.MAX_STEPS steps or a
+probe-bracket --m outside 1..MAX_STEPS exit 2.
 
 _COMMANDS holds each subcommand's runner and option defaults: build_parser
 takes its flag defaults from there, and run() puts them under a scenario's
@@ -18,10 +19,12 @@ timing.stages, printed in the order the stages ran), never in a result or an
 artifact.  Artifacts are built only under --out-dir.  plan.json writes each
 control as its boost vector.  lift-head interpolates the head-curve samples
 with spline.not_a_knot, so no subcommand loads scipy; spline and generate
-are imported only by the runners that use them.  No check compares the plan
-ledger with the controls, or factorize's blocks with each other: controls
-are unit-norm and the blocks commute by construction, so such checks could
-not fail.
+are imported only by the runners that use them.  steer checks every step of
+its path against the boost of the control it recorded, under the bound
+planner.step_consistency derives from the step and the leg.  No check
+compares the plan ledger with the controls, or factorize's blocks with each
+other: controls are unit-norm and the blocks commute by construction, so
+such checks could not fail.
 """
 
 from __future__ import annotations
@@ -62,9 +65,10 @@ from .planner import (
     horizontal_lift,
     plan_group_path,
     steer_config,
+    step_consistency,
 )
 from .rotations import planar_rotation, so_exp_blocks
-from .snake import _horizontal_residual, config_distance, is_singular
+from .snake import config_distance, is_singular
 from .sphere import NotOrthochronous
 
 EXIT_OK = 0
@@ -205,11 +209,13 @@ def _run_steer(sc: Scenario, marks: dict):
     path = steer_config(u0, A, max_step=sc.options["step"])
     marks["steer_config"] = time.perf_counter()
     target = act(A, u0)
-    # each velocity against the field of the control steer recorded for it
-    resid = _horizontal_residual(u0, path.nodes[:-1], path.controls, path.velocities)
+    # each step against the boost of the control steer recorded for it
+    resid, bound = step_consistency(path)
+    worst = int(np.argmax(resid / bound)) if resid.size else None
     checks = [
         _check("final_config_distance", config_distance(path.final, target), 1e-7),
-        _check("velocity_control_residual", resid.max(initial=0.0), 1e-6),
+        _check("step_consistency_residual",
+               *((resid[worst], bound[worst]) if resid.size else (0.0, 0.0))),
     ]
     marks["verify"] = time.perf_counter()
     outputs: dict = {}
@@ -219,8 +225,7 @@ def _run_steer(sc: Scenario, marks: dict):
         sio.config_path_polyline_rows(path, stride=max(1, len(path.times) // 32))))
     marks["export"] = time.perf_counter()
     result = {"steps": len(path.times) - 1, "legs": len(path.legs),
-              "nodes": u0.nodes.shape[0],
-              "velocity_worst_step": int(resid.argmax()) if resid.size else None}
+              "nodes": u0.nodes.shape[0], "consistency_worst_step": worst}
     return checks, outputs, result
 
 

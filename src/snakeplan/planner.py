@@ -16,12 +16,15 @@ whose control Ad_{Exp(-tau Omega)} U stays in h with unit norm.  The leg
 reaches Exp(theta * g) exactly once the elliptic frequency closes
 (sqrt(eta^2 - 1) * T = 2 pi), at arc length T = sqrt(theta^2 + 4 pi theta).
 The configuration-space planners push these paths through the sphere
-action node-wise; their velocities are then genuine horizontal fields.
+action node-wise, steer_config one leg at a time in the leg's own frame of
+at most 3 dimensions; their velocities tangent_at(nodes[k], controls[k]) are
+then genuine horizontal fields, and step_consistency checks every step
+against the boost of its control.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -29,8 +32,7 @@ from .lorentz import (LieElement, _plane_indices, _positive, _row_norms, exp_h, 
                       spatial_block)
 from .rotations import _plane_generator, planar_rotation
 from .snake import SnakeConfig, _gram, endpoint, fit_horizontal
-from .sphere import (_cone_images, _cone_velocity, _light_cone, mobius_sphere_action_many,
-                     sphere_point, tangent_at)
+from .sphere import _cone_images, mobius_sphere_action_many, sphere_point, tangent_at
 
 __all__ = [
     "GroupPath",
@@ -44,6 +46,7 @@ __all__ = [
     "plan_group_path",
     "commutator_probe",
     "steer_config",
+    "step_consistency",
     "horizontal_lift",
     "SingularityApproach",
 ]
@@ -57,6 +60,7 @@ LIFT_MARGIN_FACTOR = 1e-3  # horizontal_lift aborts below lambda_min(A_u) = fact
 # most steps one leg, probe or lift may take, checked before anything is
 # allocated: ~9x the 10,899 of a seeded random_so0 steer at n = 96
 MAX_STEPS = 100_000
+_CHECK_CHUNK = 1 << 16  # step_consistency's buffer, in doubles
 
 
 class SingularityApproach(RuntimeError):
@@ -72,6 +76,7 @@ class SingularityApproach(RuntimeError):
 class LegRecord:
     kind: str  # "boost" | "rotation"
     length: float
+    steps: int
     theta: float = 0.0
     u: np.ndarray | None = None
 
@@ -145,7 +150,7 @@ def boost_leg(u_vec: np.ndarray, max_step: float = DEFAULT_MAX_STEP) -> GroupPat
     times = np.linspace(0.0, T, m + 1)
     mats = exp_h(times[:, None] * uh)
     return GroupPath(times=times, matrices=mats, controls=np.tile(uh, (m, 1)),
-                     legs=[LegRecord(kind="boost", length=T, u=u_vec.copy())])
+                     legs=[LegRecord(kind="boost", length=T, steps=m, u=u_vec.copy())])
 
 
 def _vertical_parameter(theta: float) -> tuple:
@@ -192,7 +197,7 @@ def _plane_geodesic_leg(
     taus = 0.5 * (times[:-1] + times[1:])
     controls = np.cos(taus * eta)[:, None] * x - np.sin(taus * eta)[:, None] * y
     return GroupPath(times=times, matrices=mats, controls=controls,
-                     legs=[LegRecord(kind="rotation", length=T, theta=theta)])
+                     legs=[LegRecord(kind="rotation", length=T, steps=m, theta=theta)])
 
 
 def su11_geodesic(theta: float, max_step: float = DEFAULT_MAX_STEP) -> GroupPath:
@@ -230,25 +235,29 @@ def rotation_leg(
     return _plane_geodesic_leg(x, y, psi, n, max_step=max_step)
 
 
-def plan_group_path(A: np.ndarray, max_step: float = DEFAULT_MAX_STEP) -> GroupPath:
-    """Horizontal path from Id to A built from the global factorization.
+def _plan_legs(A: np.ndarray):
+    """The legs of A's horizontal plan, in order: (None, u) for the boost
+    exp_h(u), then (theta, (x, y)) for one geodesic leg per 2x2 plane of every
+    spectral block in increasing angle, so that their product
+    prod_j Exp(theta_j B_j) * exp_h(u) is A.  factorize rejects input
+    outside SO0(n,1) with NotLorentz."""
+    blocks, u = factorize(A)
+    if np.linalg.norm(u) > 0.0:
+        yield None, u
+    for block in sorted(blocks.blocks, key=lambda b: b.theta):
+        for plane in block.planes:
+            yield block.theta, plane
 
-    Legs run boost first, then one geodesic leg per 2x2 plane of every
-    spectral block in increasing angle, so the assembled product is
-    prod_j Exp(theta_j B_j) * exp_h(u) = A.  factorize rejects input
-    outside SO0(n,1) with NotLorentz.
-    """
+
+def plan_group_path(A: np.ndarray, max_step: float = DEFAULT_MAX_STEP) -> GroupPath:
+    """Horizontal path from Id to A built from the global factorization,
+    one leg per _plan_legs entry."""
     _positive("step", max_step)
     A = np.asarray(A, dtype=float)
     n = A.shape[0] - 1
-    blocks, u = factorize(A)
-    legs = []
-    if np.linalg.norm(u) > 0.0:
-        legs.append(boost_leg(u, max_step=max_step))
-    for block in sorted(blocks.blocks, key=lambda b: b.theta):
-        for x, y in block.planes:
-            legs.append(_plane_geodesic_leg(x, y, block.theta, n, max_step=max_step))
-    return _chain(n, legs)
+    return _chain(n, [boost_leg(part, max_step=max_step) if theta is None
+                      else _plane_geodesic_leg(*part, theta, n, max_step=max_step)
+                      for theta, part in _plan_legs(A)])
 
 
 def commutator_probe(
@@ -262,8 +271,8 @@ def commutator_probe(
     """
     _plane_indices(i, j, n)
     _positive("step", max_step)
-    if m < 1:
-        raise ValueError("m >= 1 required")
+    if not 1 <= m <= MAX_STEPS:
+        raise ValueError(f"m must be in 1..MAX_STEPS = {MAX_STEPS}, got {m}")
     if not np.isfinite(t):
         raise ValueError(f"t must be finite, got {t}")
     if t == 0.0:
@@ -318,19 +327,17 @@ class ConfigPath:
     """Time-gridded horizontal path of configurations with control records.
 
     Every step shares the partition and quadrature of grid (the start
-    configuration); nodes[k] holds the unit directions at times[k].
-    velocities holds steer's light-cone velocities only: velocities[k] is
-    the field of controls[k], a step midpoint's boost vector, at nodes[k],
-    within O(h) of the nodes' forward differences.  A lift stores none; its
-    velocity at step k is tangent_at(nodes[k], controls[k]).  nodes and
-    velocities may be views of node-major (..., n, K) arrays.
+    configuration); nodes[k] holds the unit directions at times[k], and nodes
+    may be a strided view (steer_config's are coordinate-major in memory, an
+    (n, m+1, K) array).  No velocities are stored: the
+    velocity at step k is tangent_at(nodes[k], controls[k]), the horizontal
+    field of the step's control.
     """
 
     times: np.ndarray  # (m+1,)
     grid: SnakeConfig
     nodes: np.ndarray  # (m+1, K, n)
-    controls: np.ndarray  # (m, n): fitted direction w per step
-    velocities: np.ndarray | None = None  # (m, K, n) light-cone velocities, steer only
+    controls: np.ndarray  # (m, n): boost vector w per step
     tracking_errors: np.ndarray | None = None  # head tracking, lifts only
     margins: np.ndarray | None = None  # (m,) lambda_min(A_u) at step starts, lifts only
     eigen_solves: int | None = None  # exact eigen-solves of A_u, lifts only
@@ -351,20 +358,152 @@ class ConfigPath:
 
 
 def steer_config(u0: SnakeConfig, A: np.ndarray, max_step: float = DEFAULT_MAX_STEP) -> ConfigPath:
-    """Push u0 along a horizontal group path to act(A, u0).
+    """Push u0 along plan_group_path(A)'s horizontal path to act(A, u0).
 
-    Every step control lies in h, so the configuration velocities are
-    horizontal fields w - <w,u>u with w the recorded control vector.
+    A leg acts only on span(e0, frame), frame = [u/|u|] for the boost and
+    [x, y] for a plane, so it is built once at that frame's dimension d as
+    the (s+1, d+1, d+1) blocks S of boost_leg or _plane_geodesic_leg.  It
+    moves the nodes z reached at its start, as light-cone points
+    W0 = (1, z)^T, to W = W0 + P (S - Id) P^T W0 with P = diag(1, frame):
+    O(n K) per step, written into one (m+1, n+1, K) array whose spatial rows
+    become the nodes in place, so the nodes are an (m+1, K, n) view of it.
+    times and controls equal plan_group_path's bit for bit (a leg's controls
+    map back to R^n one frame column at a time); the nodes differ from the
+    action of its matrices by rounding.
     """
+    _positive("step", max_step)
     A = np.asarray(A, dtype=float)
-    if u0.dim != A.shape[0] - 1:
+    n = A.shape[0] - 1
+    if u0.dim != n:
         raise ValueError("dimension mismatch between config and matrix")
-    plan = plan_group_path(A, max_step=max_step)
-    # one light-cone product gives the images of all m+1 steps, as act would,
-    # and the velocities of the first m, as views of node-major arrays
-    W = _light_cone(plan.matrices, u0.nodes)
-    return ConfigPath(times=plan.times, grid=u0, nodes=_cone_images(W), controls=plan.controls,
-                      velocities=_cone_velocity(plan.controls, W[:-1]), legs=plan.legs)
+    framed = []  # (spatial frame (n, d), leg in SO0(d,1), its record at dimension n)
+    for theta, part in _plan_legs(A):
+        if theta is None:
+            T = float(np.linalg.norm(part))
+            leg = boost_leg(np.array([T]), max_step=max_step)
+            framed.append(((part / T)[:, None], leg, replace(leg.legs[0], u=part.copy())))
+        else:
+            leg = _plane_geodesic_leg(*np.eye(2), theta, 2, max_step=max_step)
+            framed.append((np.stack(part, axis=1), leg, leg.legs[0]))
+    m = sum(record.steps for _, _, record in framed)
+    times, controls = np.zeros(m + 1), np.empty((m, n))
+    # coordinate-major in memory, (m+1, n+1, K) as indexed: an elementwise pass
+    # over all steps then runs along rows of (m+1) K values
+    W = np.empty((n + 1, m + 1, u0.nodes.shape[0])).transpose(1, 0, 2)
+    W[0, 0] = 1.0
+    W[0, 1:] = u0.nodes.T
+    k = 0
+    for frame, leg, record in framed:
+        if k:  # the leg starts on the light cone at (1, z), z the node reached
+            _cone_images(W[k : k + 1])
+            W[k, 0] = 1.0
+        d, end = frame.shape[1], k + record.steps
+        P = np.zeros((n + 1, d + 1))
+        P[0, 0] = 1.0
+        P[1:, 1:] = frame
+        np.matmul(P, (leg.matrices[1:] - np.eye(d + 1)) @ (P.T @ W[k]), out=W[k + 1 : end + 1])
+        W[k + 1 : end + 1] += W[k]
+        times[k + 1 : end + 1] = times[k] + leg.times[1:]
+        np.multiply(leg.controls[:, :1], frame[:, 0], out=controls[k:end])
+        for j in range(1, d):
+            controls[k:end] += leg.controls[:, j, None] * frame[:, j]
+        k = end
+    return ConfigPath(times=times, grid=u0, nodes=_cone_images(W), controls=controls,
+                      legs=[record for _, _, record in framed])
+
+
+def step_consistency(path: ConfigPath) -> tuple:
+    """(r, bound), both (m,): the L^2 distance r_k of a steer path's nodes[k+1]
+    from the closed-form boost exp_h(h controls[k]) acting on nodes[k], and
+    the bound it must stay under.
+
+    The image of a node z under exp_h(h w), with c = cosh(h|w|),
+    s = sinh(h|w|) and p = <w, z> / |w|, is
+    (z + (s + (c - 1) p) w / |w|) / (c + s p); it is built node-major, a
+    few steps at a time.  Every point of the sphere moves under a Lie-algebra
+    element by at most its boost norm plus its rotation rate, and the
+    quadrature weights sum to L, so r_k <= sqrt(L) (magnus_k + rounding_k):
+
+    - magnus_k.  Over a step, the path's group increment is exp(Omega), Omega
+      the Magnus expansion of its control Y, of which exp_h(h Y_mid) keeps the
+      first term.  A boost leg's control is constant: Omega = h Y_mid.  On a
+      geodesic leg Y turns at the rate |eta| of the leg's vertical parameter,
+      and the step is a rotation conjugate of the palindromic product
+      Exp(-h eta Omega_g / 2) Exp(h (U + eta Omega_g)) Exp(-h eta Omega_g / 2),
+      whose expansion is odd in h:
+      Omega - h Y_mid = h^3 Y'' / 24 - h^3 [Y, Y'] / 12 + O(h^5), a boost of
+      norm h^3 eta^2 / 24 and a plane rotation of rate h^3 |eta| / 12.  So
+      magnus_k = h^3 (eta^2 / 24 + |eta| / 12) (1 + x^2), x = |eta| h: with
+      |eta| > 1 the O(h^5) terms are O(x^2) relative, and the exact action
+      puts their coefficient between -0.03 and 0.06 for x <= 3 pi / 32 (a
+      geodesic leg turns through |eta| T = theta + 2 pi <= 3 pi in at least
+      GEODESIC_MIN_STEPS steps).
+    - rounding_k.  A node is the image of W = W0 + P (S - Id) P^T W0,
+      W0 = (1, z0) at its leg's start (steer_config), with |S|_2 = e^rho the
+      norm of the leg's block: rho is the boost leg's rapidity so far, and on a
+      geodesic leg cosh rho = 1 + (1 - cos(freq s)) / freq^2
+      <= 1 + T^2 / (2 pi^2).  S's closed forms err by 4 eps |S| and the three
+      products sum at most n + 1 terms each, so
+      |dW| <= (n + 8) eps sqrt(2) (1 + |S|).  The image W_x / |W_x| moves by
+      |dW_x| / W_t, plus (n / 2 + 3) eps for its quotient and norm, where
+      1 / W_t <= |S| (|W0| = sqrt(2) <= |S| |W|), and on a boost leg
+      1 / W_t = cosh(tau) - sinh(tau) <w, z> / |w| is the node's own, tau
+      into the leg.  The check's boost stretches node k's error, and node
+      k+1's 1 / W_t, by at most e^{h|w|}, and its own sums add (n + 8) eps;
+      so a node is off by at most
+      (n + 8) eps ((1 + e^{h|w|}) (sqrt(2) (1 + |S|) / W_t + 1) + 1), and
+      rounding_k is the L^2 norm of that over the nodes, divided by sqrt(L).
+      A node near a boost's repelling point reads up to eps e^{2 rho}; one
+      pushed towards its attracting point, a few eps.
+    """
+    h = np.diff(path.times)
+    if sum(leg.steps for leg in path.legs) != len(h):
+        raise ValueError("step_consistency needs a steer path, whose legs cover its steps")
+    Z = path.nodes.swapaxes(-1, -2)  # (m+1, n, K)
+    speed = _row_norms(path.controls)
+    unit = path.controls / speed[:, None]
+    hw = h * speed
+    p = np.einsum("mi,mik->mk", unit, Z[:-1])
+    c, s = np.cosh(hw)[:, None], np.sinh(hw)[:, None]
+    coef, inv = s + (c - 1.0) * p, 1.0 / (c + s * p)
+    # images of a few steps at a time, so the buffer stays in cache; it is
+    # coordinate-major, as steer_config's nodes are
+    chunk = max(1, _CHECK_CHUNK // Z[0].size)
+    buf = np.empty((Z.shape[1], min(chunk, len(h)), Z.shape[2])).transpose(1, 0, 2)
+    r2 = np.empty_like(p)
+    for a in range(0, len(h), chunk):
+        b = min(a + chunk, len(h))
+        image = buf[: b - a]
+        np.einsum("mi,mk->mik", unit[a:b], coef[a:b], out=image)
+        image += Z[a:b]
+        image *= inv[a:b, None]
+        image -= Z[a + 1 : b + 1]
+        np.einsum("mik,mik->mk", image, image, out=r2[a:b])
+    r = np.sqrt(r2 @ path.grid.weights)
+
+    # rounding per node: (n + 8) eps ((1 + e^{h|w|}) (sqrt(2) (1 + |S|) / W_t + 1) + 1)
+    unit_err = (Z.shape[1] + 8) * np.finfo(float).eps
+    bound, k = np.empty_like(h), 0
+    for leg in path.legs:
+        end = k + leg.steps
+        hk, stretch = h[k:end], np.exp(hw[k:end])
+        if leg.kind == "rotation":
+            eta = abs(_vertical_parameter(leg.theta)[0])
+            cosh_rho = 1.0 + leg.length**2 / (2.0 * np.pi**2)
+            S = cosh_rho + np.sqrt(cosh_rho * cosh_rho - 1.0)  # 1 / W_t <= |S|
+            magnus = hk**3 * (eta * eta / 24.0 + eta / 12.0) * (1.0 + (eta * hk) ** 2)
+            bound[k:end] = magnus + unit_err * (
+                (1.0 + stretch) * (np.sqrt(2.0) * (1.0 + S) * S + 1.0) + 1.0)
+        else:
+            # each node's own 1 / W_t = cosh(tau) - sinh(tau) <w, z> / |w|, tau
+            # into the leg, stretched by e^{h|w|} to cover node k+1
+            tau = path.times[k : end + 1, None] - path.times[k]
+            inv_wt = stretch[:, None] * (np.cosh(tau[:-1]) - np.sinh(tau[:-1]) * p[k:end])
+            node = (1.0 + stretch[:, None]) * (
+                np.sqrt(2.0) * (1.0 + np.exp(tau[1:])) * inv_wt + 1.0) + 1.0
+            bound[k:end] = unit_err * np.sqrt(node**2 @ path.grid.weights / path.grid.L)
+        k = end
+    return r, np.sqrt(path.grid.L) * bound
 
 
 def _certifies(margin: float, delta: np.ndarray, floor: float) -> bool:

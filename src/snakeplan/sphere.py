@@ -9,8 +9,10 @@ z maps to w.x/w.t where w = A (1, z).
 
 The batched action stores the light-cone points of K nodes as columns,
 W = A (1, z)^T of shape (..., n+1, K), so every elementwise pass runs over
-rows of K contiguous nodes; its images are (..., K, n) views of node-major
-(..., n, K) arrays.
+rows of K contiguous nodes; _cone_images turns W's spatial rows into the
+images in place, as (..., K, n) views of node-major (..., n, K) arrays.
+planner.steer_config builds its W leg by leg and takes its nodes the same
+way.
 """
 
 from __future__ import annotations
@@ -176,44 +178,19 @@ def mobius_sphere_action_many(A: np.ndarray, Z: np.ndarray) -> np.ndarray:
     Z = np.asarray(Z, dtype=float)
     for G in A.reshape((-1,) + A.shape[-2:]):
         _require_so0(G)
-    return _cone_images(_light_cone(A, Z))
-
-
-def _light_cone(A: np.ndarray, Z: np.ndarray) -> np.ndarray:
-    """Light-cone points W = A (1, z)^T of the rows z of Z as columns, shape
-    (..., n+1, k) for A of shape (..., n+1, n+1); every W_t must be positive."""
-    W = A @ np.concatenate([np.ones((1, Z.shape[0])), Z.T])
-    if np.any(W[..., 0, :] <= 0.0):
-        raise NotOrthochronous("some image ray left the forward light cone")
-    return W
+    return _cone_images(A @ np.concatenate([np.ones((1, Z.shape[0])), Z.T]))
 
 
 def _cone_images(W: np.ndarray) -> np.ndarray:
-    """Sphere points of light-cone columns W (..., n+1, k): the quotient
-    W_x / W_t, normalized, returned as the (..., k, n) view of a node-major
-    array."""
-    out = W[..., 1:, :] / W[..., :1, :]
+    """Sphere points of light-cone columns W (..., n+1, k), every W_t
+    positive: the quotient W_x / W_t, normalized, computed in place in W's
+    spatial rows and returned as their (..., k, n) view."""
+    Wt, out = W[..., :1, :], W[..., 1:, :]
+    if np.any(Wt <= 0.0):
+        raise NotOrthochronous("some image ray left the forward light cone")
+    out /= Wt
     out /= np.sqrt(np.einsum("...ik,...ik->...k", out, out))[..., None, :]
     return out.swapaxes(-1, -2)
-
-
-def _cone_velocity(u: np.ndarray, W: np.ndarray) -> np.ndarray:
-    """Velocity at t = 0 of the sphere points of exp_h(t u) W, for light-cone
-    columns W (..., n+1, K) and boosts u (..., n).
-
-    W moves with D = B W, B the symmetric embedding of u, whose only nonzero
-    blocks are D_t = <W_x, u> and D_x = W_t u; the quotient rule on
-    z = W_x / W_t gives (D_x - z D_t) / W_t = u - W_x D_t / W_t^2, built in
-    two passes over rows of K nodes and returned as the (..., K, n) view of
-    a node-major array.  It is the tangent projection of u at z, kept apart
-    from tangent_at so that steer's velocity check compares two formulas."""
-    Wt, Wx = W[..., :1, :], W[..., 1:, :]
-    s = u[..., None, :] @ Wx
-    s /= Wt
-    s /= Wt
-    v = Wx * s
-    np.subtract(u[..., :, None], v, out=v)
-    return v.swapaxes(-1, -2)
 
 
 def xi_field(i: int, z: np.ndarray) -> np.ndarray:

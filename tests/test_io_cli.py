@@ -253,6 +253,10 @@ class TestCli:
          "t = 1e+300, m = 1, step = 0.02 gives 2e+152 steps, more than MAX_STEPS = 100000"),
         (["probe-bracket", "--i", "1", "--j", "2", "--t", "0.5", "--m", "100000"],
          "t = 0.5, m = 100000, step = 0.02 gives 8e+05 steps, more than MAX_STEPS = 100000"),
+        (["probe-bracket", "--i", "1", "--j", "2", "--t", "0.5", "--m", "1" + "0" * 400],
+         "m must be in 1..MAX_STEPS = 100000, got 1" + "0" * 400),
+        (["probe-bracket", "--i", "1", "--j", "2", "--t", "0.5", "--m", "0"],
+         "m must be in 1..MAX_STEPS = 100000, got 0"),
         (["generate", "--kind", "random-so0", "--dim", "0"], "--dim must be at least 2, got 0"),
         (["generate", "--kind", "random-config", "--dim", "-1"],
          "--dim must be at least 2, got -1"),
@@ -262,7 +266,8 @@ class TestCli:
     ], ids=["plan-group-identity-step-0", "steer-identity-step-neg", "probe-t-0-step-0",
             "probe-t-inf", "probe-t-nan", "lift-head-track-tol-nan",
             "lift-head-track-tol-neg", "generate-radius-nan", "lift-head-step-cap",
-            "probe-t-cap", "probe-m-cap", "generate-so0-dim-0", "generate-config-dim-neg",
+            "probe-t-cap", "probe-m-cap", "probe-m-overflow", "probe-m-0",
+            "generate-so0-dim-0", "generate-config-dim-neg",
             "generate-config-dim-1", "probe-dim-1"])
     def test_bad_option_exits_2_whatever_the_input(self, tmp_path, capsys, argv, message):
         # the step is checked on entry, so a matrix that needs no leg (the
@@ -380,12 +385,12 @@ class TestCli:
         assert head[0] == "t,x1,x2,x3"
         report = json.loads(capsys.readouterr().out)
         result = report["outputs"]["result"]
-        assert 0 <= result["velocity_worst_step"] < result["steps"]
+        assert 0 <= result["consistency_worst_step"] < result["steps"]
         assert report["verification"]["passed"]
 
     def test_steer_straight_config_counts_restricted_fits(self, tmp_path, capsys):
         # a straight configuration stays straight, so A_u is singular at every
-        # step; the recorded controls need no fit, so the check reads rounding
+        # step; the step check reads only the nodes and the recorded controls
         m = self._gen_matrix(tmp_path)
         c = str(tmp_path / "straight.json")
         sio.dump_json(sio.config_to_json(straight_config(3)), c)
@@ -394,23 +399,24 @@ class TestCli:
         report = json.loads(capsys.readouterr().out)
         assert report["outputs"]["result"]["steps"] > 0
         check = {ch["name"]: ch for ch in report["verification"]["checks"]}
-        residual = check["velocity_control_residual"]
-        assert residual["pass"] and residual["value"] <= 1e-12
+        residual = check["step_consistency_residual"]
+        assert residual["pass"] and 0.0 < residual["value"] <= residual["tol"]
 
     @pytest.mark.parametrize("w, n, seed", [(8.0, 3, 10), (8.0, 8, 6), (8.0, 16, 10),
                                             (15.0, 3, 9), (15.0, 8, 9), (15.0, 16, 9)])
     def test_steer_at_large_rapidity(self, tmp_path, capsys, w, n, seed):
         # strong boosts bunch the nodes, so lambda_min(A_u) falls below 1e-8 L
-        # (to 1e-14 L at |u| = 15); a fit restricted at 1e-8 L failed the 1e-6
-        # bound on these draws, while the recorded controls match to rounding
+        # (to 1e-14 L at |u| = 15); a fit restricted at 1e-8 L failed these
+        # draws, while the step check needs no fit
         rng = np.random.default_rng(seed)
         m, c = str(tmp_path / "A.json"), str(tmp_path / "cfg.json")
         sio.dump_json(sio.matrix_to_json(lorentz_sample(rng, n, w)[0]), m)
         sio.dump_json(sio.config_to_json(random_config(rng, n)), c)
         assert main(["steer", "--matrix", m, "--config", c]) == 0
         checks = json.loads(capsys.readouterr().out)["verification"]["checks"]
-        residual = {ch["name"]: ch for ch in checks}["velocity_control_residual"]
-        assert residual["pass"] and residual["value"] <= 1e-12
+        assert all(ch["pass"] for ch in checks)
+        assert {ch["name"] for ch in checks} == {"final_config_distance",
+                                                  "step_consistency_residual"}
 
     @pytest.mark.parametrize("command", ["steer", "lift-head", "plan-group", "probe-bracket"])
     def test_report_stages_and_counts(self, command, tmp_path, capsys):
@@ -443,7 +449,7 @@ class TestCli:
             assert result["legs"] == len(plan.legs) > 0
             assert result["steps"] == len(plan.controls)
         if command == "steer":
-            assert set(result) == {"steps", "legs", "nodes", "velocity_worst_step"}
+            assert set(result) == {"steps", "legs", "nodes", "consistency_worst_step"}
             assert result["nodes"] == 48
         if command == "plan-group":
             assert set(result) == {"length", "steps", "legs", "ledger"}
@@ -471,55 +477,103 @@ class TestCli:
             assert result["max_tracking_error"] == path.tracking_errors[worst]
             assert result["max_tracking_error_time"] == path.times[worst]
 
-    def test_velocity_fit_check_can_fail(self, tmp_path, capsys, monkeypatch):
-        # the check compares each velocity with its recorded control's field,
-        # so one node moved by 1e-3 must fail its 1e-6 bound
+    def _steer_checks(self, tmp_path, capsys, dim=3, seed=5):
+        m = self._gen_matrix(tmp_path, seed=seed, dim=dim)
+        c = self._gen_config(tmp_path, seed, dim)
+        capsys.readouterr()
+        code = main(["steer", "--matrix", m, "--config", c])
+        report = json.loads(capsys.readouterr().out)
+        return code, {ch["name"]: ch for ch in report["verification"]["checks"]}, \
+            report["outputs"]["result"]
+
+    def test_step_check_fails_on_a_moved_node(self, tmp_path, capsys, monkeypatch):
+        # one node of one boost step moved by 1e-6; the boost steps' bound is
+        # rounding alone, so the steps on either side of it must fail
         from snakeplan import cli
 
-        m, c = self._gen_matrix(tmp_path), self._gen_config(tmp_path)
-        capsys.readouterr()
         steer = cli.steer_config
-        steps = []
+        moved = []
 
         def perturbed(*args, **kwargs):
             path = steer(*args, **kwargs)
-            steps.append(len(path.velocities) // 2)
-            path.velocities[steps[0], 5] += 1e-3 * np.array([0.6, 0.0, 0.8])
+            assert path.legs[0].kind == "boost"
+            moved.append(path.legs[0].steps // 2)
+            z = path.nodes[moved[0], 5]
+            z += 1e-6 * np.array([-z[1], z[0], 0.0]) / np.hypot(z[0], z[1])
             return path
 
         monkeypatch.setattr(cli, "steer_config", perturbed)
-        assert main(["steer", "--matrix", m, "--config", c]) == 3
-        report = json.loads(capsys.readouterr().out)
-        checks = {ch["name"]: ch for ch in report["verification"]["checks"]}
+        code, checks, result = self._steer_checks(tmp_path, capsys)
+        assert code == 3
         assert checks["final_config_distance"]["pass"]
-        residual = checks["velocity_control_residual"]
-        assert not residual["pass"] and residual["tol"] == 1e-6
-        assert 1e-5 < residual["value"] < 1e-3
-        assert report["outputs"]["result"]["velocity_worst_step"] == steps[0]
+        residual = checks["step_consistency_residual"]
+        assert not residual["pass"] and residual["value"] > 1e3 * residual["tol"]
+        assert result["consistency_worst_step"] in (moved[0] - 1, moved[0])
 
     @pytest.mark.parametrize("dim", [3, 8])
-    def test_velocity_check_catches_a_light_cone_defect(self, tmp_path, capsys,
-                                                        monkeypatch, dim):
-        # D_t / W_t^2 scaled by 1 + 1e-5 in the quotient rule v = u - W_x D_t / W_t^2,
-        # that is v + 1e-5 (v - u): the velocities leave the recorded controls'
-        # fields by about 1e-5
+    def test_step_check_catches_lagging_geodesic_controls(self, tmp_path, capsys,
+                                                          monkeypatch, dim):
+        # each geodesic control one step late: the nodes are right and every
+        # control is a unit boost, so a check of the velocities against the
+        # controls' own fields passes, but each step misses its boost by h^2 |eta|
         from snakeplan import planner
 
-        m, c = self._gen_matrix(tmp_path, seed=7, dim=dim), self._gen_config(tmp_path, 7, dim)
-        capsys.readouterr()
-        cone_velocity = planner._cone_velocity
+        leg = planner._plane_geodesic_leg
 
-        def scaled(u, W):
-            v = cone_velocity(u, W)
-            return v + 1e-5 * (v - u[..., None, :])
+        def lagging(*args, **kwargs):
+            path = leg(*args, **kwargs)
+            path.controls[1:] = path.controls[:-1].copy()
+            return path
 
-        monkeypatch.setattr(planner, "_cone_velocity", scaled)
-        assert main(["steer", "--matrix", m, "--config", c]) == 3
-        checks = {ch["name"]: ch for ch in
-                  json.loads(capsys.readouterr().out)["verification"]["checks"]}
+        monkeypatch.setattr(planner, "_plane_geodesic_leg", lagging)
+        code, checks, _ = self._steer_checks(tmp_path, capsys, dim=dim, seed=7)
+        assert code == 3
         assert checks["final_config_distance"]["pass"]
-        residual = checks["velocity_control_residual"]
-        assert not residual["pass"] and 1e-6 < residual["value"] < 1e-4
+        residual = checks["step_consistency_residual"]
+        assert not residual["pass"] and residual["value"] > 100.0 * residual["tol"]
+
+    def test_step_check_catches_a_rotated_control(self, tmp_path, capsys, monkeypatch):
+        # the control of one geodesic step turned by 1e-3 rad: that step moves
+        # its nodes by up to 1e-3 h, several times its h^3 bound
+        from snakeplan import cli
+
+        steer = cli.steer_config
+        turned = []
+
+        def perturbed(*args, **kwargs):
+            path = steer(*args, **kwargs)
+            k = path.legs[0].steps + path.legs[1].steps // 2
+            u = path.controls[k]
+            v = np.cross(u, [0.0, 0.0, 1.0])
+            v /= np.linalg.norm(v)
+            path.controls[k] = np.cos(1e-3) * u + np.sin(1e-3) * v
+            turned.append(k)
+            return path
+
+        monkeypatch.setattr(cli, "steer_config", perturbed)
+        code, checks, result = self._steer_checks(tmp_path, capsys)
+        assert code == 3
+        residual = checks["step_consistency_residual"]
+        assert not residual["pass"] and residual["value"] > 3.0 * residual["tol"]
+        assert result["consistency_worst_step"] == turned[0]
+
+    def test_steer_identity_has_no_step_to_check(self, tmp_path, capsys):
+        m = str(tmp_path / "I.json")
+        sio.dump_json(sio.matrix_to_json(np.eye(4)), m)
+        c = self._gen_config(tmp_path)
+        capsys.readouterr()
+        assert main(["steer", "--matrix", m, "--config", c]) == 0
+        report = json.loads(capsys.readouterr().out)
+        result = report["outputs"]["result"]
+        assert result["steps"] == 0 and result["consistency_worst_step"] is None
+        check = {ch["name"]: ch for ch in report["verification"]["checks"]}
+        assert check["step_consistency_residual"]["pass"]
+
+    def test_steer_at_dim_64(self, tmp_path, capsys):
+        code, checks, result = self._steer_checks(tmp_path, capsys, dim=64, seed=7)
+        assert code == 0
+        assert [ch["pass"] for ch in checks.values()] == [True, True]
+        assert result["legs"] == 1 + 32
 
     def test_lift_head(self, tmp_path, capsys):
         c = self._gen_config(tmp_path)

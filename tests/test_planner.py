@@ -11,6 +11,7 @@ from snakeplan.planner import (
     MAX_STEPS,
     SingularityApproach,
     _certifies,
+    _vertical_parameter,
     act,
     boost_leg,
     commutator_probe,
@@ -20,6 +21,7 @@ from snakeplan.planner import (
     plan_group_path,
     rotation_leg,
     steer_config,
+    step_consistency,
     su11_geodesic,
 )
 from snakeplan.snake import (
@@ -29,9 +31,28 @@ from snakeplan.snake import (
     e_field,
     fit_horizontal,
 )
-from snakeplan.sphere import _cone_velocity, _light_cone, mobius_sphere_action_many, tangent_at
+from snakeplan.sphere import mobius_sphere_action_many, tangent_at
 
 from conftest import DIMS, RAPIDITIES, l2_norm, lorentz_sample
+
+
+def node_rounding(G, Z, legs):
+    """Bound on |steer_config's node - the image of z under G| per node z of
+    Z, for G a plan matrix (or a stack of them) of a plan with `legs` legs.
+
+    Both are images of light-cone points. One product G (1, z)^T errs by
+    about eps |G|_2 per entry, which moves its image by at most
+    8 eps |G|_2 / w_t, w = G (1, z)^T. steer_config applies one block per
+    leg, and an error made at a leg's start reaches step k through the rest
+    of the path, whose conformal factor there is w_t(start) / w_t <=
+    |G_start|_2 / w_t. Finished legs end on a rotation, so
+    |G_start|_2 <= |S|_2 |G|_2 with |S|_2 <= 7 the norm of the block of the
+    leg in progress (step_consistency). So the two differ by at most
+    8 (7 legs + 1) eps |G|_2 / w_t.
+    """
+    norm = np.abs(G[..., 0, 0]) + np.linalg.norm(G[..., 0, 1:], axis=-1)
+    w_t = G[..., 0, :1] + G[..., 0, 1:] @ Z.T
+    return 8.0 * (7 * legs + 1) * np.finfo(float).eps * norm[..., None] / w_t
 
 
 def rot_matrix(theta, n=2):
@@ -259,6 +280,18 @@ class TestCommutatorProbe:
         with pytest.raises(ValueError, match=f"more than MAX_STEPS = {MAX_STEPS}"):
             commutator_probe(1, 2, t, m, 3)
 
+    @pytest.mark.parametrize("m", [0, MAX_STEPS + 1, 10**400])
+    def test_cycle_count_checked_before_any_float(self, monkeypatch, m):
+        # 10**400 cycles would overflow sqrt(t / m)
+        from snakeplan import planner
+
+        def no_leg(*args, **kwargs):
+            raise AssertionError("a leg was built")
+
+        monkeypatch.setattr(planner, "boost_leg", no_leg)
+        with pytest.raises(ValueError, match=f"m must be in 1..MAX_STEPS = {MAX_STEPS}"):
+            commutator_probe(1, 2, 0.5, m, 3)
+
     def test_leg_step_count_capped(self):
         with pytest.raises(ValueError, match="step = 1e-06 gives 1e\\+06 steps"):
             plan_group_path(exp_h(np.array([1.0, 0.0, 0.0])), max_step=1e-6)
@@ -367,10 +400,11 @@ class TestInfinitesimalAction:
         assert np.max(np.linalg.norm(fd - infinitesimal_action(X, cfg), axis=1)) < 1e-6
 
     def test_action_velocity_matches_field(self, rng):
+        # a boost w moves the nodes with the horizontal field of w
         cfg = random_config(rng, 3)
         w = rng.normal(size=3)
-        v = _cone_velocity(w, _light_cone(np.eye(4), cfg.nodes))
-        assert np.max(np.abs(v - tangent_at(cfg.nodes, w))) < 1e-12
+        v = infinitesimal_action(LieElement(u=w), cfg)
+        assert np.max(np.abs(v - tangent_at(cfg.nodes, w))) < 1e-15
 
     @pytest.mark.parametrize("n", [2, 3, 8])
     def test_action_velocity_matches_finite_difference(self, n):
@@ -382,7 +416,7 @@ class TestInfinitesimalAction:
         plus = act(exp_h(eps * u) @ A, cfg).nodes
         minus = act(exp_h(-eps * u) @ A, cfg).nodes
         fd = (plus - minus) / (2 * eps)
-        assert np.max(np.abs(_cone_velocity(u, _light_cone(A, cfg.nodes)) - fd)) < 1e-8
+        assert np.max(np.abs(tangent_at(act(A, cfg).nodes, u) - fd)) < 1e-8
 
 
 class TestSteerConfig:
@@ -397,9 +431,9 @@ class TestSteerConfig:
         A = rot_matrix(0.9, n=3)
         path = steer_config(cfg, A, max_step=0.05)
         assert config_distance(path.final, act(A, cfg)) < 1e-9
-        for k in range(len(path.velocities)):
-            fit = fit_horizontal(path.grid, path.config(k).nodes, path.velocities[k])
-            assert fit.residual < 1e-10
+        # every step is the boost of its control, within the derived bound
+        r, bound = step_consistency(path)
+        assert np.all(r <= bound)
 
     def test_random_so0_final_config(self, rng):
         cfg = random_config(rng, 4)
@@ -408,29 +442,29 @@ class TestSteerConfig:
         assert config_distance(path.final, act(A, cfg)) < 1e-7
         assert np.allclose(path.head_trace[-1], endpoint(path.final), atol=1e-12)
 
-    @pytest.mark.parametrize("n", [2, 3, 8])
+    @pytest.mark.parametrize("n", [2, 3, 8, 32])
     def test_batched_images_match_per_step_act(self, n):
+        # the plan's times and controls bit for bit; the nodes within the
+        # rounding of the leg-wise action (node_rounding)
         rng = np.random.default_rng(200 + n)
         cfg = random_config(rng, n)
         A = random_so0(rng, n)
         path = steer_config(cfg, A)
         plan = plan_group_path(A)
-        assert np.array_equal(path.times, plan.times)
+        assert path.times.tobytes() == plan.times.tobytes()
+        assert path.controls.tobytes() == plan.controls.tobytes()
+        assert [(r.kind, r.length, r.steps, r.theta) for r in path.legs] == \
+            [(r.kind, r.length, r.steps, r.theta) for r in plan.legs]
+        assert np.array_equal(path.legs[0].u, plan.legs[0].u)
         assert len(path.nodes) == len(plan.matrices)
-        assert np.array_equal(path.nodes, mobius_sphere_action_many(plan.matrices, cfg.nodes))
-        for k, G in enumerate(plan.matrices):
-            ref = act(G, cfg).nodes
-            assert np.max(np.abs(path.nodes[k] - ref)) <= 4.5e-16
-        for k in range(len(plan.controls)):
-            ref = _cone_velocity(plan.controls[k], _light_cone(plan.matrices[k], cfg.nodes))
-            assert np.array_equal(path.velocities[k], ref)
+        dense = mobius_sphere_action_many(plan.matrices, cfg.nodes)
+        gap = np.linalg.norm(path.nodes - dense, axis=-1)
+        assert np.all(gap <= node_rounding(plan.matrices, cfg.nodes, len(plan.legs)))
 
     @pytest.mark.parametrize("w", [0.0, 2.0, 8.0, 15.0])
     @pytest.mark.parametrize("n", [2, 3, 8, 16])
     def test_nodes_match_per_node_light_cone_formula(self, n, w):
-        # x = w_x / |w_x| with w = A (1, z), one node at a time; the image's
-        # rounding is eps |A|_2 |(1, z)| / w_t relative, so the bound scales
-        # with |A|_2 / w_t per node
+        # x = w_x / |w_x| with w = G (1, z), one node at a time
         rng = np.random.default_rng(500 + n)
         A = lorentz_sample(rng, n, w)[0]
         cfg = random_config(rng, n)
@@ -438,11 +472,11 @@ class TestSteerConfig:
         plan = plan_group_path(A)
         for k in np.linspace(0, len(plan.matrices) - 1, 9).astype(int):
             G = plan.matrices[k]
-            scale = 8 * np.finfo(float).eps * np.linalg.norm(G, 2)
+            bound = node_rounding(G, cfg.nodes, len(plan.legs))
             for j, z in enumerate(cfg.nodes):
                 cone = G @ np.concatenate([[1.0], z])
                 x = cone[1:] / np.linalg.norm(cone[1:])
-                assert np.max(np.abs(path.nodes[k, j] - x)) <= scale / cone[0]
+                assert np.linalg.norm(path.nodes[k, j] - x) <= bound[j]
 
     @pytest.mark.parametrize("n", [2, 3, 8])
     def test_velocities_match_finite_difference_at_sampled_steps(self, n):
@@ -454,11 +488,12 @@ class TestSteerConfig:
         plan = plan_group_path(A)
         eps = 1e-5
         for k in np.linspace(0, len(plan.controls) - 1, 7).astype(int):
-            u, G = plan.controls[k], plan.matrices[k]
+            u, G = path.controls[k], plan.matrices[k]
             plus = act(exp_h(eps * u) @ G, cfg).nodes
             minus = act(exp_h(-eps * u) @ G, cfg).nodes
             fd = (plus - minus) / (2 * eps)
-            assert np.max(np.abs(path.velocities[k] - fd)) < 1e-8
+            # steer's velocity is the field of its control at its nodes
+            assert np.max(np.abs(tangent_at(path.nodes[k], u) - fd)) < 1e-8
 
     def test_fd_residuals_match_per_step_fits(self, rng):
         cfg = random_config(rng, 3)
@@ -480,6 +515,106 @@ class TestSteerConfig:
         assert r2 < 0.5 * r1  # O(dt^2) contamination of the FD probe
 
 
+class TestStepConsistency:
+    @pytest.mark.parametrize("theta", [1e-6, 1e-2, 0.5, 2.0, np.pi])
+    @pytest.mark.parametrize("m", [GEODESIC_MIN_STEPS, 2 * GEODESIC_MIN_STEPS])
+    def test_magnus_term_is_sharp(self, series_exp, theta, m):
+        # one step of a geodesic leg, conjugated to its midpoint, against the
+        # boost of its midpoint control, over the great circle of its plane
+        # where the two differ most: h^3 (eta^2 / 24 + |eta| / 12), with an
+        # O(x^2) relative remainder, x = |eta| h
+        eta, _, T = _vertical_parameter(theta)
+        h = T / m
+        U = np.zeros((4, 4))
+        U[0, 1] = U[1, 0] = 1.0
+        g = np.zeros((4, 4))
+        g[2, 1], g[1, 2] = 1.0, -1.0
+        half = series_exp(-0.5 * h * eta * g)
+        step = half @ series_exp(h * (U + eta * g)) @ half
+        a = np.linspace(0.0, 2.0 * np.pi, 20001)
+        Z = np.stack([np.cos(a), np.sin(a), np.zeros_like(a)], axis=1)
+        gap = np.linalg.norm(mobius_sphere_action_many(step, Z)
+                             - mobius_sphere_action_many(series_exp(h * U), Z), axis=1)
+        x = abs(eta) * h
+        lead = h**3 * (eta * eta / 24.0 + abs(eta) / 12.0)
+        assert -0.03 * x * x <= gap.max() / lead - 1.0 <= 0.06 * x * x
+
+    @pytest.mark.parametrize("n", [3, 8])
+    @pytest.mark.parametrize("seed", [7, 11])
+    def test_third_order_in_the_step(self, n, seed):
+        # r_k / h^3 on geodesic steps stays flat as the step halves
+        rng = np.random.default_rng(seed)
+        A = random_so0(rng, n)
+        cfg = random_config(rng, n)
+        ratios = []
+        for max_step in (0.04, 0.02, 0.01):
+            path = steer_config(cfg, A, max_step=max_step)
+            r, bound = step_consistency(path)
+            assert np.all(r <= bound)
+            geodesic = np.repeat([leg.kind == "rotation" for leg in path.legs],
+                                 [leg.steps for leg in path.legs])
+            h = np.diff(path.times)[geodesic]
+            ratios.append((r[geodesic] / h**3).max())
+        assert max(ratios) <= 1.05 * min(ratios)
+
+    @pytest.mark.parametrize("n", [2, 3, 8])
+    def test_every_step_under_its_bound_to_rapidity_15(self, n):
+        for seed in range(12):
+            rng = np.random.default_rng(seed)
+            A = random_so0(rng, n, rapidity_max=15.0)
+            r, bound = step_consistency(steer_config(random_config(rng, n), A))
+            assert np.all(r <= bound)
+
+    @pytest.mark.parametrize("theta", [1e-8, 1e-6, 1e-4, 1e-2, np.pi - 1e-9])
+    @pytest.mark.parametrize("n", [2, 3, 8])
+    def test_angles_near_0_and_pi(self, n, theta):
+        # near 0 the vertical parameter |eta| ~ 2 pi / T is large
+        rng = np.random.default_rng(40 + n)
+        Q = np.linalg.qr(rng.normal(size=(n, n)))[0]
+        g = np.outer(Q[:, 1], Q[:, 0]) - np.outer(Q[:, 0], Q[:, 1])
+        A = block_rot(np.eye(n) + np.sin(theta) * g + (1.0 - np.cos(theta)) * g @ g) \
+            @ exp_h(0.3 * rng.normal(size=n))
+        r, bound = step_consistency(steer_config(random_config(rng, n), A))
+        assert np.all(r <= bound)
+
+    @pytest.mark.parametrize("w", [2.0, 12.0])
+    def test_boost_steps_see_a_moved_node_at_large_rapidity(self, w):
+        # a boost step's rounding term is each node's own 1 / W_t, so a node
+        # the boost pushed towards its attracting point is checked to a few
+        # eps even at |u| = 12, where |A|_2^2 eps is 6e-6
+        rng = np.random.default_rng(12)
+        A = lorentz_sample(rng, 3, w)[0]
+        path = steer_config(random_config(rng, 3), A)
+        k = path.legs[0].steps - 1
+        r, bound = step_consistency(path)
+        assert np.all(r <= bound) and bound[k] < 1e-12
+        j = int(np.argmax(path.nodes[k] @ path.controls[k]))
+        z = path.nodes[k, j]
+        z += 1e-9 * tangent_at(z, rng.normal(size=3))
+        r, bound = step_consistency(path)
+        assert r[k - 1] > bound[k - 1] and r[k] > bound[k]
+
+    def test_steer_builds_no_group_path_at_dimension_n(self, rng, monkeypatch):
+        from snakeplan import planner
+
+        def no_chain(*args, **kwargs):
+            raise AssertionError("an (m+1, n+1, n+1) stack was built")
+
+        monkeypatch.setattr(planner, "_chain", no_chain)
+        cfg = random_config(rng, 8)
+        A = random_so0(rng, 8)
+        path = steer_config(cfg, A)
+        assert config_distance(path.final, act(A, cfg)) < 1e-12
+
+    def test_needs_a_steer_path(self, rng):
+        cfg = random_config(rng, 3)
+        c0 = endpoint(cfg)
+        lift = horizontal_lift(cfg, lambda t: np.tile(c0, (len(t), 1)),
+                               lambda t: np.zeros((len(t), 3)), t_final=0.1, dt=1e-2)
+        with pytest.raises(ValueError, match="needs a steer path"):
+            step_consistency(lift)
+
+
 class TestHorizontalLift:
     def test_constant_head_constant_path(self, rng):
         cfg = random_config(rng, 3)
@@ -499,12 +634,14 @@ class TestHorizontalLift:
         assert path.tracking_errors.max() < 1e-4
 
     def test_stores_no_velocities(self, rng):
-        # a lift's velocity at step k is tangent_at(nodes[k], controls[k])
+        # a path's velocity at step k is tangent_at(nodes[k], controls[k]),
+        # for a lift as for steer
         cfg = random_config(rng, 3)
         c0 = endpoint(cfg)
         path = horizontal_lift(cfg, lambda t: np.tile(c0, (len(t), 1)),
                                lambda t: np.zeros((len(t), 3)), t_final=0.1, dt=1e-2)
-        assert path.velocities is None
+        assert not hasattr(path, "velocities")
+        assert not hasattr(steer_config(cfg, random_so0(rng, 3)), "velocities")
 
     def test_velocities_horizontal_and_minimal(self, rng):
         cfg = random_config(rng, 3, L=2.0)

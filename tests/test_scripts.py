@@ -36,5 +36,7 @@ def test_steering_demo(tmp_path, monkeypatch, capsys):
     out = capsys.readouterr().out
     gap = float(out.split("final distance to act(A, u0):")[1].split()[0])
     assert gap < 1e-7
+    resid, bound = out.split("worst step-consistency residual:")[1].split()[:3:2]
+    assert float(resid) <= float(bound.rstrip(","))
     assert (tmp_path / "head_trace.csv").stat().st_size > 0
     assert (tmp_path / "snake_polylines.csv").stat().st_size > 0
