@@ -38,13 +38,12 @@ __all__ = [
 SKEW_LOAD_TOL = 1e-9
 
 
-def dump_json(obj, path=None) -> str:
-    text = json.dumps(obj, sort_keys=True, indent=1)
-    if path is not None:
-        with open(path, "w") as fh:
-            fh.write(text)
-            fh.write("\n")
-    return text
+def dump_json(obj, path) -> None:
+    """Write obj to path as sorted, indented JSON, one encoded piece at a
+    time, so no copy of the whole text is held."""
+    with open(path, "w") as fh:
+        json.dump(obj, fh, sort_keys=True, indent=1)
+        fh.write("\n")
 
 
 def matrix_to_json(A: np.ndarray) -> dict:

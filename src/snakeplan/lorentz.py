@@ -179,14 +179,13 @@ def _boost_factor(A: np.ndarray) -> tuple:
 
 
 def boost_decompose(A: np.ndarray) -> BoostFactors:
-    """Polar-type factorization A = diag(eps, Q) @ T, T the boost from A's first row."""
-    A = np.asarray(A, dtype=float)
-    eps, Q, u = _boost_factor(A)
-    T = exp_h(u)
-    if np.linalg.norm(spatial_block(Q, eps) @ T - A) > DEFAULT_FACTOR_TOL * _norm2(A):
-        raise NotLorentz(f"reconstruction residual above {DEFAULT_FACTOR_TOL} |A|_2; "
-                         "input not Lorentz?")
-    return BoostFactors(eps, Q, T)
+    """Polar-type factorization A = diag(eps, Q) @ T, T the boost from A's
+    first row; A is admitted by classify's membership test."""
+    _, factor = _grade(np.asarray(A, dtype=float), DEFAULT_MEMBERSHIP_TOL)
+    if factor is None:
+        raise NotLorentz("boost_decompose needs a Lorentz input")
+    eps, Q, u = factor
+    return BoostFactors(eps, Q, exp_h(u))
 
 
 def kak_decompose(A: np.ndarray):
@@ -197,18 +196,15 @@ def kak_decompose(A: np.ndarray):
     """
     A = np.asarray(A, dtype=float)
     n = A.shape[0] - 1
-    eps, Q0, u = _boost_factor(A)
-    if eps < 0:
-        raise NotLorentz("kak_decompose needs an SO-grade input (c > 0)")
+    grade, factor = _grade(A, DEFAULT_MEMBERSHIP_TOL)
+    if grade not in (Membership.SO, Membership.SO0):
+        raise NotLorentz(f"kak_decompose needs an SO-grade input, got {grade.value}")
+    _, Q0, u = factor
     alpha = float(np.linalg.norm(u))
     Qv = _completion_to_frame(u / alpha) if alpha > 0.0 else np.eye(n)
     if n >= 2 and np.linalg.det(Qv) < 0.0:
         Qv[:, -1] *= -1.0  # fix det; flipped column is in the e1-stabilizer
-    Qp = Q0 @ Qv
-    recon = spatial_block(Qp) @ exp_h(alpha * np.eye(n)[0]) @ spatial_block(Qv).T
-    if np.linalg.norm(recon - A) > DEFAULT_FACTOR_TOL * _norm2(A):
-        raise NotLorentz("kak reconstruction residual above tol")
-    return Qp, alpha, Qv
+    return Q0 @ Qv, alpha, Qv
 
 
 def _completion_to_frame(e: np.ndarray) -> np.ndarray:
@@ -226,10 +222,10 @@ def _completion_to_frame(e: np.ndarray) -> np.ndarray:
 
 
 def spatial_block(Q: np.ndarray, eps: float = 1.0) -> np.ndarray:
-    """diag(eps, Q): Q on the spatial coordinates, eps on time; Q may be a stack."""
+    """diag(eps, Q): Q on the spatial coordinates, eps on time; Q may be a
+    stack, and an (n, d) frame gives the (n+1, d+1) diag(1, frame)."""
     Q = np.asarray(Q, dtype=float)
-    n = Q.shape[-1]
-    out = np.zeros(Q.shape[:-2] + (n + 1, n + 1))
+    out = np.zeros(Q.shape[:-2] + (Q.shape[-2] + 1, Q.shape[-1] + 1))
     out[..., 0, 0] = eps
     out[..., 1:, 1:] = Q
     return out

@@ -5,7 +5,9 @@ are the right logarithmic derivatives Y = gamma' gamma^{-1}; a path is
 horizontal when every Y lies in the boost subspace h.  New legs extend a
 path by left multiplication (gamma -> leg * gamma), which preserves this
 notion of horizontality and matches the way the factorization
-A = prod_j Exp(theta_j B_j) * exp_h(u) is rebuilt leg by leg.
+A = prod_j Exp(theta_j B_j) * exp_h(u) is rebuilt leg by leg.  A leg acts
+only on span(e0, u) or span(e0, x, y), so it is held in that frame of at
+most 3 dimensions, and a path is its times, controls and legs.
 
 Rotation endpoints are not reachable along h directly; each planar rotation
 leg is a normal geodesic
@@ -16,15 +18,16 @@ whose control Ad_{Exp(-tau Omega)} U stays in h with unit norm.  The leg
 reaches Exp(theta * g) exactly once the elliptic frequency closes
 (sqrt(eta^2 - 1) * T = 2 pi), at arc length T = sqrt(theta^2 + 4 pi theta).
 The configuration-space planners push these paths through the sphere
-action node-wise, steer_config one leg at a time in the leg's own frame of
-at most 3 dimensions; their velocities tangent_at(nodes[k], controls[k]) are
+action node-wise, steer_config one plan leg at a time in the leg's own
+frame; their velocities tangent_at(nodes[k], controls[k]) are
 then genuine horizontal fields, and step_consistency checks every step
 against the boost of its control.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -74,11 +77,27 @@ class SingularityApproach(RuntimeError):
 
 @dataclass(frozen=True)
 class LegRecord:
+    """One leg of a group path, held in its own frame.
+
+    The leg acts only on span(e0, F), F = [u/|u|] for a boost and [x, y]
+    for a plane, so it is stored at that frame's dimension d <= 2: frame is
+    P = diag(1, F), (n+1, d+1), and blocks are its matrices S, (s+1, d+1, d+1)
+    in SO0(d,1); at dimension n the leg's matrix is Id + P (S - Id) P^T.
+    """
+
     kind: str  # "boost" | "rotation"
     length: float
     steps: int
+    frame: np.ndarray  # (n+1, d+1)
+    blocks: np.ndarray  # (s+1, d+1, d+1)
     theta: float = 0.0
     u: np.ndarray | None = None
+
+    @cached_property
+    def end(self) -> np.ndarray:
+        """The leg's last matrix at dimension n, formed once per leg."""
+        P, S = self.frame, self.blocks[-1]
+        return np.eye(len(P)) + P @ (S - np.eye(len(S))) @ P.T
 
 
 @dataclass
@@ -86,16 +105,19 @@ class GroupPath:
     """Time-gridded horizontal path in SO0(n,1) with control records.
 
     controls[k] is the boost vector of the right logarithmic derivative at
-    the midpoint of step k; matrices[k+1] ~ exp_h(dt * controls[k]) @ matrices[k].
+    the midpoint of step k.  The matrices are held leg by leg in the legs'
+    own frames (LegRecord), gamma(s) = leg(s - t_start) @ gamma(t_start).
     """
 
     times: np.ndarray  # (m+1,)
-    matrices: np.ndarray  # (m+1, n+1, n+1)
     controls: np.ndarray  # (m, n)
     legs: list = field(default_factory=list)
 
     def endpoint(self) -> np.ndarray:
-        return self.matrices[-1]
+        G = np.eye(self.controls.shape[1] + 1)
+        for leg in self.legs:
+            G = leg.end @ G
+        return G
 
     def length(self) -> float:
         # the left-to-right sum keeps the exported length deterministic
@@ -108,22 +130,28 @@ class GroupPath:
         return out
 
     def consistency_residual(self) -> float:
-        """max_k || gamma_{k+1} - exp_h(dt u_k) gamma_k ||, O(dt^3) per step."""
-        steps = exp_h(np.diff(self.times)[:, None] * self.controls) @ self.matrices[:-1]
-        return float(np.linalg.norm(steps - self.matrices[1:], axis=(1, 2)).max(initial=0.0))
+        """max_k || S_{k+1} - exp_h(dt F^T u_k) S_k ||, every leg's blocks S
+        against its controls in its own frame F; O(dt^3) per step."""
+        h, worst, k = np.diff(self.times), 0.0, 0
+        for leg in self.legs:
+            end = k + leg.steps
+            local = h[k:end, None] * (self.controls[k:end] @ leg.frame[1:, 1:])
+            steps = exp_h(local) @ leg.blocks[:-1]
+            worst = max(worst, np.linalg.norm(steps - leg.blocks[1:], axis=(1, 2)).max())
+            k = end
+        return float(worst)
 
 
-def _chain(n: int, legs) -> GroupPath:
-    """Extend Id by every leg in turn, gamma(s) = leg(s - t_end) @ gamma(t_end),
-    and concatenate the pieces once."""
-    times, mats, controls, records = [np.zeros(1)], [np.eye(n + 1)[None]], [np.zeros((0, n))], []
+def _join(n: int, legs) -> GroupPath:
+    """The path that runs every leg in turn: their times, controls and
+    records concatenated once."""
+    times, controls, records = [np.zeros(1)], [np.zeros((0, n))], []
     for leg in legs:
         times.append(times[-1][-1] + leg.times[1:])
-        mats.append(leg.matrices[1:] @ mats[-1][-1])
         controls.append(leg.controls)
         records.extend(leg.legs)
-    return GroupPath(times=np.concatenate(times), matrices=np.concatenate(mats),
-                     controls=np.concatenate(controls), legs=records)
+    return GroupPath(times=np.concatenate(times), controls=np.concatenate(controls),
+                     legs=records)
 
 
 def _within_cap(count: float, cause: str) -> int:
@@ -139,18 +167,18 @@ def _steps_for(length: float, max_step: float) -> int:
 
 
 def boost_leg(u_vec: np.ndarray, max_step: float = DEFAULT_MAX_STEP) -> GroupPath:
-    """Arc-length boost ray tau -> exp_h(tau * u/|u|) on [0, |u|]."""
+    """Arc-length boost ray tau -> exp_h(tau * u/|u|) on [0, |u|], held in the
+    frame [u/|u|] as the blocks exp_h(tau * [1])."""
     u_vec = np.atleast_1d(np.asarray(u_vec, dtype=float))
-    n = u_vec.shape[0]
     T = float(np.linalg.norm(u_vec))
     if T == 0.0:
         raise ValueError("boost_leg needs a nonzero vector")
     uh = u_vec / T
     m = _steps_for(T, max_step)
     times = np.linspace(0.0, T, m + 1)
-    mats = exp_h(times[:, None] * uh)
-    return GroupPath(times=times, matrices=mats, controls=np.tile(uh, (m, 1)),
-                     legs=[LegRecord(kind="boost", length=T, steps=m, u=u_vec.copy())])
+    record = LegRecord(kind="boost", length=T, steps=m, frame=spatial_block(uh[:, None]),
+                       blocks=exp_h(times[:, None] * [1.0]), u=u_vec.copy())
+    return GroupPath(times=times, controls=np.tile(uh, (m, 1)), legs=[record])
 
 
 def _vertical_parameter(theta: float) -> tuple:
@@ -171,33 +199,33 @@ def _plane_geodesic_leg(
     x: np.ndarray,
     y: np.ndarray,
     theta: float,
-    n: int,
     max_step: float = DEFAULT_MAX_STEP,
 ) -> GroupPath:
     """Right-horizontal normal geodesic from Id to Exp(theta * g_{xy}).
 
     gamma(tau) = Exp(-tau * eta * Omega_g) @ Exp(tau * (U_x + eta * Omega_g)),
     control Ad U_x of constant unit norm; endpoint closes at
-    T = sqrt(theta^2 + 4 pi theta).
+    T = sqrt(theta^2 + 4 pi theta).  The blocks are built in the frame
+    [x, y], with e1 and e2 for x and y; the controls are in R^n.
     """
     if not 0.0 < theta <= np.pi + 1e-12:
         raise ValueError("plane geodesic needs an angle in (0, pi]")
     eta, freq, T = _vertical_parameter(theta)
-    g = _plane_generator(x, y)
-    M = np.zeros((n + 1, n + 1))
-    M[0, 1:] = x
-    M[1:, 0] = x
+    g = _plane_generator(*np.eye(2))
+    M = np.zeros((3, 3))
+    M[0, 1] = M[1, 0] = 1.0
     M[1:, 1:] = eta * g
 
     m = max(GEODESIC_MIN_STEPS, _steps_for(T, max_step))
     times = np.linspace(0.0, T, m + 1)
     # (M / freq)^3 = -M / freq, so Exp(tau M) is a planar rotation by freq * tau
     exp_tm = planar_rotation(M / freq, freq * times)
-    mats = spatial_block(planar_rotation(g, -times * eta)) @ exp_tm
+    blocks = spatial_block(planar_rotation(g, -times * eta)) @ exp_tm
     taus = 0.5 * (times[:-1] + times[1:])
     controls = np.cos(taus * eta)[:, None] * x - np.sin(taus * eta)[:, None] * y
-    return GroupPath(times=times, matrices=mats, controls=controls,
-                     legs=[LegRecord(kind="rotation", length=T, steps=m, theta=theta)])
+    record = LegRecord(kind="rotation", length=T, steps=m, theta=theta,
+                       frame=spatial_block(np.stack([x, y], axis=1)), blocks=blocks)
+    return GroupPath(times=times, controls=controls, legs=[record])
 
 
 def su11_geodesic(theta: float, max_step: float = DEFAULT_MAX_STEP) -> GroupPath:
@@ -232,32 +260,21 @@ def rotation_leg(
     if psi > np.pi:
         # rotation by psi in (x, y) equals rotation by 2 pi - psi in (y, x)
         x, y, psi = y, x, 2.0 * np.pi - psi
-    return _plane_geodesic_leg(x, y, psi, n, max_step=max_step)
-
-
-def _plan_legs(A: np.ndarray):
-    """The legs of A's horizontal plan, in order: (None, u) for the boost
-    exp_h(u), then (theta, (x, y)) for one geodesic leg per 2x2 plane of every
-    spectral block in increasing angle, so that their product
-    prod_j Exp(theta_j B_j) * exp_h(u) is A.  factorize rejects input
-    outside SO0(n,1) with NotLorentz."""
-    blocks, u = factorize(A)
-    if np.linalg.norm(u) > 0.0:
-        yield None, u
-    for block in sorted(blocks.blocks, key=lambda b: b.theta):
-        for plane in block.planes:
-            yield block.theta, plane
+    return _plane_geodesic_leg(x, y, psi, max_step=max_step)
 
 
 def plan_group_path(A: np.ndarray, max_step: float = DEFAULT_MAX_STEP) -> GroupPath:
-    """Horizontal path from Id to A built from the global factorization,
-    one leg per _plan_legs entry."""
+    """Horizontal path from Id to A built from the global factorization
+    A = prod_j Exp(theta_j B_j) * exp_h(u): the boost leg to exp_h(u), then
+    one geodesic leg per 2x2 plane of every spectral block in increasing
+    angle.  factorize rejects input outside SO0(n,1) with NotLorentz."""
     _positive("step", max_step)
     A = np.asarray(A, dtype=float)
-    n = A.shape[0] - 1
-    return _chain(n, [boost_leg(part, max_step=max_step) if theta is None
-                      else _plane_geodesic_leg(*part, theta, n, max_step=max_step)
-                      for theta, part in _plan_legs(A)])
+    blocks, u = factorize(A)
+    legs = [boost_leg(u, max_step=max_step)] if np.linalg.norm(u) > 0.0 else []
+    legs += [_plane_geodesic_leg(x, y, block.theta, max_step=max_step)
+             for block in sorted(blocks.blocks, key=lambda b: b.theta) for x, y in block.planes]
+    return _join(A.shape[0] - 1, legs)
 
 
 def commutator_probe(
@@ -276,7 +293,7 @@ def commutator_probe(
     if not np.isfinite(t):
         raise ValueError(f"t must be finite, got {t}")
     if t == 0.0:
-        return _chain(n, [])
+        return _join(n, [])
     if t < 0.0:
         i, j = j, i
         t = -t
@@ -289,7 +306,7 @@ def commutator_probe(
     ej[j - 1] = s
     # odd repetitions run the cycle reversed: (-ej, -ei, ej, ei)
     base = [boost_leg(v, max_step=max_step) for v in (ej, ei, -ej, -ei)]
-    return _chain(n, (base[(k + 2 * (rep % 2)) % 4] for rep in range(m) for k in range(4)))
+    return _join(n, (base[(k + 2 * (rep % 2)) % 4] for rep in range(m) for k in range(4)))
 
 
 # ---------------------------------------------------------------------------
@@ -360,56 +377,34 @@ class ConfigPath:
 def steer_config(u0: SnakeConfig, A: np.ndarray, max_step: float = DEFAULT_MAX_STEP) -> ConfigPath:
     """Push u0 along plan_group_path(A)'s horizontal path to act(A, u0).
 
-    A leg acts only on span(e0, frame), frame = [u/|u|] for the boost and
-    [x, y] for a plane, so it is built once at that frame's dimension d as
-    the (s+1, d+1, d+1) blocks S of boost_leg or _plane_geodesic_leg.  It
-    moves the nodes z reached at its start, as light-cone points
-    W0 = (1, z)^T, to W = W0 + P (S - Id) P^T W0 with P = diag(1, frame):
+    The path's times, controls and legs are the plan's.  Each leg moves the
+    nodes z reached at its start, as light-cone points W0 = (1, z)^T, to
+    W = W0 + P (S - Id) P^T W0 with P its frame and S its blocks (LegRecord):
     O(n K) per step, written into one (m+1, n+1, K) array whose spatial rows
     become the nodes in place, so the nodes are an (m+1, K, n) view of it.
-    times and controls equal plan_group_path's bit for bit (a leg's controls
-    map back to R^n one frame column at a time); the nodes differ from the
-    action of its matrices by rounding.
+    They differ from the action of the plan's matrices at dimension n by
+    rounding.
     """
-    _positive("step", max_step)
     A = np.asarray(A, dtype=float)
-    n = A.shape[0] - 1
-    if u0.dim != n:
+    if u0.dim != A.shape[0] - 1:
         raise ValueError("dimension mismatch between config and matrix")
-    framed = []  # (spatial frame (n, d), leg in SO0(d,1), its record at dimension n)
-    for theta, part in _plan_legs(A):
-        if theta is None:
-            T = float(np.linalg.norm(part))
-            leg = boost_leg(np.array([T]), max_step=max_step)
-            framed.append(((part / T)[:, None], leg, replace(leg.legs[0], u=part.copy())))
-        else:
-            leg = _plane_geodesic_leg(*np.eye(2), theta, 2, max_step=max_step)
-            framed.append((np.stack(part, axis=1), leg, leg.legs[0]))
-    m = sum(record.steps for _, _, record in framed)
-    times, controls = np.zeros(m + 1), np.empty((m, n))
+    plan = plan_group_path(A, max_step=max_step)
     # coordinate-major in memory, (m+1, n+1, K) as indexed: an elementwise pass
     # over all steps then runs along rows of (m+1) K values
-    W = np.empty((n + 1, m + 1, u0.nodes.shape[0])).transpose(1, 0, 2)
+    W = np.empty((u0.dim + 1, len(plan.times), u0.nodes.shape[0])).transpose(1, 0, 2)
     W[0, 0] = 1.0
     W[0, 1:] = u0.nodes.T
     k = 0
-    for frame, leg, record in framed:
+    for leg in plan.legs:
         if k:  # the leg starts on the light cone at (1, z), z the node reached
             _cone_images(W[k : k + 1])
             W[k, 0] = 1.0
-        d, end = frame.shape[1], k + record.steps
-        P = np.zeros((n + 1, d + 1))
-        P[0, 0] = 1.0
-        P[1:, 1:] = frame
-        np.matmul(P, (leg.matrices[1:] - np.eye(d + 1)) @ (P.T @ W[k]), out=W[k + 1 : end + 1])
+        P, S, end = leg.frame, leg.blocks, k + leg.steps
+        np.matmul(P, (S[1:] - np.eye(S.shape[-1])) @ (P.T @ W[k]), out=W[k + 1 : end + 1])
         W[k + 1 : end + 1] += W[k]
-        times[k + 1 : end + 1] = times[k] + leg.times[1:]
-        np.multiply(leg.controls[:, :1], frame[:, 0], out=controls[k:end])
-        for j in range(1, d):
-            controls[k:end] += leg.controls[:, j, None] * frame[:, j]
         k = end
-    return ConfigPath(times=times, grid=u0, nodes=_cone_images(W), controls=controls,
-                      legs=[record for _, _, record in framed])
+    return ConfigPath(times=plan.times, grid=u0, nodes=_cone_images(W), controls=plan.controls,
+                      legs=plan.legs)
 
 
 def step_consistency(path: ConfigPath) -> tuple:

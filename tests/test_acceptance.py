@@ -27,7 +27,6 @@ from snakeplan.lorentz import (
     exp_h,
     factorize,
     kak_decompose,
-    log_boost,
     lorentz_residual,
 )
 from snakeplan.planner import (
@@ -35,13 +34,12 @@ from snakeplan.planner import (
     commutator_probe,
     config_velocity_residuals,
     horizontal_lift,
-    infinitesimal_action,
     plan_group_path,
     steer_config,
     step_consistency,
     su11_geodesic,
 )
-from snakeplan.rotations import skew_spectral, so_exp_blocks, so_log
+from snakeplan.rotations import so_exp_blocks, so_log
 from snakeplan.snake import (
     _gram,
     config_distance,

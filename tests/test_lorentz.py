@@ -298,6 +298,36 @@ class TestKakDecompose:
             assert abs(alpha - np.linalg.norm(u)) <= 4e-16 * np.linalg.norm(u)
 
 
+class TestDecompositionMembership:
+    @pytest.mark.parametrize("n", [3, 8, 16])
+    @pytest.mark.parametrize("w", [19.0, 25.0, 30.0])
+    def test_admits_valid_input_at_large_rapidity(self, n, w):
+        # a reconstruction of a few products errs by about eps |A|_2^2, so no
+        # bound linear in |A|_2 admits this input; membership decides instead
+        for seed in range(12):
+            A, _ = lorentz_sample(np.random.default_rng(seed), n, w)
+            bound = 4.0 * np.finfo(float).eps * np.linalg.norm(A, 2) ** 2
+            eps, Q, T = boost_decompose(A)
+            assert np.linalg.norm(spatial_block(Q, eps) @ T - A) <= bound
+            Qp, alpha, Qv = kak_decompose(A)
+            recon = spatial_block(Qp) @ exp_h(alpha * e(0, n)) @ spatial_block(Qv).T
+            assert np.linalg.norm(recon - A) <= bound
+
+    def test_rejects_what_classify_rejects(self):
+        # relative Lorentz residual 1.6e-9, above classify's 1e-9 |A|_2^2
+        A = random_so0(np.random.default_rng(7), 3)
+        A += 1e-9 * np.random.default_rng(1).normal(size=A.shape)
+        assert classify(A) is Membership.NOT_LORENTZ
+        with pytest.raises(NotLorentz):
+            boost_decompose(A)
+        with pytest.raises(NotLorentz):
+            kak_decompose(A)
+
+    def test_kak_rejects_time_reversal(self, rng):
+        with pytest.raises(NotLorentz, match="SO-grade"):
+            kak_decompose(lorentz_sample(rng, 3, 1.0, eps=-1.0)[0])
+
+
 class TestBracket:
     def test_u1_u2_gives_omega12(self):
         n = 4

@@ -55,6 +55,18 @@ def node_rounding(G, Z, legs):
     return 8.0 * (7 * legs + 1) * np.finfo(float).eps * norm[..., None] / w_t
 
 
+def dense_matrices(path):
+    """Oracle: a group path's (m+1, n+1, n+1) matrix stack, each leg's blocks
+    S embedded by its frame P as Id + P (S - Id) P^T and applied to the
+    matrix the leg starts from."""
+    n = path.controls.shape[1]
+    mats = [np.eye(n + 1)[None]]
+    for leg in path.legs:
+        P, S = leg.frame, leg.blocks[1:]
+        mats.append((np.eye(n + 1) + P @ (S - np.eye(S.shape[-1])) @ P.T) @ mats[-1][-1])
+    return np.concatenate(mats)
+
+
 def rot_matrix(theta, n=2):
     A = np.eye(n + 1)
     A[1, 1] = A[2, 2] = np.cos(theta)
@@ -203,8 +215,25 @@ class TestPlanGroupPath:
     def test_consistency_residual_detects_perturbed_step(self, rng):
         path = plan_group_path(random_so0(rng, 3), max_step=0.01)
         assert path.consistency_residual() < 1e-5
-        path.matrices[len(path.matrices) // 2, 1, 2] += 1e-3
+        leg = path.legs[len(path.legs) // 2]
+        leg.blocks[len(leg.blocks) // 2, 0, 1] += 1e-3
         assert path.consistency_residual() > 1e-5
+
+    def test_plan_holds_no_dense_stack_at_dimension_64(self):
+        # the legs are held in frames of at most 3 dimensions, so planning
+        # and folding the endpoint stay far below one (m+1, n+1, n+1) stack
+        import tracemalloc
+
+        A = random_so0(np.random.default_rng(7), 64)
+        tracemalloc.start()
+        try:
+            plan = plan_group_path(A)
+            plan.endpoint()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 0.05 * len(plan.times) * 65**2 * 8
+        assert all(max(leg.blocks.shape[1:]) <= 3 for leg in plan.legs)
 
     def test_consistency_residual_of_empty_path(self):
         assert commutator_probe(1, 2, 0.0, 4, 3).consistency_residual() == 0.0
@@ -299,22 +328,24 @@ class TestCommutatorProbe:
 
 def concat_reference(n, legs):
     """Per-leg concatenation: re-copy the whole path for every leg."""
-    times, mats = np.zeros(1), np.eye(n + 1)[None]
+    times, controls = np.zeros(1), np.zeros((0, n))
     for leg in legs:
-        K = mats[-1]
         times = np.concatenate([times, times[-1] + leg.times[1:]])
-        mats = np.concatenate([mats, leg.matrices[1:] @ K])
-    return times, mats
+        controls = np.concatenate([controls, leg.controls])
+    return times, controls
 
 
 def assert_matches_legs(path, n, legs):
-    times, mats = concat_reference(n, legs)
+    times, controls = concat_reference(n, legs)
     assert np.array_equal(path.times, times)
-    assert np.array_equal(path.matrices, mats)
-    assert np.array_equal(path.controls, np.concatenate([np.zeros((0, n))] + [leg.controls for leg in legs]))
-    # one record per leg, in order
-    assert [(r.kind, r.length, r.theta) for r in path.legs] == \
-        [(r.kind, r.length, r.theta) for leg in legs for r in leg.legs]
+    assert np.array_equal(path.controls, controls)
+    # one record per leg, in order, with its frame and blocks
+    records = [r for leg in legs for r in leg.legs]
+    assert [(r.kind, r.length, r.steps, r.theta) for r in path.legs] == \
+        [(r.kind, r.length, r.steps, r.theta) for r in records]
+    for got, want in zip(path.legs, records):
+        assert np.array_equal(got.frame, want.frame)
+        assert np.array_equal(got.blocks, want.blocks)
 
 
 class TestSingleAssembly:
@@ -342,7 +373,7 @@ class TestSingleAssembly:
         legs = [boost_leg(u)]
         for block in sorted(blocks.blocks, key=lambda b: b.theta):
             for x, y in block.planes:
-                legs.append(_plane_geodesic_leg(x, y, block.theta, n))
+                legs.append(_plane_geodesic_leg(x, y, block.theta))
         assert len(path.legs) == len(legs) >= 2
         assert_matches_legs(path, n, legs)
 
@@ -456,10 +487,11 @@ class TestSteerConfig:
         assert [(r.kind, r.length, r.steps, r.theta) for r in path.legs] == \
             [(r.kind, r.length, r.steps, r.theta) for r in plan.legs]
         assert np.array_equal(path.legs[0].u, plan.legs[0].u)
-        assert len(path.nodes) == len(plan.matrices)
-        dense = mobius_sphere_action_many(plan.matrices, cfg.nodes)
+        mats = dense_matrices(plan)
+        assert len(path.nodes) == len(mats)
+        dense = mobius_sphere_action_many(mats, cfg.nodes)
         gap = np.linalg.norm(path.nodes - dense, axis=-1)
-        assert np.all(gap <= node_rounding(plan.matrices, cfg.nodes, len(plan.legs)))
+        assert np.all(gap <= node_rounding(mats, cfg.nodes, len(plan.legs)))
 
     @pytest.mark.parametrize("w", [0.0, 2.0, 8.0, 15.0])
     @pytest.mark.parametrize("n", [2, 3, 8, 16])
@@ -470,8 +502,9 @@ class TestSteerConfig:
         cfg = random_config(rng, n)
         path = steer_config(cfg, A)
         plan = plan_group_path(A)
-        for k in np.linspace(0, len(plan.matrices) - 1, 9).astype(int):
-            G = plan.matrices[k]
+        mats = dense_matrices(plan)
+        for k in np.linspace(0, len(mats) - 1, 9).astype(int):
+            G = mats[k]
             bound = node_rounding(G, cfg.nodes, len(plan.legs))
             for j, z in enumerate(cfg.nodes):
                 cone = G @ np.concatenate([[1.0], z])
@@ -486,9 +519,10 @@ class TestSteerConfig:
         A = random_so0(rng, n)
         path = steer_config(cfg, A)
         plan = plan_group_path(A)
+        mats = dense_matrices(plan)
         eps = 1e-5
         for k in np.linspace(0, len(plan.controls) - 1, 7).astype(int):
-            u, G = path.controls[k], plan.matrices[k]
+            u, G = path.controls[k], mats[k]
             plus = act(exp_h(eps * u) @ G, cfg).nodes
             minus = act(exp_h(-eps * u) @ G, cfg).nodes
             fd = (plus - minus) / (2 * eps)
@@ -593,18 +627,6 @@ class TestStepConsistency:
         z += 1e-9 * tangent_at(z, rng.normal(size=3))
         r, bound = step_consistency(path)
         assert r[k - 1] > bound[k - 1] and r[k] > bound[k]
-
-    def test_steer_builds_no_group_path_at_dimension_n(self, rng, monkeypatch):
-        from snakeplan import planner
-
-        def no_chain(*args, **kwargs):
-            raise AssertionError("an (m+1, n+1, n+1) stack was built")
-
-        monkeypatch.setattr(planner, "_chain", no_chain)
-        cfg = random_config(rng, 8)
-        A = random_so0(rng, 8)
-        path = steer_config(cfg, A)
-        assert config_distance(path.final, act(A, cfg)) < 1e-12
 
     def test_needs_a_steer_path(self, rng):
         cfg = random_config(rng, 3)
