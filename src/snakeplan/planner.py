@@ -304,9 +304,17 @@ def commutator_probe(
     ei[i - 1] = s
     ej = np.zeros(n)
     ej[j - 1] = s
-    # odd repetitions run the cycle reversed: (-ej, -ei, ej, ei)
     base = [boost_leg(v, max_step=max_step) for v in (ej, ei, -ej, -ei)]
-    return _join(n, (base[(k + 2 * (rep % 2)) % 4] for rep in range(m) for k in range(4)))
+    # odd repetitions run the cycle reversed, (-ej, -ei, ej, ei): the path is
+    # this period, repeated and cut to 4m legs.  Every leg has the time grid
+    # tau, and the leg offsets are _join's left-to-right sums of its end.
+    period, reps = (base + base[2:] + base[:2])[: 4 * m], (m + 1) // 2
+    tau = base[0].times
+    offsets = np.concatenate([[0.0], np.cumsum(np.full(4 * m - 1, tau[-1]))])
+    times = np.concatenate([[0.0], (offsets[:, None] + tau[1:]).ravel()])
+    controls = np.tile(np.concatenate([leg.controls for leg in period]), (reps, 1))
+    return GroupPath(times=times, controls=controls[: 4 * m * (len(tau) - 1)],
+                     legs=([leg.legs[0] for leg in period] * reps)[: 4 * m])
 
 
 # ---------------------------------------------------------------------------
@@ -536,6 +544,10 @@ def horizontal_lift(
     eigen-solve and abort check, so an abort happens at the same stage as
     with an eigen-solve at every stage.  The returned path carries the
     step-start margins and the count of exact eigen-solves.
+
+    A step writes its stage arrays into buffers allocated once per lift,
+    with the arithmetic of the plain expressions, so the bits are theirs;
+    the returned arrays are the path's own.
     """
     n = u0.dim
     margin_min = LIFT_MARGIN_FACTOR * u0.L
@@ -547,6 +559,8 @@ def horizontal_lift(
         vals = np.asarray(curve(ts), dtype=float)
         if vals.shape != (ts.shape[0], n):
             raise ValueError(f"head curve gave shape {vals.shape}, expected {(ts.shape[0], n)}")
+        if not np.isfinite(vals).all():
+            raise ValueError("head curve gave a non-finite value")
         return vals
 
     _positive("step", dt)
@@ -568,18 +582,16 @@ def horizontal_lift(
             raise SingularityApproach(t, float(vals[0]))
         return vals[0], vecs @ ((vecs.T @ c_dot) / vals)
 
-    def tangent(nodes: np.ndarray, w: np.ndarray) -> np.ndarray:
-        # sphere.tangent_at written as one matvec, for every RK4 stage of every step
-        return w - (nodes @ w)[:, None] * nodes
-
-    def stage(t: float, nodes: np.ndarray, c_dot: np.ndarray, A0: np.ndarray,
-              margin0: float) -> np.ndarray:
-        _, A = _gram(u0.weights, u0.L, nodes)
-        if _certifies(margin0, A - A0, certified_min):
-            w = np.linalg.solve(A, c_dot)
-        else:
-            _, w = exact(t, A, c_dot)
-        return tangent(nodes, w)
+    # every array a step writes, allocated once per lift: the Gram buffers,
+    # A - A0, the stage point, the four slopes and the node-wise dots and norms.
+    # The weights are repeated along each node, so weighting a node set is a
+    # flat product rather than a broadcast one.
+    weights, scaled_id = u0.weights[:, None].repeat(n, axis=1), u0.L * np.eye(n)
+    weighted, point, k1, k2, k3, k4 = (np.empty_like(u0.nodes) for _ in range(6))
+    G, A0, A, delta = (np.empty((n, n)) for _ in range(4))
+    dots, norms = np.empty(len(u0.nodes)), np.empty(len(u0.nodes))
+    dots_col, norms_col = dots[:, None], norms[:, None]
+    half, sixth = 0.5 * h, h / 6.0
 
     controls = np.empty((m, n))
     margins = np.empty(m)
@@ -587,29 +599,41 @@ def horizontal_lift(
     nodes[0] = u0.nodes
     # step 0's exact solve comes first, so a singular start aborts before
     # the head curve is checked
-    _, A0 = _gram(u0.weights, u0.L, u0.nodes)
+    _gram(weights, scaled_id, u0.nodes, (weighted, G, A0))
     margins[0], controls[0] = exact(0.0, A0, rate[0])
     if np.linalg.norm(heads[0] - endpoint(u0)) > max(1e-6, 1e-9 * u0.L):
         raise ValueError("head curve must start at endpoint(u0)")
     if np.linalg.norm(evaluate(head, np.linspace(0.0, t_final, 257)), axis=1).max() >= u0.L:
         raise ValueError("head target leaves the closed ball of radius L")
-    for k, t in enumerate(times[:-1]):
-        y = nodes[k]
+    steps = zip(times[:-1], nodes[:-1], nodes[1:], controls, rate, rate_mid, rate_end)
+    for k, (t, y, y_next, w0, c, c_mid, c_end) in enumerate(steps):
         if k:
-            _, A0 = _gram(u0.weights, u0.L, y)
-            margins[k], controls[k] = exact(t, A0, rate[k])
-        k1 = tangent(y, controls[k])
-        k2 = stage(t + 0.5 * h, y + 0.5 * h * k1, rate_mid[k], A0, margins[k])
-        k3 = stage(t + 0.5 * h, y + 0.5 * h * k2, rate_mid[k], A0, margins[k])
-        k4 = stage(t + h, y + h * k3, rate_end[k], A0, margins[k])
-        # y + h/6 (k1 + 2 k2 + 2 k3 + k4), accumulated in k2
+            _gram(weights, scaled_id, y, (weighted, G, A0))
+            margins[k], w0[:] = exact(t, A0, c)
+        # the slopes w - <w, y> y, sphere.tangent_at written in place
+        np.matmul(y, w0, out=dots)
+        np.subtract(w0, np.multiply(dots_col, y, out=k1), out=k1)
+        for s, prev, slope, c_dot in ((half, k1, k2, c_mid), (half, k2, k3, c_mid),
+                                      (h, k3, k4, c_end)):
+            np.add(y, np.multiply(prev, s, out=point), out=point)
+            _gram(weights, scaled_id, point, (weighted, G, A))
+            if _certifies(margins[k], np.subtract(A, A0, out=delta), certified_min):
+                w = np.linalg.solve(A, c_dot)
+            else:
+                _, w = exact(t + s, A, c_dot)
+            np.matmul(point, w, out=dots)
+            np.subtract(w, np.multiply(dots_col, point, out=slope), out=slope)
+        # y + h/6 (k1 + 2 k2 + 2 k3 + k4), accumulated in k2, over its row
+        # norms, formed as np.linalg.norm forms them
         k2 += k3
         k2 *= 2.0
         k2 += k1
         k2 += k4
-        k2 *= h / 6.0
+        k2 *= sixth
         k2 += y
-        np.divide(k2, np.linalg.norm(k2, axis=1)[:, None], out=nodes[k + 1])
+        np.add.reduce(np.multiply(k2, k2, out=point), axis=1, out=norms)
+        np.sqrt(norms, out=norms)
+        np.divide(k2, norms_col, out=y_next)
     track = _row_norms(u0.weights @ nodes - heads)
     return ConfigPath(times=times, grid=u0, nodes=nodes, controls=controls,
                       tracking_errors=track, margins=margins, eigen_solves=eigen_solves)

@@ -217,14 +217,23 @@ def _identity(n: int) -> np.ndarray:
     return eye
 
 
-def _gram(weights: np.ndarray, L: float, nodes: np.ndarray):
+def _gram(weights: np.ndarray, L, nodes: np.ndarray, out=None):
     """Gamma_u and A_u for one node set or a stack (..., K, n) on one quadrature.
 
     The two triangles of the product differ by rounding only; eigh reads
     the lower one, so no symmetrizing pass is made.
+
+    In place, for a caller that forms A_u again and again on one grid
+    (horizontal_lift): out = (weighted, G, A) are buffers shaped like nodes,
+    Gamma_u and A_u, weights is weights[:, None] or its repeat along each
+    node and L the matrix L Id, formed once by the caller.  The arithmetic
+    is the same.
     """
-    G = (nodes * weights[:, None]).swapaxes(-1, -2) @ nodes
-    return G, L * _identity(nodes.shape[-1]) - G
+    if out is None:
+        weights, L, out = weights[:, None], L * _identity(nodes.shape[-1]), (None,) * 3
+    weighted, G, A = out
+    G = np.matmul(np.multiply(nodes, weights, out=weighted).swapaxes(-1, -2), nodes, out=G)
+    return G, np.subtract(L, G, out=A)
 
 
 def is_singular(u: SnakeConfig):

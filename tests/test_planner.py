@@ -349,18 +349,24 @@ def assert_matches_legs(path, n, legs):
 
 
 class TestSingleAssembly:
-    @pytest.mark.parametrize("m", [1, 2, 7])
+    @pytest.mark.parametrize("m", [1, 2, 7, 8, 64])
     def test_commutator_probe_matches_per_leg_concat(self, m):
-        n, t, s = 4, 0.6, np.sqrt(0.6 / m)
-        path = commutator_probe(2, 4, t, m, n, max_step=0.05)
-        ei, ej = s * np.eye(n)[1], s * np.eye(n)[3]
-        legs = []
-        for rep in range(m):
-            sign = 1.0 if rep % 2 == 0 else -1.0
-            for v in (sign * ej, sign * ei, -sign * ej, -sign * ei):
-                legs.append(boost_leg(v, max_step=0.05))
-        assert len(path.legs) == 4 * m
-        assert_matches_legs(path, n, legs)
+        n = 4
+        # a negative time swaps the two axes; the finer step gives every leg
+        # of the m = 64 probe more than 2 steps
+        for t, step in [(0.6, 0.05), (-0.6, 0.05), (0.6, 0.01), (-0.6, 0.01)]:
+            path = commutator_probe(2, 4, t, m, n, max_step=step)
+            s = np.sqrt(abs(t) / m)
+            a, b = (1, 3) if t > 0 else (3, 1)
+            ei, ej = s * np.eye(n)[a], s * np.eye(n)[b]
+            legs = []
+            for rep in range(m):
+                sign = 1.0 if rep % 2 == 0 else -1.0
+                for v in (sign * ej, sign * ei, -sign * ej, -sign * ei):
+                    legs.append(boost_leg(v, max_step=step))
+            assert len(path.legs) == 4 * m
+            assert step == 0.05 or path.legs[0].steps > 2
+            assert_matches_legs(path, n, legs)
 
     @pytest.mark.parametrize("n", [2, 3, 8])
     def test_plan_group_path_matches_per_leg_concat(self, n):
@@ -771,6 +777,50 @@ class TestHorizontalLift:
             horizontal_lift(cfg, lambda t: np.tile(endpoint(cfg) + 0.5, (len(t), 1)),
                             lambda t: np.zeros((len(t), 3)))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_head_rejected(self, rng, bad):
+        # a nan norm compares False against the ball's radius
+        cfg = random_config(rng, 3)
+        c0 = endpoint(cfg)
+        with pytest.raises(ValueError, match="non-finite"):
+            horizontal_lift(cfg, lambda t: np.where(t[:, None] > 0.5, bad, c0),
+                            lambda t: np.zeros((len(t), 3)), dt=1e-2)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_rate_rejected(self, rng, bad):
+        cfg = random_config(rng, 3)
+        c0 = endpoint(cfg)
+        with pytest.raises(ValueError, match="non-finite"):
+            horizontal_lift(cfg, lambda t: np.tile(c0, (len(t), 1)),
+                            lambda t: np.where(t[:, None] > 0.5, bad, 0.0) * np.ones(3),
+                            dt=1e-2)
+
+    def test_lifts_share_no_buffers(self):
+        # lifts at n = 8, 3 and 8 again each match a lift run alone, and no
+        # output array of one path shares memory with another path's
+        lifts = {}
+        for n in (8, 3):
+            u0 = random_config(np.random.default_rng(7), n)
+            lifts[n] = (u0,) + circle_loop(u0)
+
+        def run(n):
+            u0, head, head_dot = lifts[n]
+            return horizontal_lift(u0, head, head_dot, t_final=1.0, dt=1e-2)
+
+        def arrays(path):
+            return [path.times, path.nodes, path.controls, path.margins, path.tracking_errors]
+
+        solo = {n: run(n) for n in (3, 8)}
+        paths = [run(8), run(3), run(8)]
+        for path in paths:
+            want = solo[path.nodes.shape[-1]]
+            assert path.eigen_solves == want.eigen_solves
+            for got, ref in zip(arrays(path), arrays(want)):
+                assert got.shape == ref.shape and got.tobytes() == ref.tobytes()
+        for i, path in enumerate(paths):
+            for other in paths[i + 1:] + list(solo.values()):
+                assert not any(np.shares_memory(a, b) for a in arrays(path) for b in arrays(other))
+
 
 def four_eigh_lift(u0, head, head_dot, t_final, dt):
     """Oracle: the lift with an exact eigen-solve and abort check at every
@@ -889,6 +939,31 @@ class TestCertifiedLift:
         # solve; every eigh beyond those is a stage that fell back
         steps_started = -(-(calls["eigh"] + calls["solve"]) // 4)
         assert calls["eigh"] > steps_started
+
+    @pytest.mark.parametrize("n", [3, 8])
+    def test_one_eigh_and_three_solves_per_step(self, monkeypatch, n):
+        # a certified lift: the step-start eigen-solve and one solve per later
+        # stage, each looked up through np.linalg when it is called
+        u0 = random_config(np.random.default_rng(7), n)
+        head, head_dot = circle_loop(u0)
+        calls = {"eigh": 0, "solve": 0}
+        eigh, solve = np.linalg.eigh, np.linalg.solve
+
+        def counting_eigh(A):
+            calls["eigh"] += 1
+            return eigh(A)
+
+        def counting_solve(A, b):
+            calls["solve"] += 1
+            return solve(A, b)
+
+        monkeypatch.setattr(np.linalg, "eigh", counting_eigh)
+        monkeypatch.setattr(np.linalg, "solve", counting_solve)
+        path = horizontal_lift(u0, head, head_dot, t_final=1.0, dt=4e-3)
+        steps = len(path.times) - 1
+        assert steps == 250
+        assert calls == {"eigh": steps, "solve": 3 * steps}
+        assert path.eigen_solves == steps
 
     def test_counts_fallback_solves(self):
         # a head that comes near the singular set and leaves again: the
