@@ -14,7 +14,6 @@ import argparse
 import numpy as np
 
 from snakeplan import io as sio
-from snakeplan.io import sphere_path_rows
 from snakeplan.planner import horizontal_lift
 from snakeplan.snake import SnakeConfig, config_distance, endpoint
 
@@ -54,7 +53,7 @@ def main():
     if args.out_csv and last_path is not None:
         orbit = last_path.nodes[:, 0]
         sio.write_csv(args.out_csv, ["t", "z1", "z2"],
-                      sphere_path_rows(last_path.times, orbit))
+                      np.column_stack((last_path.times, orbit)))
         print(f"wrote {args.out_csv}")
 
 

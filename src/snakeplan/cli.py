@@ -8,8 +8,9 @@ Every read or write failure (any OSError, from a payload, --out-dir, --out or
 --trace) exits 4; np.linalg.LinAlgError exits 3.
 No option sets a tolerance: a matrix failing classify's membership test exits
 3 from all four matrix subcommands, one outside SO0(n,1) from all but
-decompose.  Checks on a matrix A scale with |A|_2 = e^{|u|}, residuals with
-its square.  A --dim below 2, more than planner.MAX_STEPS steps or a
+decompose, and lift-head's tracking_error check has the fixed bound
+TRACK_TOL = 1e-4.  Checks on a matrix A scale with |A|_2 = e^{|u|}, residuals
+with its square.  A --dim below 2, more than planner.MAX_STEPS steps or a
 probe-bracket --m outside 1..MAX_STEPS exit 2.
 
 _COMMANDS holds each subcommand's runner and option defaults: build_parser
@@ -47,7 +48,6 @@ from .lorentz import (
     NotLorentz,
     _grade,
     _norm2,
-    _positive,
     basis_Omega,
     classify,
     exp_h,
@@ -77,13 +77,14 @@ EXIT_NUMERICAL = 3
 EXIT_IO = 4
 
 _DIM = 3  # probe-bracket's and generate's --dim (see _COMMANDS)
+TRACK_TOL = 1e-4  # lift-head's bound on |E(u(t)) - c(t)|
 
 
 @dataclass
 class Scenario:
     kind: str
     inputs: dict = field(default_factory=dict)  # payload paths
-    options: dict = field(default_factory=dict)  # tolerances, steps, seed, dim
+    options: dict = field(default_factory=dict)  # steps, seed, dim, output paths
 
 
 @dataclass
@@ -131,7 +132,7 @@ def _export_head_and_final(sc, outputs, path):
     """head_trace.csv and final_config.json of a ConfigPath."""
     header = ["t"] + [f"x{i+1}" for i in range(path.grid.dim)]
     _export(sc, outputs, "head_trace.csv",
-            lambda p: sio.write_csv(p, header, sio.sphere_path_rows(path.times, path.head_trace)))
+            lambda p: sio.write_csv(p, header, np.column_stack((path.times, path.head_trace))))
     _export(sc, outputs, "final_config.json",
             lambda p: sio.dump_json(sio.config_to_json(path.final), p))
 
@@ -157,7 +158,7 @@ def _run_decompose(sc: Scenario, marks: dict):
     _export(sc, outputs, "factors.json", lambda p: sio.dump_json({
         "epsilon": float(eps),
         "membership": grade.value,
-        "orthogonal": [[float(x) for x in row] for row in Q],
+        "orthogonal": Q.tolist(),
         "boost": sio.matrix_to_json(T),
     }, p))
     result = {"epsilon": float(eps), "membership": grade.value}
@@ -176,7 +177,7 @@ def _run_factorize(sc: Scenario, marks: dict):
     outputs: dict = {}
     _export(sc, outputs, "blocks.json", lambda p: sio.dump_json({
         "blocks": sio.blocks_to_json(blocks),
-        "boost_vector": [float(x) for x in u],
+        "boost_vector": u.tolist(),
     }, p))
     result = {"angles": [float(b.theta) for b in blocks.blocks],
               "boost_norm": float(np.linalg.norm(u))}
@@ -250,7 +251,7 @@ def _run_lift_head(sc: Scenario, marks: dict):
     # recomputed from the final nodes, not read off the lift's own margins
     final_margin = is_singular(path.final)[1]
     checks = [
-        _check("tracking_error", float(path.tracking_errors.max()), sc.options["track_tol"]),
+        _check("tracking_error", float(path.tracking_errors.max()), TRACK_TOL),
         _check("final_margin", -final_margin, -LIFT_MARGIN_FACTOR * u0.L),
     ]
     marks["verify"] = time.perf_counter()
@@ -343,7 +344,7 @@ _COMMANDS = {
     "factorize": (_run_factorize, {}),
     "plan-group": (_run_plan_group, {"step": DEFAULT_MAX_STEP}),
     "steer": (_run_steer, {"step": DEFAULT_MAX_STEP}),
-    "lift-head": (_run_lift_head, {"step": DEFAULT_LIFT_STEP, "track_tol": 1e-4}),
+    "lift-head": (_run_lift_head, {"step": DEFAULT_LIFT_STEP}),
     "probe-bracket": (_run_probe_bracket, {"step": DEFAULT_MAX_STEP, "dim": _DIM}),
     "generate": (_run_generate, {"seed": 0, "dim": _DIM}),
 }
@@ -360,8 +361,6 @@ def run(scenario: Scenario) -> tuple:
     try:
         runner, defaults = _COMMANDS[scenario.kind]
         scenario = Scenario(scenario.kind, scenario.inputs, defaults | scenario.options)
-        if "track_tol" in scenario.options:
-            _positive("--track-tol", scenario.options["track_tol"])
         if scenario.options.get("dim", 2) < 2:
             raise ValueError(f"--dim must be at least 2, got {scenario.options['dim']}")
         if not np.isfinite(scenario.options.get("radius", 0.0)):

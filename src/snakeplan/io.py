@@ -1,10 +1,10 @@
-"""JSON and CSV serialization for matrices, algebra elements, blocks,
-configurations and planned paths.
+"""JSON and CSV serialization for matrices, blocks, configurations, head
+curves and planned paths.
 
-JSON floats go through repr (shortest round-trip decimal); CSV floats are
-printed with 17 significant digits.  Loaders validate structural invariants
-(skewness, unit nodes, partition monotonicity) and raise ValueError on bad
-payloads.
+Arrays go to JSON through ndarray.tolist(), so their floats go through repr
+(shortest round-trip decimal); CSV floats are printed with 17 significant
+digits.  Loaders validate structural invariants (shapes, unit nodes,
+partition monotonicity) and raise ValueError on bad payloads.
 """
 
 from __future__ import annotations
@@ -13,16 +13,13 @@ import json
 
 import numpy as np
 
-from .lorentz import LieElement
 from .planner import ConfigPath, GroupPath
 from .rotations import RotationBlocks
-from .snake import SnakeConfig, snake_curve_matrix
+from .snake import DEFAULT_MAX_NODE_ANGLE, SnakeConfig, snake_curve_matrix
 
 __all__ = [
     "matrix_to_json",
     "matrix_from_json",
-    "lie_to_json",
-    "lie_from_json",
     "blocks_to_json",
     "config_to_json",
     "config_from_json",
@@ -31,11 +28,8 @@ __all__ = [
     "group_path_to_json",
     "dump_json",
     "write_csv",
-    "sphere_path_rows",
     "config_path_polyline_rows",
 ]
-
-SKEW_LOAD_TOL = 1e-9
 
 
 def dump_json(obj, path) -> None:
@@ -48,7 +42,7 @@ def dump_json(obj, path) -> None:
 
 def matrix_to_json(A: np.ndarray) -> dict:
     A = np.asarray(A, dtype=float)
-    return {"dim": int(A.shape[0] - 1), "rows": [[float(x) for x in row] for row in A]}
+    return {"dim": int(A.shape[0] - 1), "rows": A.tolist()}
 
 
 def matrix_from_json(obj: dict) -> np.ndarray:
@@ -64,36 +58,18 @@ def matrix_from_json(obj: dict) -> np.ndarray:
     return A
 
 
-def lie_to_json(X: LieElement) -> dict:
-    return {
-        "u": [float(x) for x in X.u],
-        "skew": [[float(x) for x in row] for row in X.skew],
-    }
-
-
-def lie_from_json(obj: dict) -> LieElement:
-    try:
-        u = np.asarray(obj["u"], dtype=float)
-        B = np.asarray(obj["skew"], dtype=float)
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ValueError(f"bad LieElement payload: {exc}") from exc
-    if np.linalg.norm(B + B.T) > SKEW_LOAD_TOL * max(1.0, np.linalg.norm(B)):
-        raise ValueError("skew part fails antisymmetry on load")
-    return LieElement(u=u, skew=B)
-
-
 def blocks_to_json(rb: RotationBlocks) -> dict:
     return {
         "dim": rb.dim,
         "blocks": [
             {
                 "theta": float(b.theta),
-                "planes": [[[float(v) for v in x], [float(v) for v in y]] for x, y in b.planes],
-                "generator": [[float(v) for v in row] for row in b.generator],
+                "planes": np.asarray(b.planes, dtype=float).tolist(),
+                "generator": b.generator.tolist(),
             }
             for b in rb.blocks
         ],
-        "kernel": [[float(v) for v in col] for col in rb.kernel_basis.T],
+        "kernel": rb.kernel_basis.T.tolist(),
     }
 
 
@@ -101,11 +77,8 @@ def config_to_json(cfg: SnakeConfig) -> dict:
     m = cfg.nodes_per_segment
     return {
         "L": float(cfg.L),
-        "partition": [float(s) for s in cfg.partition],
-        "segments": [
-            {"nodes": [[float(v) for v in node] for node in cfg.segment_nodes(k)]}
-            for k in range(cfg.segment_count)
-        ],
+        "partition": cfg.partition.tolist(),
+        "segments": [{"nodes": cfg.segment_nodes(k).tolist()} for k in range(cfg.segment_count)],
         "quadrature": {"scheme": "gauss-legendre", "nodes_per_segment": int(m)},
         "resolution_bound": float(cfg.max_node_angle),
     }
@@ -125,16 +98,14 @@ def config_from_json(obj: dict) -> SnakeConfig:
     m = quad.get("nodes_per_segment")
     if m is not None and any(len(seg) != int(m) for seg in segments):
         raise ValueError("segment node counts disagree with quadrature declaration")
-    from .snake import DEFAULT_MAX_NODE_ANGLE
-
     bound = float(obj.get("resolution_bound", DEFAULT_MAX_NODE_ANGLE))
     return SnakeConfig.from_segment_samples(L, partition, segments, max_node_angle=bound)
 
 
 def head_curve_to_json(times: np.ndarray, points: np.ndarray) -> dict:
     return {
-        "times": [float(t) for t in times],
-        "points": [[float(v) for v in p] for p in points],
+        "times": np.asarray(times, dtype=float).tolist(),
+        "points": np.asarray(points, dtype=float).tolist(),
     }
 
 
@@ -156,15 +127,15 @@ def head_curve_from_json(obj: dict):
 def group_path_to_json(path: GroupPath) -> dict:
     """Each control is written as its boost vector u (the path is horizontal)."""
     return {
-        "times": [float(t) for t in path.times],
-        "controls": [[float(x) for x in u] for u in path.controls],
+        "times": path.times.tolist(),
+        "controls": path.controls.tolist(),
         "length": float(path.length()),
         "legs": [
             {
                 "kind": leg.kind,
                 "length": float(leg.length),
                 "theta": float(leg.theta),
-                "u": None if leg.u is None else [float(v) for v in leg.u],
+                "u": None if leg.u is None else leg.u.tolist(),
             }
             for leg in path.legs
         ],
@@ -178,11 +149,6 @@ def write_csv(path, header: list, rows) -> None:
     with open(path, "w") as fh:
         fh.write(",".join(header) + "\n")
         fh.writelines(line % tuple(row) for row in rows)
-
-
-def sphere_path_rows(times: np.ndarray, points: np.ndarray):
-    for t, z in zip(times, points):
-        yield [t, *z]
 
 
 def config_path_polyline_rows(path: ConfigPath, stride: int = 1):

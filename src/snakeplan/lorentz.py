@@ -97,7 +97,7 @@ def lorentz_residual(A: np.ndarray) -> float:
 
 
 def _positive(name: str, value: float) -> None:
-    """Reject a step or tolerance that is not positive and finite."""
+    """Reject a length, step or tolerance that is not positive and finite."""
     if not 0.0 < value < np.inf:
         raise ValueError(f"{name} must be positive and finite, got {value}")
 

@@ -18,6 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.polynomial import legendre as npleg
 
+from .lorentz import _positive
 from .sphere import sphere_point, xi_field
 
 __all__ = [
@@ -91,6 +92,9 @@ class SnakeConfig:
     max_node_angle: float = DEFAULT_MAX_NODE_ANGLE
 
     def __post_init__(self):
+        _positive("L", self.L)
+        if not 0.0 < self.max_node_angle <= np.pi:
+            raise ValueError(f"resolution bound must be in (0, pi], got {self.max_node_angle}")
         part = np.asarray(self.partition, dtype=float)
         if part.ndim != 1 or part.shape[0] < 2:
             raise ValueError("partition needs at least the two endpoints")
@@ -98,7 +102,10 @@ class SnakeConfig:
             raise ValueError("partition must be strictly increasing")
         if abs(part[0]) > 0 or abs(part[-1] - self.L) > 1e-12 * max(1.0, self.L):
             raise ValueError("partition must run exactly from 0 to L")
-        nodes = sphere_point(self.nodes)
+        nodes = np.asarray(self.nodes, dtype=float)
+        if not np.isfinite(nodes).all():
+            raise ValueError("nodes must be finite")
+        nodes = sphere_point(nodes)
         m = self.nodes_per_segment
         nseg = part.shape[0] - 1
         if nodes.shape[0] != nseg * m:
@@ -209,14 +216,6 @@ def snake_curve(u: SnakeConfig, t: float) -> np.ndarray:
     return snake_curve_matrix(u, t)[0] @ u.nodes
 
 
-@functools.lru_cache(maxsize=64)
-def _identity(n: int) -> np.ndarray:
-    """The n x n identity, shared by every Gram call, hence read-only."""
-    eye = np.eye(n)
-    eye.setflags(write=False)
-    return eye
-
-
 def _gram(weights: np.ndarray, L, nodes: np.ndarray, out=None):
     """Gamma_u and A_u for one node set or a stack (..., K, n) on one quadrature.
 
@@ -230,7 +229,7 @@ def _gram(weights: np.ndarray, L, nodes: np.ndarray, out=None):
     is the same.
     """
     if out is None:
-        weights, L, out = weights[:, None], L * _identity(nodes.shape[-1]), (None,) * 3
+        weights, L, out = weights[:, None], L * np.eye(nodes.shape[-1]), (None,) * 3
     weighted, G, A = out
     G = np.matmul(np.multiply(nodes, weights, out=weighted).swapaxes(-1, -2), nodes, out=G)
     return G, np.subtract(L, G, out=A)

@@ -10,7 +10,7 @@ import pytest
 from snakeplan import io as sio
 from snakeplan.cli import main
 from snakeplan.generate import circle_head_curve, random_config, random_so0, straight_config
-from snakeplan.lorentz import LieElement, exp_h
+from snakeplan.lorentz import exp_h, spatial_block
 from snakeplan.planner import plan_group_path
 
 from conftest import lorentz_sample
@@ -25,16 +25,6 @@ class TestJsonRoundtrips:
     def test_matrix_shape_mismatch_rejected(self):
         with pytest.raises(ValueError):
             sio.matrix_from_json({"dim": 3, "rows": [[1.0, 0.0], [0.0, 1.0]]})
-
-    def test_lie_element(self, rng):
-        X = LieElement(u=rng.normal(size=3), skew=rng.normal(size=(3, 3)))
-        back = sio.lie_from_json(json.loads(json.dumps(sio.lie_to_json(X))))
-        assert np.allclose(back.u, X.u)
-        assert np.allclose(back.skew, X.skew)
-
-    def test_lie_skewness_validated_on_load(self):
-        with pytest.raises(ValueError):
-            sio.lie_from_json({"u": [0.0, 0.0], "skew": [[0.0, 1.0], [0.5, 0.0]]})
 
     def test_config(self, rng):
         cfg = random_config(rng, 3)
@@ -97,7 +87,7 @@ def test_sphere_path_csv(tmp_path, rng):
     Z = rng.normal(size=(5, 3))
     Z /= np.linalg.norm(Z, axis=1)[:, None]
     p = tmp_path / "orbit.csv"
-    sio.write_csv(p, ["t", "z1", "z2", "z3"], sio.sphere_path_rows(ts, Z))
+    sio.write_csv(p, ["t", "z1", "z2", "z3"], np.column_stack((ts, Z)))
     lines = p.read_text().splitlines()
     assert len(lines) == 6
     assert lines[0] == "t,z1,z2,z3"
@@ -206,6 +196,54 @@ class TestCli:
         p.write_text("{\"dim\": 2, \"rows\": [[1,0],[0,1]]}")
         assert main(["decompose", "--matrix", str(p)]) == 2
 
+    @pytest.mark.parametrize("case, message", [
+        ("invalid-json", "invalid JSON in "),
+        ("nan-entry", "non-finite matrix entries"),
+        ("dim-mismatch", "dimension mismatch between config and matrix"),
+    ])
+    def test_bad_matrix_payload_exits_2(self, tmp_path, capsys, case, message):
+        m = self._gen_matrix(tmp_path, dim=4 if case == "dim-mismatch" else 3)
+        c = self._gen_config(tmp_path)
+        if case == "invalid-json":
+            Path(m).write_text('{"dim": 3, "rows": [[1')
+        elif case == "nan-entry":
+            A = json.loads(Path(m).read_text())
+            A["rows"][1][2] = float("nan")
+            sio.dump_json(A, m)
+        capsys.readouterr()
+        assert main(["steer", "--matrix", m, "--config", c]) == 2
+        error = json.loads(capsys.readouterr().out)["outputs"]["error"]
+        assert error["kind"] == "validation" and error["message"].startswith(message)
+
+    @pytest.mark.parametrize("command", ["steer", "lift-head"])
+    @pytest.mark.parametrize("case, message", [
+        ("L-nan", "L must be positive and finite, got nan"),
+        ("L-inf", "L must be positive and finite, got inf"),
+        ("node-nan", "nodes must be finite"),
+        ("bound-nan", "resolution bound must be in (0, pi], got nan"),
+        ("quadrature", "segment node counts disagree with quadrature declaration"),
+    ])
+    def test_bad_config_payload_exits_2(self, tmp_path, capsys, command, case, message):
+        # a NaN fails no comparison, so a non-finite L, node or bound must be
+        # refused on load, before a check can read NaN or skip its test
+        m = self._gen_matrix(tmp_path)
+        c, h = self._gen_lift_inputs(tmp_path)
+        cfg = json.loads(Path(c).read_text())
+        if case == "node-nan":
+            cfg["segments"][1]["nodes"][3][0] = float("nan")
+        else:
+            cfg.update({"L-nan": {"L": float("nan")}, "L-inf": {"L": float("inf")},
+                        "bound-nan": {"resolution_bound": float("nan")},
+                        "quadrature": {"quadrature": {"nodes_per_segment": 8}}}[case])
+        sio.dump_json(cfg, c)
+        argv = {"steer": ["--matrix", m, "--config", c],
+                "lift-head": ["--config", c, "--head-curve", h]}[command]
+        capsys.readouterr()
+        assert main([command, *argv]) == 2
+        out, err = capsys.readouterr()
+        assert json.loads(out)["outputs"]["error"] == {"kind": "validation", "message": message}
+        assert err == ""
+
     @pytest.mark.parametrize("command, extra, message", [
         ("plan-group", ["--step", "0"], "step must be positive and finite, got 0.0"),
         ("lift-head", ["--step", "0"], "step must be positive and finite, got 0.0"),
@@ -241,10 +279,6 @@ class TestCli:
          "t must be finite, got inf"),
         (["probe-bracket", "--i", "1", "--j", "2", "--t", "nan", "--m", "8"],
          "t must be finite, got nan"),
-        (["lift-head", "--config", "C", "--head-curve", "H", "--track-tol", "nan"],
-         "--track-tol must be positive and finite, got nan"),
-        (["lift-head", "--config", "C", "--head-curve", "H", "--track-tol", "-1"],
-         "--track-tol must be positive and finite, got -1.0"),
         (["generate", "--kind", "circle-head-curve", "--config", "C", "--radius", "nan"],
          "--radius must be finite, got nan"),
         (["lift-head", "--config", "C", "--head-curve", "H", "--step", "1e-15"],
@@ -264,8 +298,7 @@ class TestCli:
         (["probe-bracket", "--i", "1", "--j", "2", "--t", "0.5", "--m", "8", "--dim", "1"],
          "--dim must be at least 2, got 1"),
     ], ids=["plan-group-identity-step-0", "steer-identity-step-neg", "probe-t-0-step-0",
-            "probe-t-inf", "probe-t-nan", "lift-head-track-tol-nan",
-            "lift-head-track-tol-neg", "generate-radius-nan", "lift-head-step-cap",
+            "probe-t-inf", "probe-t-nan", "generate-radius-nan", "lift-head-step-cap",
             "probe-t-cap", "probe-m-cap", "probe-m-overflow", "probe-m-0",
             "generate-so0-dim-0", "generate-config-dim-neg",
             "generate-config-dim-1", "probe-dim-1"])
@@ -330,7 +363,7 @@ class TestCli:
         (["steer", "--matrix", "A.json", "--config", "c.json"],
          {"matrix": "A.json", "config": "c.json"}, {"step": 0.02}),
         (["lift-head", "--config", "c.json", "--head-curve", "h.json"],
-         {"config": "c.json", "head_curve": "h.json"}, {"step": 0.001, "track_tol": 0.0001}),
+         {"config": "c.json", "head_curve": "h.json"}, {"step": 0.001}),
         (["probe-bracket", "--i", "1", "--j", "2", "--t", "0.5", "--m", "8"],
          {"i": 1, "j": 2, "t": 0.5, "m": 8}, {"step": 0.02, "dim": 3}),
         (["generate", "--kind", "random-so0"], {"generator": "random-so0"},
@@ -371,6 +404,49 @@ class TestCli:
         report = json.loads(capsys.readouterr().out)
         assert (tmp_path / "o" / "plan.json").exists()
         assert report["verification"]["passed"]
+
+    @pytest.mark.parametrize("dim", [2, 3, 8])
+    def test_factorize_blocks_json_rebuilds_the_matrix(self, tmp_path, capsys, dim):
+        m = self._gen_matrix(tmp_path, seed=7, dim=dim)
+        out = tmp_path / "factorize"
+        capsys.readouterr()
+        assert main(["factorize", "--matrix", m, "--out-dir", str(out)]) == 0
+        check = json.loads(capsys.readouterr().out)["verification"]["checks"][0]
+        payload = json.loads((out / "blocks.json").read_text())
+        blocks = payload["blocks"]
+        assert blocks["dim"] == dim and blocks["blocks"]
+        # the planes and the kernel make one orthonormal basis, and each
+        # plane (x, y) turns x towards y by its block's angle
+        frame = np.vstack([np.reshape(b["planes"], (-1, dim)) for b in blocks["blocks"]]
+                          + [np.reshape(blocks["kernel"], (-1, dim))])
+        assert np.allclose(frame @ frame.T, np.eye(dim), atol=1e-12)
+        R = np.eye(dim)
+        for b in blocks["blocks"]:
+            c, s = np.cos(b["theta"]), np.sin(b["theta"])
+            for x, y in np.asarray(b["planes"]):
+                R += (c - 1.0) * (np.outer(x, x) + np.outer(y, y)) \
+                    + s * (np.outer(y, x) - np.outer(x, y))
+        A = sio.matrix_from_json(json.loads(Path(m).read_text()))
+        rebuilt = spatial_block(R) @ exp_h(np.asarray(payload["boost_vector"]))
+        assert np.linalg.norm(rebuilt - A) <= check["tol"]
+
+    def test_steer_snake_polylines(self, tmp_path, capsys):
+        m, c = self._gen_matrix(tmp_path, seed=7), self._gen_config(tmp_path, seed=7)
+        out = tmp_path / "steer"
+        capsys.readouterr()
+        assert main(["steer", "--matrix", m, "--config", c, "--out-dir", str(out)]) == 0
+        csv = out / "snake_polylines.csv"
+        assert csv.read_text().splitlines()[0] == "t,s,x1,x2,x3"
+        heads = np.loadtxt(out / "head_trace.csv", delimiter=",", skiprows=1)
+        # every stride-th time, each at 33 arc lengths from 0 to L
+        heads = heads[::max(1, len(heads) // 32)]
+        rows = np.loadtxt(csv, delimiter=",", skiprows=1).reshape(len(heads), 33, 5)
+        L = json.loads(Path(c).read_text())["L"]
+        assert np.array_equal(rows[:, :, 0], np.repeat(heads[:, :1], 33, axis=1))
+        assert np.array_equal(rows[0, :, 1], np.linspace(0.0, L, 33))
+        assert np.array_equal(rows[:, :, 1], np.tile(rows[0, :, 1], (len(heads), 1)))
+        assert not rows[:, 0, 2:].any()
+        assert np.max(np.abs(rows[:, -1, 2:] - heads[:, 1:])) <= 1e-13 * L
 
     def test_steer_and_outputs(self, tmp_path, capsys):
         m = self._gen_matrix(tmp_path)
@@ -597,6 +673,8 @@ class TestCli:
         ({"times": [0.0], "points": [[0.0, 0.0, 1.0]]}, "head curve needs at least 2 samples"),
         ({"times": [0.0, 0.5, 1.0], "points": [[0.0, 0.0, 1.0], [np.nan, 0.0, 1.0], [0.0, 0.0, 1.0]]},
          "spline times and points must be finite"),
+        ({"times": [0.0, 0.5, 1.0], "points": [[0.0, 0.0, 1.0], [0.0, 0.0, 1.0]]},
+         "head curve needs matching times and points"),
     ])
     def test_lift_head_bad_head_curve_exits_2(self, tmp_path, capsys, payload, message):
         c = self._gen_config(tmp_path)

@@ -30,13 +30,3 @@ def test_probe_convergence(monkeypatch, capsys):
     slope = float(capsys.readouterr().out.split("log-log slope:")[1])
     assert slope == pytest.approx(-1.0, abs=0.3)
 
-
-def test_steering_demo(tmp_path, monkeypatch, capsys):
-    run_script("steering_demo.py", ["--dim", "2", "--out-dir", str(tmp_path)], monkeypatch)
-    out = capsys.readouterr().out
-    gap = float(out.split("final distance to act(A, u0):")[1].split()[0])
-    assert gap < 1e-7
-    resid, bound = out.split("worst step-consistency residual:")[1].split()[:3:2]
-    assert float(resid) <= float(bound.rstrip(","))
-    assert (tmp_path / "head_trace.csv").stat().st_size > 0
-    assert (tmp_path / "snake_polylines.csv").stat().st_size > 0

@@ -94,6 +94,31 @@ class TestConfigValidation:
         with pytest.raises(ValueError):
             cfg.nodes[0, 0] = 5.0
 
+    # a NaN fails no comparison, so finiteness is tested on its own
+    @pytest.mark.parametrize("L", [np.nan, np.inf, 0.0, -1.0])
+    def test_length_must_be_positive_and_finite(self, L):
+        with pytest.raises(ValueError, match=f"L must be positive and finite, got {L}"):
+            SnakeConfig.from_segment_samples(L, [0.0, 1.0], [np.tile(e(0, 2), (4, 1))])
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_nodes_must_be_finite(self, value):
+        nodes = np.tile(e(0, 2), (4, 1))
+        nodes[2, 1] = value
+        with pytest.raises(ValueError, match="nodes must be finite"):
+            SnakeConfig.from_segment_samples(1.0, [0.0, 1.0], [nodes])
+
+    @pytest.mark.parametrize("bound", [np.nan, 0.0, -0.1, np.nextafter(np.pi, 4.0), np.inf])
+    def test_resolution_bound_outside_zero_to_pi_rejected(self, bound):
+        with pytest.raises(ValueError, match="resolution bound must be in"):
+            SnakeConfig.from_segment_samples(1.0, [0.0, 1.0], [np.tile(e(0, 2), (4, 1))],
+                                             max_node_angle=bound)
+
+    def test_resolution_bound_pi_admits_antipodal_neighbours(self):
+        # the bound act and the planners' paths carry: no turn is too large
+        nodes = np.array([e(0, 2), -e(0, 2)] * 2)
+        cfg = SnakeConfig.from_segment_samples(1.0, [0.0, 1.0], [nodes], max_node_angle=np.pi)
+        assert cfg.max_node_angle == np.pi
+
 
 class TestEndpoint:
     def test_constant_direction(self):
