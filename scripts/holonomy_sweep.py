@@ -14,7 +14,7 @@ import argparse
 import numpy as np
 
 from snakeplan import io as sio
-from snakeplan.planner import horizontal_lift
+from snakeplan.planner import lift_history
 from snakeplan.snake import SnakeConfig, config_distance, endpoint
 
 
@@ -34,7 +34,7 @@ def main():
     c0 = endpoint(cfg)
 
     print(f"{'radius':>8}  {'head return':>12}  {'holonomy':>10}  {'holonomy/r^2':>12}")
-    last_path = None
+    last = None
     for r in args.radii:
         def head(t, r=r):
             return c0 + r * np.stack([np.cos(2 * np.pi * t) - 1.0, np.sin(2 * np.pi * t)],
@@ -44,16 +44,15 @@ def main():
             return 2 * np.pi * r * np.stack([-np.sin(2 * np.pi * t), np.cos(2 * np.pi * t)],
                                             axis=-1)
 
-        path = horizontal_lift(cfg, head, head_dot, t_final=1.0, dt=args.dt)
+        path, nodes = lift_history(cfg, head, head_dot, t_final=1.0, dt=args.dt)
         ret = np.linalg.norm(path.head_trace[-1] - c0)
         hol = config_distance(path.final, cfg)
         print(f"{r:>8.3f}  {ret:>12.3e}  {hol:>10.3e}  {hol / r**2:>12.3f}")
-        last_path = path
+        last = path.times, nodes
 
-    if args.out_csv and last_path is not None:
-        orbit = last_path.nodes[:, 0]
-        sio.write_csv(args.out_csv, ["t", "z1", "z2"],
-                      np.column_stack((last_path.times, orbit)))
+    if args.out_csv and last is not None:
+        times, nodes = last
+        sio.write_csv(args.out_csv, ["t", "z1", "z2"], np.column_stack((times, nodes[:, 0])))
         print(f"wrote {args.out_csv}")
 
 

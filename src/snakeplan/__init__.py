@@ -22,11 +22,13 @@ from .lorentz import (
 from .planner import (
     ConfigPath,
     GroupPath,
+    LiftPath,
     act,
     boost_leg,
     commutator_probe,
     horizontal_lift,
     infinitesimal_action,
+    lift_history,
     plan_group_path,
     rotation_leg,
     steer_config,

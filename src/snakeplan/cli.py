@@ -129,7 +129,7 @@ def _export(sc, outputs, name, write):
 
 
 def _export_head_and_final(sc, outputs, path):
-    """head_trace.csv and final_config.json of a ConfigPath."""
+    """head_trace.csv and final_config.json of a steer path or a lift record."""
     header = ["t"] + [f"x{i+1}" for i in range(path.grid.dim)]
     _export(sc, outputs, "head_trace.csv",
             lambda p: sio.write_csv(p, header, np.column_stack((path.times, path.head_trace))))

@@ -89,16 +89,19 @@ def config_from_json(obj: dict) -> SnakeConfig:
         L = float(obj["L"])
         partition = np.asarray(obj["partition"], dtype=float)
         segments = [np.asarray(seg["nodes"], dtype=float) for seg in obj["segments"]]
+        quad = obj.get("quadrature", {})
+        if not isinstance(quad, dict):
+            raise TypeError(f"quadrature must be an object, got {quad!r}")
+        m = quad.get("nodes_per_segment")
+        m = None if m is None else int(m)
+        bound = float(obj.get("resolution_bound", DEFAULT_MAX_NODE_ANGLE))
     except (KeyError, TypeError, ValueError) as exc:
         raise ValueError(f"bad config payload: {exc}") from exc
-    quad = obj.get("quadrature", {})
     scheme = quad.get("scheme", "gauss-legendre")
     if scheme != "gauss-legendre":
         raise ValueError(f"unsupported quadrature scheme {scheme!r}")
-    m = quad.get("nodes_per_segment")
-    if m is not None and any(len(seg) != int(m) for seg in segments):
+    if m is not None and any(len(seg) != m for seg in segments):
         raise ValueError("segment node counts disagree with quadrature declaration")
-    bound = float(obj.get("resolution_bound", DEFAULT_MAX_NODE_ANGLE))
     return SnakeConfig.from_segment_samples(L, partition, segments, max_node_angle=bound)
 
 

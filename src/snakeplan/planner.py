@@ -40,6 +40,7 @@ from .sphere import _cone_images, mobius_sphere_action_many, sphere_point, tange
 __all__ = [
     "GroupPath",
     "ConfigPath",
+    "LiftPath",
     "LegRecord",
     "act",
     "infinitesimal_action",
@@ -51,6 +52,7 @@ __all__ = [
     "steer_config",
     "step_consistency",
     "horizontal_lift",
+    "lift_history",
     "SingularityApproach",
 ]
 
@@ -63,7 +65,7 @@ LIFT_MARGIN_FACTOR = 1e-3  # horizontal_lift aborts below lambda_min(A_u) = fact
 # most steps one leg, probe or lift may take, checked before anything is
 # allocated: ~9x the 10,899 of a seeded random_so0 steer at n = 96
 MAX_STEPS = 100_000
-_CHECK_CHUNK = 1 << 16  # step_consistency's buffer, in doubles
+_CHECK_CHUNK = 1 << 16  # step_consistency's buffer and the lift's node window, in doubles
 
 
 class SingularityApproach(RuntimeError):
@@ -349,7 +351,8 @@ def infinitesimal_action(X: LieElement, u: SnakeConfig) -> np.ndarray:
 
 @dataclass
 class ConfigPath:
-    """Time-gridded horizontal path of configurations with control records.
+    """Time-gridded horizontal path of configurations with control records,
+    as steer_config builds it.
 
     Every step shares the partition and quadrature of grid (the start
     configuration); nodes[k] holds the unit directions at times[k], and nodes
@@ -363,10 +366,7 @@ class ConfigPath:
     grid: SnakeConfig
     nodes: np.ndarray  # (m+1, K, n)
     controls: np.ndarray  # (m, n): boost vector w per step
-    tracking_errors: np.ndarray | None = None  # head tracking, lifts only
-    margins: np.ndarray | None = None  # (m,) lambda_min(A_u) at step starts, lifts only
-    eigen_solves: int | None = None  # exact eigen-solves of A_u, lifts only
-    legs: list = field(default_factory=list)  # LegRecords of the group plan, steer only
+    legs: list  # LegRecords of the group plan
 
     @property
     def head_trace(self) -> np.ndarray:
@@ -380,6 +380,23 @@ class ConfigPath:
     @property
     def final(self) -> SnakeConfig:
         return self.config(-1)
+
+
+@dataclass
+class LiftPath:
+    """Record of a horizontal lift, without its nodes: per time the head
+    E(u) and its distance from the head curve, per step the control and the
+    step-start margin lambda_min(A_u), and the final configuration.
+    lift_history gives the nodes as well."""
+
+    times: np.ndarray  # (m+1,)
+    grid: SnakeConfig  # the start configuration
+    controls: np.ndarray  # (m, n): boost vector w per step
+    head_trace: np.ndarray  # (m+1, n)
+    final: SnakeConfig
+    tracking_errors: np.ndarray  # (m+1,) |E(u(t)) - c(t)|
+    margins: np.ndarray  # (m,)
+    eigen_solves: int  # exact eigen-solves of A_u
 
 
 def steer_config(u0: SnakeConfig, A: np.ndarray, max_step: float = DEFAULT_MAX_STEP) -> ConfigPath:
@@ -460,7 +477,7 @@ def step_consistency(path: ConfigPath) -> tuple:
       pushed towards its attracting point, a few eps.
     """
     h = np.diff(path.times)
-    if sum(leg.steps for leg in path.legs) != len(h):
+    if not isinstance(path, ConfigPath) or sum(leg.steps for leg in path.legs) != len(h):
         raise ValueError("step_consistency needs a steer path, whose legs cover its steps")
     Z = path.nodes.swapaxes(-1, -2)  # (m+1, n, K)
     speed = _row_norms(path.controls)
@@ -509,23 +526,13 @@ def step_consistency(path: ConfigPath) -> tuple:
     return r, np.sqrt(path.grid.L) * bound
 
 
-def _certifies(margin: float, delta: np.ndarray, floor: float) -> bool:
-    """True when Weyl's inequality puts lambda_min(A0 + delta) above floor.
-
-    margin is lambda_min of the symmetric A0 and delta a symmetric change:
-    lambda_min(A0 + delta) >= margin - |delta|_2 >= margin - |delta|_F.
-    """
-    slack = margin - floor
-    return slack > 0.0 and np.vdot(delta, delta) < slack * slack
-
-
 def horizontal_lift(
     u0: SnakeConfig,
     head,
     head_dot,
     t_final: float = 1.0,
     dt: float = DEFAULT_LIFT_STEP,
-) -> ConfigPath:
+) -> LiftPath:
     """Minimal-energy lift of a head curve: solve A_u w = c'(t), advance the
     nodes by w - <w,u>u with classical RK4, renormalizing after every step.
 
@@ -538,16 +545,40 @@ def horizontal_lift(
     Each step starts with an exact eigen-solve of A_u, which gives the
     control, the abort check and the step's margin lambda_min(A_u).  The
     three later RK4 stages solve A w = c' directly when Weyl's inequality
-    certifies them, lambda_min(A) >= lambda_min(A_0) - |A - A_0|_F > 1e-3 L
-    (A_0 the step-start matrix, plus an allowance for eigh's rounding); a
-    stage the certificate cannot vouch for falls back to the exact
-    eigen-solve and abort check, so an abort happens at the same stage as
-    with an eigen-solve at every stage.  The returned path carries the
-    step-start margins and the count of exact eigen-solves.
+    certifies them, lambda_min(A) >= lambda_min(A_0) - |A - A_0|_2
+    >= lambda_min(A_0) - |A - A_0|_F > 1e-3 L (A_0 the step-start matrix,
+    plus an allowance for eigh's rounding); a stage the certificate cannot
+    vouch for falls back to the exact eigen-solve and abort check, so an
+    abort happens at the same stage as with an eigen-solve at every stage.
+
+    The nodes pass through a window of at most _CHECK_CHUNK doubles (two
+    node sets if one is larger): when it fills, its head rows are recorded
+    and its last node set moves to the front.  So a lift holds O(m n) plus
+    one window, and returns a LiftPath with no node history.
+    """
+    return _lift(u0, head, head_dot, t_final, dt, _CHECK_CHUNK)[0]
+
+
+def lift_history(
+    u0: SnakeConfig,
+    head,
+    head_dot,
+    t_final: float = 1.0,
+    dt: float = DEFAULT_LIFT_STEP,
+) -> tuple:
+    """(record, nodes): horizontal_lift's LiftPath and every node set of the
+    lift, (m+1, K, n), from the same loop with a window that holds them all:
+    room for MAX_STEPS + 1 node sets, of which m + 1 are allocated."""
+    return _lift(u0, head, head_dot, t_final, dt, (MAX_STEPS + 1) * u0.nodes.size)
+
+
+def _lift(u0: SnakeConfig, head, head_dot, t_final: float, dt: float, doubles: int) -> tuple:
+    """horizontal_lift with a node window of at most `doubles` doubles (two
+    node sets at least): (record, the window's node sets in use at the end).
 
     A step writes its stage arrays into buffers allocated once per lift,
     with the arithmetic of the plain expressions, so the bits are theirs;
-    the returned arrays are the path's own.
+    the returned arrays are the record's own.
     """
     n = u0.dim
     margin_min = LIFT_MARGIN_FACTOR * u0.L
@@ -572,12 +603,13 @@ def horizontal_lift(
     # time, which can differ from it in the last bit
     rate, rate_mid, rate_end = (evaluate(head_dot, times[:-1] + s) for s in (0.0, 0.5 * h, h))
     eigen_solves = 0
+    eigh, solve = np.linalg.eigh, np.linalg.solve
 
     def exact(t: float, A: np.ndarray, c_dot: np.ndarray) -> tuple:
         """(lambda_min(A), w) from one eigen-solve, aborting below margin_min."""
         nonlocal eigen_solves
         eigen_solves += 1
-        vals, vecs = np.linalg.eigh(A)
+        vals, vecs = eigh(A)
         if vals[0] < margin_min:
             raise SingularityApproach(t, float(vals[0]))
         return vals[0], vecs @ ((vecs.T @ c_dot) / vals)
@@ -585,42 +617,56 @@ def horizontal_lift(
     # every array a step writes, allocated once per lift: the Gram buffers,
     # A - A0, the stage point, the four slopes and the node-wise dots and norms.
     # The weights are repeated along each node, so weighting a node set is a
-    # flat product rather than a broadcast one.
+    # flat product rather than a broadcast one; Gamma_u and A_u are formed as
+    # snake._gram forms them.
     weights, scaled_id = u0.weights[:, None].repeat(n, axis=1), u0.L * np.eye(n)
     weighted, point, k1, k2, k3, k4 = (np.empty_like(u0.nodes) for _ in range(6))
-    G, A0, A, delta = (np.empty((n, n)) for _ in range(4))
+    G, A, delta = (np.empty((n, n)) for _ in range(3))
     dots, norms = np.empty(len(u0.nodes)), np.empty(len(u0.nodes))
     dots_col, norms_col = dots[:, None], norms[:, None]
     half, sixth = 0.5 * h, h / 6.0
+    # the three later stages: step, previous slope, slope, head rates
+    stages = ((half, k1, k2, rate_mid), (half, k2, k3, rate_mid), (h, k3, k4, rate_end))
 
     controls = np.empty((m, n))
     margins = np.empty(m)
-    nodes = np.empty((m + 1,) + u0.nodes.shape)
-    nodes[0] = u0.nodes
+    head_trace = np.empty((m + 1, n))
+    rows = min(m + 1, max(2, doubles // u0.nodes.size))
+    window = np.empty((rows,) + u0.nodes.shape)
+    window[0] = u0.nodes
     # step 0's exact solve comes first, so a singular start aborts before
     # the head curve is checked
-    _gram(weights, scaled_id, u0.nodes, (weighted, G, A0))
+    _, A0 = _gram(u0.weights, u0.L, u0.nodes)
     margins[0], controls[0] = exact(0.0, A0, rate[0])
     if np.linalg.norm(heads[0] - endpoint(u0)) > max(1e-6, 1e-9 * u0.L):
         raise ValueError("head curve must start at endpoint(u0)")
     if np.linalg.norm(evaluate(head, np.linspace(0.0, t_final, 257)), axis=1).max() >= u0.L:
         raise ValueError("head target leaves the closed ball of radius L")
-    steps = zip(times[:-1], nodes[:-1], nodes[1:], controls, rate, rate_mid, rate_end)
-    for k, (t, y, y_next, w0, c, c_mid, c_end) in enumerate(steps):
+    j = 0  # the window row of the step's start nodes
+    for k in range(m):
+        if j == rows - 1:  # the window is full
+            head_trace[k - j : k] = u0.weights @ window[:-1]
+            window[0] = window[-1]
+            j = 0
+        y, y_next, w0, t = window[j], window[j + 1], controls[k], times[k]
         if k:
-            _gram(weights, scaled_id, y, (weighted, G, A0))
-            margins[k], w0[:] = exact(t, A0, c)
+            np.matmul(np.multiply(y, weights, out=weighted).swapaxes(-1, -2), y, out=G)
+            np.subtract(scaled_id, G, out=A0)
+            margins[k], w0[:] = exact(t, A0, rate[k])
+        # Weyl's certificate for the stage matrices A: |A - A0|_F < slack
+        slack = margins[k] - certified_min
         # the slopes w - <w, y> y, sphere.tangent_at written in place
         np.matmul(y, w0, out=dots)
         np.subtract(w0, np.multiply(dots_col, y, out=k1), out=k1)
-        for s, prev, slope, c_dot in ((half, k1, k2, c_mid), (half, k2, k3, c_mid),
-                                      (h, k3, k4, c_end)):
+        for s, prev, slope, stage_rate in stages:
             np.add(y, np.multiply(prev, s, out=point), out=point)
-            _gram(weights, scaled_id, point, (weighted, G, A))
-            if _certifies(margins[k], np.subtract(A, A0, out=delta), certified_min):
-                w = np.linalg.solve(A, c_dot)
+            np.matmul(np.multiply(point, weights, out=weighted).swapaxes(-1, -2), point, out=G)
+            np.subtract(scaled_id, G, out=A)
+            np.subtract(A, A0, out=delta)
+            if slack > 0.0 and np.vdot(delta, delta) < slack * slack:
+                w = solve(A, stage_rate[k])
             else:
-                _, w = exact(t + s, A, c_dot)
+                _, w = exact(t + s, A, stage_rate[k])
             np.matmul(point, w, out=dots)
             np.subtract(w, np.multiply(dots_col, point, out=slope), out=slope)
         # y + h/6 (k1 + 2 k2 + 2 k3 + k4), accumulated in k2, over its row
@@ -634,9 +680,12 @@ def horizontal_lift(
         np.add.reduce(np.multiply(k2, k2, out=point), axis=1, out=norms)
         np.sqrt(norms, out=norms)
         np.divide(k2, norms_col, out=y_next)
-    track = _row_norms(u0.weights @ nodes - heads)
-    return ConfigPath(times=times, grid=u0, nodes=nodes, controls=controls,
-                      tracking_errors=track, margins=margins, eigen_solves=eigen_solves)
+        j += 1
+    head_trace[m - j :] = u0.weights @ window[: j + 1]
+    record = LiftPath(times=times, grid=u0, controls=controls, head_trace=head_trace,
+                      final=_on_grid(u0, window[j]), tracking_errors=_row_norms(head_trace - heads),
+                      margins=margins, eigen_solves=eigen_solves)
+    return record, window[: j + 1]
 
 
 def config_velocity_residuals(path: ConfigPath, subsample: int = 1) -> np.ndarray:

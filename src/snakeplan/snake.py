@@ -165,6 +165,8 @@ class SnakeConfig:
     ) -> "SnakeConfig":
         """Build from per-segment node arrays sampled at Gauss abscissae."""
         partition = np.asarray(partition, dtype=float)
+        if not segments:
+            raise ValueError("a configuration needs at least one segment")
         m = len(segments[0])
         if any(len(s) != m for s in segments):
             raise ValueError("all segments must carry the same number of nodes")
@@ -216,23 +218,15 @@ def snake_curve(u: SnakeConfig, t: float) -> np.ndarray:
     return snake_curve_matrix(u, t)[0] @ u.nodes
 
 
-def _gram(weights: np.ndarray, L, nodes: np.ndarray, out=None):
+def _gram(weights: np.ndarray, L, nodes: np.ndarray):
     """Gamma_u and A_u for one node set or a stack (..., K, n) on one quadrature.
 
     The two triangles of the product differ by rounding only; eigh reads
-    the lower one, so no symmetrizing pass is made.
-
-    In place, for a caller that forms A_u again and again on one grid
-    (horizontal_lift): out = (weighted, G, A) are buffers shaped like nodes,
-    Gamma_u and A_u, weights is weights[:, None] or its repeat along each
-    node and L the matrix L Id, formed once by the caller.  The arithmetic
-    is the same.
+    the lower one, so no symmetrizing pass is made.  horizontal_lift forms
+    them in its own buffers with the same arithmetic.
     """
-    if out is None:
-        weights, L, out = weights[:, None], L * np.eye(nodes.shape[-1]), (None,) * 3
-    weighted, G, A = out
-    G = np.matmul(np.multiply(nodes, weights, out=weighted).swapaxes(-1, -2), nodes, out=G)
-    return G, np.subtract(L, G, out=A)
+    G = np.multiply(nodes, weights[:, None]).swapaxes(-1, -2) @ nodes
+    return G, L * np.eye(nodes.shape[-1]) - G
 
 
 def is_singular(u: SnakeConfig):

@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -45,6 +46,19 @@ class TestJsonRoundtrips:
         obj["quadrature"]["scheme"] = "midpoint"
         with pytest.raises(ValueError):
             sio.config_from_json(obj)
+
+    @pytest.mark.parametrize("field, value, message", [
+        ("segments", [], "needs at least one segment"),
+        ("quadrature", [1], "bad config payload: quadrature must be an object, got [1]"),
+        ("quadrature", {"nodes_per_segment": [1]}, "bad config payload: int() argument"),
+        ("resolution_bound", [1], "bad config payload: float() argument"),
+    ])
+    def test_config_malformed_payload_rejected(self, rng, field, value, message):
+        obj = sio.config_to_json(random_config(rng, 3))
+        obj[field] = value
+        with pytest.raises(ValueError) as exc:
+            sio.config_from_json(obj)
+        assert message in str(exc.value)
 
     def test_head_curve_monotone_times(self):
         with pytest.raises(ValueError):
@@ -222,6 +236,8 @@ class TestCli:
         ("node-nan", "nodes must be finite"),
         ("bound-nan", "resolution bound must be in (0, pi], got nan"),
         ("quadrature", "segment node counts disagree with quadrature declaration"),
+        ("no-segments", "a configuration needs at least one segment"),
+        ("quadrature-list", "bad config payload: quadrature must be an object, got [1]"),
     ])
     def test_bad_config_payload_exits_2(self, tmp_path, capsys, command, case, message):
         # a NaN fails no comparison, so a non-finite L, node or bound must be
@@ -234,7 +250,9 @@ class TestCli:
         else:
             cfg.update({"L-nan": {"L": float("nan")}, "L-inf": {"L": float("inf")},
                         "bound-nan": {"resolution_bound": float("nan")},
-                        "quadrature": {"quadrature": {"nodes_per_segment": 8}}}[case])
+                        "quadrature": {"quadrature": {"nodes_per_segment": 8}},
+                        "no-segments": {"segments": []},
+                        "quadrature-list": {"quadrature": [1]}}[case])
         sio.dump_json(cfg, c)
         argv = {"steer": ["--matrix", m, "--config", c],
                 "lift-head": ["--config", c, "--head-curve", h]}[command]
@@ -711,9 +729,9 @@ class TestCli:
 
         def nearly_straight(*args, **kwargs):
             path = lift(*args, **kwargs)
-            noise = np.random.default_rng(0).normal(size=path.nodes[-1].shape)
-            path.nodes[-1] = sphere_point(np.eye(3)[0] + 0.01 * noise)
-            return path
+            noise = np.random.default_rng(0).normal(size=path.final.nodes.shape)
+            return replace(path, final=replace(path.final,
+                                               nodes=sphere_point(np.eye(3)[0] + 0.01 * noise)))
 
         monkeypatch.setattr(cli, "horizontal_lift", nearly_straight)
         assert main(["lift-head", "--config", c, "--head-curve", h, "--step", "1e-2"]) == 3

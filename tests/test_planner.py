@@ -1,16 +1,19 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from snakeplan.generate import random_config, random_so0, straight_config
-from snakeplan.lorentz import LieElement, basis_Omega, basis_U, exp_h
+from snakeplan.lorentz import LieElement, _row_norms, basis_Omega, basis_U, exp_h
 from snakeplan.planner import (
     GEODESIC_MIN_STEPS,
     LIFT_MARGIN_FACTOR,
     MAX_STEPS,
+    _CHECK_CHUNK,
     SingularityApproach,
-    _certifies,
+    _on_grid,
     _vertical_parameter,
     act,
     boost_leg,
@@ -18,6 +21,7 @@ from snakeplan.planner import (
     config_velocity_residuals,
     horizontal_lift,
     infinitesimal_action,
+    lift_history,
     plan_group_path,
     rotation_leg,
     steer_config,
@@ -675,12 +679,12 @@ class TestHorizontalLift:
         cfg = random_config(rng, 3, L=2.0)
         c0 = endpoint(cfg)
         d = np.array([0.05, 0.1, 0.0])
-        path = horizontal_lift(cfg, lambda t: c0 + np.multiply.outer(t, d),
-                               lambda t: np.tile(d, (len(t), 1)),
-                               t_final=1.0, dt=5e-3)
-        k = len(path.nodes) // 2
-        ucfg = path.config(k)
-        v = tangent_at(path.nodes[k], path.controls[k])
+        path, nodes = lift_history(cfg, lambda t: c0 + np.multiply.outer(t, d),
+                                   lambda t: np.tile(d, (len(t), 1)),
+                                   t_final=1.0, dt=5e-3)
+        k = len(nodes) // 2
+        ucfg = _on_grid(cfg, nodes[k])
+        v = tangent_at(nodes[k], path.controls[k])
         assert fit_horizontal(ucfg, ucfg.nodes, v).residual < 1e-10
         # minimality: velocity is L2-orthogonal to sampled kernel fields
         for _ in range(5):
@@ -805,16 +809,18 @@ class TestHorizontalLift:
 
         def run(n):
             u0, head, head_dot = lifts[n]
-            return horizontal_lift(u0, head, head_dot, t_final=1.0, dt=1e-2)
+            return lift_history(u0, head, head_dot, t_final=1.0, dt=1e-2)
 
-        def arrays(path):
-            return [path.times, path.nodes, path.controls, path.margins, path.tracking_errors]
+        def arrays(lift):
+            path, nodes = lift
+            return [path.times, nodes, path.controls, path.margins, path.tracking_errors,
+                    path.head_trace, path.final.nodes]
 
         solo = {n: run(n) for n in (3, 8)}
         paths = [run(8), run(3), run(8)]
         for path in paths:
-            want = solo[path.nodes.shape[-1]]
-            assert path.eigen_solves == want.eigen_solves
+            want = solo[path[1].shape[-1]]
+            assert path[0].eigen_solves == want[0].eigen_solves
             for got, ref in zip(arrays(path), arrays(want)):
                 assert got.shape == ref.shape and got.tobytes() == ref.tobytes()
         for i, path in enumerate(paths):
@@ -887,6 +893,58 @@ def toward_boundary(u0, depth=1e-4):
             lambda t: np.multiply.outer(np.pi * np.cos(np.pi * t), d))
 
 
+class TestLiftWindow:
+    @pytest.mark.parametrize("n, segments, rows", [(16, 64, 4), (64, 68, 2)])
+    def test_record_matches_the_whole_history(self, n, segments, rows):
+        # a node set is K n doubles against a window of _CHECK_CHUNK: four node
+        # sets at n = 16, K = 1024, and the least, two, at n = 64, K = 1088,
+        # where one node set is larger than the window.  Step counts: one, a
+        # window less one, a window, two windows, two windows and one
+        u0 = random_config(np.random.default_rng(5), n, segments=segments)
+        assert max(2, _CHECK_CHUNK // u0.nodes.size) == rows
+        head, head_dot = circle_loop(u0)
+        per = rows - 1  # the steps one window holds
+        for m in sorted({1, per - 1, per, 2 * per, 2 * per + 1} - {0}):
+            path = horizontal_lift(u0, head, head_dot, t_final=0.01 * m, dt=0.01)
+            whole, nodes = lift_history(u0, head, head_dot, t_final=0.01 * m, dt=0.01)
+            assert len(path.times) == len(nodes) == m + 1
+            assert np.array_equal(path.head_trace, u0.weights @ nodes)
+            assert np.array_equal(path.final.nodes, _on_grid(u0, nodes[-1]).nodes)
+            assert np.array_equal(path.tracking_errors,
+                                  _row_norms(u0.weights @ nodes - head(path.times)))
+            for name in ("times", "controls", "margins", "head_trace", "tracking_errors"):
+                assert np.array_equal(getattr(path, name), getattr(whole, name))
+            assert path.eigen_solves == whole.eigen_solves
+
+    def test_holds_no_node_history(self):
+        # a 1000-step lift at n = 8 on K = 48 and on K = 96 nodes.  Per node it
+        # allocates six stage buffers and the repeated weights (7 n doubles),
+        # the final configuration with its check's temporaries (at most 4 n)
+        # and node-wise scalars (dots, norms, the check's angles: at most 8);
+        # its window is at most _CHECK_CHUNK doubles at either K, and nothing
+        # else depends on K.  A node history would add 1001 * 48 n doubles.
+        n, peaks = 8, {}
+        for segments in (3, 6):
+            u0 = random_config(np.random.default_rng(7), n, segments=segments)
+            head, head_dot = circle_loop(u0)
+            tracemalloc.start()
+            try:
+                horizontal_lift(u0, head, head_dot, t_final=1.0, dt=1e-3)
+                peaks[len(u0.nodes)] = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        bound = 8 * (48 * (11 * n + 8) + _CHECK_CHUNK)
+        assert peaks[96] - peaks[48] <= bound < 8 * 1001 * 48 * n
+
+
+def certifies(margin, delta, floor):
+    """The certificate horizontal_lift applies at each later RK4 stage, as
+    it writes it: Weyl's inequality, lambda_min(A0 + delta) >= margin - |delta|_2
+    >= margin - |delta|_F, puts lambda_min above floor."""
+    slack = margin - floor
+    return slack > 0.0 and np.vdot(delta, delta) < slack * slack
+
+
 def assert_close(got, want, scale=1e-13):
     assert np.all(np.abs(got - want) <= scale * np.maximum(1.0, np.abs(want)))
 
@@ -897,11 +955,11 @@ class TestCertifiedLift:
     def test_matches_four_eigh_oracle(self, n, dt):
         u0 = random_config(np.random.default_rng(7), n)
         head, head_dot = circle_loop(u0)
-        path = horizontal_lift(u0, head, head_dot, t_final=1.0, dt=dt)
+        path, lifted = lift_history(u0, head, head_dot, t_final=1.0, dt=dt)
         nodes, controls, vels, track, margins = four_eigh_lift(u0, head, head_dot, 1.0, dt)
-        assert_close(path.nodes, nodes)
+        assert_close(lifted, nodes)
         assert_close(path.controls, controls)
-        assert_close(tangent_at(path.nodes[:-1], path.controls[:, None]), vels)
+        assert_close(tangent_at(lifted[:-1], path.controls[:, None]), vels)
         assert_close(path.tracking_errors, track)
         assert_close(path.margins, margins)
         # every later stage certified: one exact solve per step
@@ -970,10 +1028,10 @@ class TestCertifiedLift:
         # stages near the turn fall back, and the lift still completes
         u0 = random_config(np.random.default_rng(3), 3, L=2.0)
         head, head_dot = toward_boundary(u0, depth=7e-4)
-        path = horizontal_lift(u0, head, head_dot, t_final=1.0, dt=1e-2)
+        path, lifted = lift_history(u0, head, head_dot, t_final=1.0, dt=1e-2)
         nodes, controls, _, _, margins = four_eigh_lift(u0, head, head_dot, 1.0, 1e-2)
         assert path.eigen_solves > len(path.times) - 1
-        assert_close(path.nodes, nodes)
+        assert_close(lifted, nodes)
         assert_close(path.margins, margins)
         # controls solve with A_u near the abort bound: scale by its condition
         assert_close(path.controls, controls, 1e-13 * u0.L / margins.min())
@@ -996,5 +1054,5 @@ class TestCertifiedLift:
         # the same rounding allowance the lift adds: eigvalsh's eigenvalues
         # are off by a few n eps |A|_2, and |A0 + D|_2 <= 2 + |D|_F here
         floor = tau + 1e-12 * (2.0 + np.linalg.norm(D))
-        if _certifies(margin, D, floor):
+        if certifies(margin, D, floor):
             assert np.linalg.eigvalsh(A0 + D)[0] > tau

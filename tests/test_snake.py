@@ -113,6 +113,10 @@ class TestConfigValidation:
             SnakeConfig.from_segment_samples(1.0, [0.0, 1.0], [np.tile(e(0, 2), (4, 1))],
                                              max_node_angle=bound)
 
+    def test_needs_a_segment(self):
+        with pytest.raises(ValueError, match="needs at least one segment"):
+            SnakeConfig.from_segment_samples(1.0, [0.0, 1.0], [])
+
     def test_resolution_bound_pi_admits_antipodal_neighbours(self):
         # the bound act and the planners' paths carry: no turn is too large
         nodes = np.array([e(0, 2), -e(0, 2)] * 2)
