@@ -23,6 +23,7 @@ from .planner import (
     ConfigPath,
     GroupPath,
     LiftPath,
+    SteerPath,
     act,
     boost_leg,
     commutator_probe,
@@ -32,6 +33,7 @@ from .planner import (
     plan_group_path,
     rotation_leg,
     steer_config,
+    steer_history,
     su11_geodesic,
 )
 from .rotations import RotationBlocks, skew_spectral, so_exp_blocks, so_log

@@ -20,9 +20,10 @@ timing.stages, printed in the order the stages ran), never in a result or an
 artifact.  Artifacts are built only under --out-dir.  plan.json writes each
 control as its boost vector.  lift-head interpolates the head-curve samples
 with spline.not_a_knot, so no subcommand loads scipy; spline and generate
-are imported only by the runners that use them.  steer checks every step of
-its path against the boost of the control it recorded, under the bound
-planner.step_consistency derives from the step and the leg.  No check
+are imported only by the runners that use them.  steer_config checks every
+step of its path against the boost of the control it recorded as it walks
+the path, under the bound planner.step_consistency derives from the step and
+the leg; steer reads the residuals and bounds off its record.  No check
 compares the plan ledger with the controls, or factorize's blocks with each
 other: controls are unit-norm and the blocks commute by construction, so
 such checks could not fail.
@@ -65,7 +66,6 @@ from .planner import (
     horizontal_lift,
     plan_group_path,
     steer_config,
-    step_consistency,
 )
 from .rotations import planar_rotation, so_exp_blocks
 from .snake import config_distance, is_singular
@@ -210,8 +210,9 @@ def _run_steer(sc: Scenario, marks: dict):
     path = steer_config(u0, A, max_step=sc.options["step"])
     marks["steer_config"] = time.perf_counter()
     target = act(A, u0)
-    # each step against the boost of the control steer recorded for it
-    resid, bound = step_consistency(path)
+    # each step against the boost of the control steer recorded for it,
+    # checked as steer_config walked the path
+    resid, bound = path.residuals, path.bounds
     worst = int(np.argmax(resid / bound)) if resid.size else None
     checks = [
         _check("final_config_distance", config_distance(path.final, target), 1e-7),
@@ -223,7 +224,7 @@ def _run_steer(sc: Scenario, marks: dict):
     _export_head_and_final(sc, outputs, path)
     _export(sc, outputs, "snake_polylines.csv", lambda p: sio.write_csv(
         p, ["t", "s"] + [f"x{i+1}" for i in range(u0.dim)],
-        sio.config_path_polyline_rows(path, stride=max(1, len(path.times) // 32))))
+        sio.config_path_polyline_rows(path)))
     marks["export"] = time.perf_counter()
     result = {"steps": len(path.times) - 1, "legs": len(path.legs),
               "nodes": u0.nodes.shape[0], "consistency_worst_step": worst}

@@ -13,7 +13,7 @@ import json
 
 import numpy as np
 
-from .planner import ConfigPath, GroupPath
+from .planner import GroupPath, SteerPath
 from .rotations import RotationBlocks
 from .snake import DEFAULT_MAX_NODE_ANGLE, SnakeConfig, snake_curve_matrix
 
@@ -100,9 +100,10 @@ def config_from_json(obj: dict) -> SnakeConfig:
     scheme = quad.get("scheme", "gauss-legendre")
     if scheme != "gauss-legendre":
         raise ValueError(f"unsupported quadrature scheme {scheme!r}")
-    if m is not None and any(len(seg) != m for seg in segments):
+    cfg = SnakeConfig.from_segment_samples(L, partition, segments, max_node_angle=bound)
+    if m is not None and cfg.nodes_per_segment != m:
         raise ValueError("segment node counts disagree with quadrature declaration")
-    return SnakeConfig.from_segment_samples(L, partition, segments, max_node_angle=bound)
+    return cfg
 
 
 def head_curve_to_json(times: np.ndarray, points: np.ndarray) -> dict:
@@ -154,11 +155,11 @@ def write_csv(path, header: list, rows) -> None:
         fh.writelines(line % tuple(row) for row in rows)
 
 
-def config_path_polyline_rows(path: ConfigPath, stride: int = 1):
-    """Rows (t, s, x_1..x_n): the snake polyline at 33 arc lengths, at every
-    stride-th time, from the path's stored unit nodes."""
+def config_path_polyline_rows(path: SteerPath):
+    """Rows (t, s, x_1..x_n): the snake polyline at 33 arc lengths at every
+    time whose unit nodes the steer record sampled, times[::sample_every]."""
     s = np.linspace(0.0, path.grid.L, 33)
     P = snake_curve_matrix(path.grid, s)
-    for k in range(0, len(path.nodes), stride):
-        for s_i, x in zip(s, P @ path.nodes[k]):
-            yield [path.times[k], s_i, *x]
+    for t, nodes in zip(path.times[:: path.sample_every], path.samples):
+        for s_i, x in zip(s, P @ nodes):
+            yield [t, s_i, *x]

@@ -50,6 +50,8 @@ __all__ = [
     "plan_group_path",
     "commutator_probe",
     "steer_config",
+    "steer_history",
+    "SteerPath",
     "step_consistency",
     "horizontal_lift",
     "lift_history",
@@ -65,7 +67,7 @@ LIFT_MARGIN_FACTOR = 1e-3  # horizontal_lift aborts below lambda_min(A_u) = fact
 # most steps one leg, probe or lift may take, checked before anything is
 # allocated: ~9x the 10,899 of a seeded random_so0 steer at n = 96
 MAX_STEPS = 100_000
-_CHECK_CHUNK = 1 << 16  # step_consistency's buffer and the lift's node window, in doubles
+_CHECK_CHUNK = 1 << 16  # the step check's scratch and the steer and lift node windows, in doubles
 
 
 class SingularityApproach(RuntimeError):
@@ -351,12 +353,12 @@ def infinitesimal_action(X: LieElement, u: SnakeConfig) -> np.ndarray:
 
 @dataclass
 class ConfigPath:
-    """Time-gridded horizontal path of configurations with control records,
-    as steer_config builds it.
+    """Time-gridded horizontal path of configurations with every node set,
+    as steer_history collects it.
 
     Every step shares the partition and quadrature of grid (the start
     configuration); nodes[k] holds the unit directions at times[k], and nodes
-    may be a strided view (steer_config's are coordinate-major in memory, an
+    may be a strided view (steer_history's are coordinate-major in memory, an
     (n, m+1, K) array).  No velocities are stored: the
     velocity at step k is tangent_at(nodes[k], controls[k]), the horizontal
     field of the step's control.
@@ -383,6 +385,25 @@ class ConfigPath:
 
 
 @dataclass
+class SteerPath:
+    """Record of a steer, without its node history: per time the head E(u),
+    per step the control and step_consistency's residual and bound, the node
+    sets at every sample_every-th time and the final configuration.
+    steer_history gives every node set as well."""
+
+    times: np.ndarray  # (m+1,)
+    grid: SnakeConfig  # the start configuration
+    controls: np.ndarray  # (m, n): boost vector w per step
+    legs: list  # LegRecords of the group plan
+    head_trace: np.ndarray  # (m+1, n)
+    final: SnakeConfig
+    residuals: np.ndarray  # (m,) r_k
+    bounds: np.ndarray  # (m,) the bound r_k must stay under
+    sample_every: int  # max(1, (m+1) // 32)
+    samples: np.ndarray  # (S, K, n): the node sets at times[::sample_every]
+
+
+@dataclass
 class LiftPath:
     """Record of a horizontal lift, without its nodes: per time the head
     E(u) and its distance from the head curve, per step the control and the
@@ -399,43 +420,116 @@ class LiftPath:
     eigen_solves: int  # exact eigen-solves of A_u
 
 
-def steer_config(u0: SnakeConfig, A: np.ndarray, max_step: float = DEFAULT_MAX_STEP) -> ConfigPath:
-    """Push u0 along plan_group_path(A)'s horizontal path to act(A, u0).
+def steer_config(u0: SnakeConfig, A: np.ndarray, max_step: float = DEFAULT_MAX_STEP) -> SteerPath:
+    """Push u0 along plan_group_path(A)'s horizontal path to act(A, u0),
+    checking every step as it goes.
 
     The path's times, controls and legs are the plan's.  Each leg moves the
     nodes z reached at its start, as light-cone points W0 = (1, z)^T, to
     W = W0 + P (S - Id) P^T W0 with P its frame and S its blocks (LegRecord):
-    O(n K) per step, written into one (m+1, n+1, K) array whose spatial rows
-    become the nodes in place, so the nodes are an (m+1, K, n) view of it.
-    They differ from the action of the plan's matrices at dimension n by
-    rounding.
+    O(n K) per step.  They differ from the action of the plan's matrices at
+    dimension n by rounding.
+
+    The light-cone node sets pass through a window of at most _CHECK_CHUNK
+    doubles (two node sets if one is larger).  When it fills, its node sets
+    become sphere points, step_consistency's residuals are taken between
+    them, their head rows and every (m+1) // 32-th of them are recorded, and
+    the last one moves to the front.  So a steer holds O(m (n + K)) plus one
+    workspace, and returns a SteerPath with no node history.
+    """
+    return _steer(u0, A, max_step, _CHECK_CHUNK)[0]
+
+
+def steer_history(u0: SnakeConfig, A: np.ndarray, max_step: float = DEFAULT_MAX_STEP) -> ConfigPath:
+    """steer_config's path with every node set, (m+1, K, n): the same walk
+    with a window that holds them all."""
+    record, nodes = _steer(u0, A, max_step, None)
+    return ConfigPath(times=record.times, grid=u0, nodes=nodes, controls=record.controls,
+                      legs=record.legs)
+
+
+def _steer(u0: SnakeConfig, A: np.ndarray, max_step: float, doubles) -> tuple:
+    """steer_config with a window of at most `doubles` doubles of light-cone
+    node sets (two at least; every one when None): (record, the window's
+    node sets in use at the end).
+
+    The window is coordinate-major, (n+1, rows, K) in memory, as one array of
+    every node set would be, so each pass over it runs along rows of K values
+    and its node sets are those of such an array bit for bit.  It, the start
+    point of the leg in progress and the step check's rows and scratch are
+    carved from one allocation per call.
     """
     A = np.asarray(A, dtype=float)
     if u0.dim != A.shape[0] - 1:
         raise ValueError("dimension mismatch between config and matrix")
     plan = plan_group_path(A, max_step=max_step)
-    # coordinate-major in memory, (m+1, n+1, K) as indexed: an elementwise pass
-    # over all steps then runs along rows of (m+1) K values
-    W = np.empty((u0.dim + 1, len(plan.times), u0.nodes.shape[0])).transpose(1, 0, 2)
-    W[0, 0] = 1.0
-    W[0, 1:] = u0.nodes.T
-    k = 0
+    n, K, m = u0.dim, u0.nodes.shape[0], len(plan.controls)
+    cone = (n + 1) * K
+    rows = m + 1 if doubles is None else min(m + 1, max(2, doubles // cone))
+    steps = _check_steps_per_pass(rows - 1, n, K)
+    # one allocation per call: with separate arrays of this size the allocator
+    # trims the heap between calls and the next call faults the pages back in
+    rest = cone * (rows + 1)  # the window and the leg's start point, then p, r2 and scratch
+    space = np.empty(rest + (2 * m + (n + 2) * steps) * K)
+    window = space[: cone * rows].reshape(n + 1, rows, K).transpose(1, 0, 2)
+    start = space[cone * rows : rest].reshape(n + 1, K)
+    p, r2 = space[rest : rest + 2 * m * K].reshape(2, m, K)
+    scratch = _check_scratch(space[rest + 2 * m * K :], steps, n, K)
+    nodes = window[:, 1:].swapaxes(1, 2)  # (rows, K, n)
+
+    h, unit, hw = _step_boosts(plan.times, plan.controls)
+    head_trace = np.empty((m + 1, n))
+    every = max(1, (m + 1) // 32)
+    samples = np.empty((len(range(0, m + 1, every)), n, K))
+
+    def flush(last: bool) -> None:
+        """Window rows 0..j, node sets a..k: their sphere points (row 0 is one
+        already after the first window), the steps between them checked,
+        their head rows and samples recorded, all but row j unless last."""
+        a = k - j
+        _cone_images(window[int(a > 0) : j + 1])
+        _check_steps(window[: j + 1, 1:], a, unit, hw, p, r2, scratch)
+        end = j + 1 if last else j
+        np.matmul(u0.weights, nodes[:end], out=head_trace[a : a + end])
+        first = -a % every  # the window row of the first sampled node set
+        picked = window[first:end:every, 1:]
+        i = (a + first) // every
+        samples[i : i + len(picked)] = picked
+
+    window[0, 0] = 1.0
+    window[0, 1:] = u0.nodes.T
+    k = j = 0  # the step of window row j
     for leg in plan.legs:
         if k:  # the leg starts on the light cone at (1, z), z the node reached
-            _cone_images(W[k : k + 1])
-            W[k, 0] = 1.0
-        P, S, end = leg.frame, leg.blocks, k + leg.steps
-        np.matmul(P, (S[1:] - np.eye(S.shape[-1])) @ (P.T @ W[k]), out=W[k + 1 : end + 1])
-        W[k + 1 : end + 1] += W[k]
-        k = end
-    return ConfigPath(times=plan.times, grid=u0, nodes=_cone_images(W), controls=plan.controls,
-                      legs=plan.legs)
+            _cone_images(window[j : j + 1])
+            window[j, 0] = 1.0
+        start[...] = window[j]
+        P, S, s = leg.frame, leg.blocks, 0
+        PtW, eye = P.T @ start, np.eye(S.shape[-1])
+        while s < leg.steps:
+            if j == rows - 1:  # the window is full
+                flush(False)
+                window[0] = window[j]
+                j = 0
+            c = min(leg.steps - s, rows - 1 - j)
+            out = window[j + 1 : j + c + 1]
+            np.matmul(P, (S[s + 1 : s + c + 1] - eye) @ PtW, out=out)
+            out += start
+            j, k, s = j + c, k + c, s + c
+    flush(True)
+    residuals, bounds = _consistency(plan.times, plan.legs, u0, h, hw, p, r2)
+    record = SteerPath(times=plan.times, grid=u0, controls=plan.controls, legs=plan.legs,
+                       head_trace=head_trace, final=_on_grid(u0, nodes[j]), residuals=residuals,
+                       bounds=bounds, sample_every=every, samples=samples.swapaxes(1, 2))
+    return record, nodes[: j + 1]
 
 
 def step_consistency(path: ConfigPath) -> tuple:
     """(r, bound), both (m,): the L^2 distance r_k of a steer path's nodes[k+1]
     from the closed-form boost exp_h(h controls[k]) acting on nodes[k], and
-    the bound it must stay under.
+    the bound it must stay under.  steer_config takes them as it walks, a
+    window at a time, with the same arithmetic; this is the check of a
+    steer_history path.
 
     The image of a node z under exp_h(h w), with c = cosh(h|w|),
     s = sinh(h|w|) and p = <w, z> / |w|, is
@@ -476,35 +570,75 @@ def step_consistency(path: ConfigPath) -> tuple:
       A node near a boost's repelling point reads up to eps e^{2 rho}; one
       pushed towards its attracting point, a few eps.
     """
-    h = np.diff(path.times)
-    if not isinstance(path, ConfigPath) or sum(leg.steps for leg in path.legs) != len(h):
-        raise ValueError("step_consistency needs a steer path, whose legs cover its steps")
+    if not isinstance(path, ConfigPath) or \
+            sum(leg.steps for leg in path.legs) != len(path.controls):
+        raise ValueError("step_consistency needs a steer path with its nodes (steer_history), "
+                         "whose legs cover its steps")
     Z = path.nodes.swapaxes(-1, -2)  # (m+1, n, K)
-    speed = _row_norms(path.controls)
-    unit = path.controls / speed[:, None]
-    hw = h * speed
-    p = np.einsum("mi,mik->mk", unit, Z[:-1])
-    c, s = np.cosh(hw)[:, None], np.sinh(hw)[:, None]
-    coef, inv = s + (c - 1.0) * p, 1.0 / (c + s * p)
-    # images of a few steps at a time, so the buffer stays in cache; it is
-    # coordinate-major, as steer_config's nodes are
-    chunk = max(1, _CHECK_CHUNK // Z[0].size)
-    buf = np.empty((Z.shape[1], min(chunk, len(h)), Z.shape[2])).transpose(1, 0, 2)
-    r2 = np.empty_like(p)
-    for a in range(0, len(h), chunk):
-        b = min(a + chunk, len(h))
-        image = buf[: b - a]
-        np.einsum("mi,mk->mik", unit[a:b], coef[a:b], out=image)
-        image += Z[a:b]
-        image *= inv[a:b, None]
-        image -= Z[a + 1 : b + 1]
-        np.einsum("mik,mik->mk", image, image, out=r2[a:b])
-    r = np.sqrt(r2 @ path.grid.weights)
+    n, K = Z.shape[1:]
+    h, unit, hw = _step_boosts(path.times, path.controls)
+    p, r2 = np.empty((len(h), K)), np.empty((len(h), K))
+    steps = _check_steps_per_pass(len(h), n, K)
+    _check_steps(Z, 0, unit, hw, p, r2,
+                 _check_scratch(np.empty((n + 2) * K * steps), steps, n, K))
+    return _consistency(path.times, path.legs, path.grid, h, hw, p, r2)
 
+
+def _step_boosts(times: np.ndarray, controls: np.ndarray) -> tuple:
+    """(h, w / |w|, h |w|) per step."""
+    h = np.diff(times)
+    speed = _row_norms(controls)
+    return h, controls / speed[:, None], h * speed
+
+
+def _check_steps_per_pass(span: int, n: int, K: int) -> int:
+    """Steps the check takes in one pass over a span of steps: few enough
+    that its images stay in cache, at least one."""
+    return max(1, min(span, _CHECK_CHUNK // (n * K)))
+
+
+def _check_scratch(flat: np.ndarray, steps: int, n: int, K: int) -> tuple:
+    """The step check's scratch for `steps` steps, carved from flat: the
+    images (steps, n, K), coordinate-major as steer's node sets are, and the
+    node-wise coefficients and quotients (steps, K)."""
+    size = steps * K
+    image = flat[: n * size].reshape(n, steps, K).transpose(1, 0, 2)
+    coef = flat[n * size : (n + 1) * size].reshape(steps, K)
+    inv = flat[(n + 1) * size : (n + 2) * size].reshape(steps, K)
+    return image, coef, inv
+
+
+def _check_steps(Z: np.ndarray, a: int, unit, hw, p, r2, scratch) -> None:
+    """step_consistency's node-wise part for the node sets a.. of a steer
+    path, Z (s+1, n, K), a pass per scratch's worth of steps: writes the
+    steps' p = <w, z> / |w| and squared node distances into rows a..a+s of
+    p and r2."""
+    for i in range(0, len(Z) - 1, len(scratch[1])):
+        j = min(i + len(scratch[1]), len(Z) - 1)
+        image, coef, inv = (buf[: j - i] for buf in scratch)
+        rows, z, z_next = slice(a + i, a + j), Z[i:j], Z[i + 1 : j + 1]
+        np.einsum("mi,mik->mk", unit[rows], z, out=p[rows])
+        c, s = np.cosh(hw[rows])[:, None], np.sinh(hw[rows])[:, None]
+        # coef = s + (c - 1) p and inv = 1 / (c + s p)
+        np.multiply(c - 1.0, p[rows], out=coef)
+        coef += s
+        np.multiply(s, p[rows], out=inv)
+        inv += c
+        np.divide(1.0, inv, out=inv)
+        np.einsum("mi,mk->mik", unit[rows], coef, out=image)
+        image += z
+        image *= inv[:, None]
+        image -= z_next
+        np.einsum("mik,mik->mk", image, image, out=r2[rows])
+
+
+def _consistency(times, legs, grid: SnakeConfig, h, hw, p, r2) -> tuple:
+    """(r, bound) of step_consistency from every step's p and r2 rows."""
+    r = np.sqrt(r2 @ grid.weights)
     # rounding per node: (n + 8) eps ((1 + e^{h|w|}) (sqrt(2) (1 + |S|) / W_t + 1) + 1)
-    unit_err = (Z.shape[1] + 8) * np.finfo(float).eps
+    unit_err = (grid.dim + 8) * np.finfo(float).eps
     bound, k = np.empty_like(h), 0
-    for leg in path.legs:
+    for leg in legs:
         end = k + leg.steps
         hk, stretch = h[k:end], np.exp(hw[k:end])
         if leg.kind == "rotation":
@@ -517,13 +651,13 @@ def step_consistency(path: ConfigPath) -> tuple:
         else:
             # each node's own 1 / W_t = cosh(tau) - sinh(tau) <w, z> / |w|, tau
             # into the leg, stretched by e^{h|w|} to cover node k+1
-            tau = path.times[k : end + 1, None] - path.times[k]
+            tau = times[k : end + 1, None] - times[k]
             inv_wt = stretch[:, None] * (np.cosh(tau[:-1]) - np.sinh(tau[:-1]) * p[k:end])
             node = (1.0 + stretch[:, None]) * (
                 np.sqrt(2.0) * (1.0 + np.exp(tau[1:])) * inv_wt + 1.0) + 1.0
-            bound[k:end] = unit_err * np.sqrt(node**2 @ path.grid.weights / path.grid.L)
+            bound[k:end] = unit_err * np.sqrt(node**2 @ grid.weights / grid.L)
         k = end
-    return r, np.sqrt(path.grid.L) * bound
+    return r, np.sqrt(grid.L) * bound
 
 
 def horizontal_lift(

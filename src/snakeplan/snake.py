@@ -71,6 +71,15 @@ def gauss_legendre(m: int) -> GaussLegendreRule:
     return GaussLegendreRule(x=x, w=w, integral=integral)
 
 
+def _partition(partition) -> np.ndarray:
+    """partition as a float array, which must be a list of two or more points."""
+    part = np.asarray(partition, dtype=float)
+    if part.ndim != 1 or part.shape[0] < 2:
+        raise ValueError(f"partition needs at least the two endpoints in a list, "
+                         f"got shape {part.shape}")
+    return part
+
+
 def _gauss_grid(partition: np.ndarray, m: int):
     """Composite abscissae and weights, m per segment of the partition."""
     rule = gauss_legendre(m)
@@ -95,9 +104,7 @@ class SnakeConfig:
         _positive("L", self.L)
         if not 0.0 < self.max_node_angle <= np.pi:
             raise ValueError(f"resolution bound must be in (0, pi], got {self.max_node_angle}")
-        part = np.asarray(self.partition, dtype=float)
-        if part.ndim != 1 or part.shape[0] < 2:
-            raise ValueError("partition needs at least the two endpoints")
+        part = _partition(self.partition)
         if not np.all(np.diff(part) > 0):
             raise ValueError("partition must be strictly increasing")
         if abs(part[0]) > 0 or abs(part[-1] - self.L) > 1e-12 * max(1.0, self.L):
@@ -145,7 +152,7 @@ class SnakeConfig:
         max_node_angle: float = DEFAULT_MAX_NODE_ANGLE,
     ) -> "SnakeConfig":
         """Sample a callable s -> direction (need not be normalized)."""
-        partition = np.asarray(partition, dtype=float)
+        partition = _partition(partition)
         times, weights = _gauss_grid(partition, nodes_per_segment)
         vals = np.array([np.asarray(direction_fn(t), dtype=float) for t in times])
         if dim is not None and vals.shape[1] != dim:
@@ -163,17 +170,26 @@ class SnakeConfig:
         segments: list,
         max_node_angle: float = DEFAULT_MAX_NODE_ANGLE,
     ) -> "SnakeConfig":
-        """Build from per-segment node arrays sampled at Gauss abscissae."""
-        partition = np.asarray(partition, dtype=float)
+        """Build from per-segment node arrays sampled at Gauss abscissae,
+        each (nodes, n) with the same shape."""
+        partition = _partition(partition)
+        segments = [np.asarray(s, dtype=float) for s in segments]
         if not segments:
             raise ValueError("a configuration needs at least one segment")
-        m = len(segments[0])
+        for k, seg in enumerate(segments):
+            if seg.ndim != 2:
+                raise ValueError(f"segment {k}: nodes must be a list of direction vectors, "
+                                 f"got shape {seg.shape}")
+        m, n = segments[0].shape
         if any(len(s) != m for s in segments):
             raise ValueError("all segments must carry the same number of nodes")
+        for k, seg in enumerate(segments):
+            if seg.shape[1] != n:
+                raise ValueError(f"segment {k}: nodes have dimension {seg.shape[1]}, "
+                                 f"segment 0's have {n}")
         _, weights = _gauss_grid(partition, m)
         return cls(
-            L=float(L), partition=partition,
-            nodes=np.concatenate([np.asarray(s, dtype=float) for s in segments]),
+            L=float(L), partition=partition, nodes=np.concatenate(segments),
             weights=weights, nodes_per_segment=m,
             max_node_angle=max_node_angle,
         )

@@ -11,8 +11,8 @@ The batched action stores the light-cone points of K nodes as columns,
 W = A (1, z)^T of shape (..., n+1, K), so every elementwise pass runs over
 rows of K contiguous nodes; _cone_images turns W's spatial rows into the
 images in place, as (..., K, n) views of node-major (..., n, K) arrays.
-planner.steer_config builds its W leg by leg and takes its nodes the same
-way.
+planner.steer_config builds its W leg by leg, a window of node sets at a
+time, and takes its nodes the same way.
 """
 
 from __future__ import annotations

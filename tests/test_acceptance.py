@@ -35,7 +35,7 @@ from snakeplan.planner import (
     config_velocity_residuals,
     horizontal_lift,
     plan_group_path,
-    steer_config,
+    steer_history,
     step_consistency,
     su11_geodesic,
 )
@@ -362,12 +362,12 @@ def test_criterion_10_orbit_steering():
         n = 2 + k % 5
         u0 = random_config(rng, n)
         A = random_so0(rng, n)
-        path = steer_config(u0, A, max_step=0.05)
+        path = steer_history(u0, A, max_step=0.05)
         worst_final = max(worst_final, config_distance(path.final, act(A, u0)))
         r, bound = step_consistency(path)
         worst_step = max(worst_step, float((r / bound).max()))
         fd = config_velocity_residuals(path).max()
-        fd_half = config_velocity_residuals(steer_config(u0, A, max_step=0.025)).max()
+        fd_half = config_velocity_residuals(steer_history(u0, A, max_step=0.025)).max()
         worst_fd_ratio = max(worst_fd_ratio, fd_half / fd)
     elapsed = time.perf_counter() - t0
     ok = worst_final <= 1e-7 and worst_step <= 1.0 and worst_fd_ratio < 0.75 and elapsed < 30.0

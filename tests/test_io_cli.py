@@ -16,6 +16,35 @@ from snakeplan.planner import plan_group_path
 
 from conftest import lorentz_sample
 
+# config payloads whose fields have the wrong shape, at n = 3 with 16 nodes a
+# segment, and the error that names the field
+MALFORMED = [
+    ("partition-null", "partition needs at least the two endpoints in a list, got shape ()"),
+    ("partition-float", "partition needs at least the two endpoints in a list, got shape ()"),
+    ("partition-2d", "partition needs at least the two endpoints in a list, got shape (1, 2)"),
+    ("nodes-null", "segment 1: nodes must be a list of direction vectors, got shape ()"),
+    ("nodes-3d", "segment 0: nodes must be a list of direction vectors, got shape (16, 1, 3)"),
+    ("nodes-widths", "segment 1: nodes have dimension 4, segment 0's have 3"),
+]
+
+
+def malform(obj: dict, case: str) -> None:
+    """Give the config payload obj the wrong shape named by case."""
+    segments = obj["segments"]
+    if case == "partition-null":
+        obj["partition"] = None
+    elif case == "partition-float":
+        obj["partition"] = 3.0
+    elif case == "partition-2d":
+        obj["partition"] = [[0.0, obj["L"]]]
+    elif case == "nodes-null":
+        segments[1]["nodes"] = None
+    elif case == "nodes-3d":
+        for seg in segments:
+            seg["nodes"] = [[node] for node in seg["nodes"]]
+    else:
+        segments[1]["nodes"] = [node + [0.0] for node in segments[1]["nodes"]]
+
 
 class TestJsonRoundtrips:
     def test_matrix(self, rng):
@@ -59,6 +88,15 @@ class TestJsonRoundtrips:
         with pytest.raises(ValueError) as exc:
             sio.config_from_json(obj)
         assert message in str(exc.value)
+
+    @pytest.mark.parametrize("case, message", MALFORMED)
+    def test_config_field_of_wrong_shape_rejected(self, rng, case, message):
+        # checked before the quadrature grid is built or the segments joined
+        obj = sio.config_to_json(random_config(rng, 3))
+        malform(obj, case)
+        with pytest.raises(ValueError) as exc:
+            sio.config_from_json(obj)
+        assert str(exc.value) == message
 
     def test_head_curve_monotone_times(self):
         with pytest.raises(ValueError):
@@ -238,6 +276,7 @@ class TestCli:
         ("quadrature", "segment node counts disagree with quadrature declaration"),
         ("no-segments", "a configuration needs at least one segment"),
         ("quadrature-list", "bad config payload: quadrature must be an object, got [1]"),
+        *MALFORMED,
     ])
     def test_bad_config_payload_exits_2(self, tmp_path, capsys, command, case, message):
         # a NaN fails no comparison, so a non-finite L, node or bound must be
@@ -247,6 +286,8 @@ class TestCli:
         cfg = json.loads(Path(c).read_text())
         if case == "node-nan":
             cfg["segments"][1]["nodes"][3][0] = float("nan")
+        elif case in dict(MALFORMED):
+            malform(cfg, case)
         else:
             cfg.update({"L-nan": {"L": float("nan")}, "L-inf": {"L": float("inf")},
                         "bound-nan": {"resolution_bound": float("nan")},
@@ -582,21 +623,29 @@ class TestCli:
 
     def test_step_check_fails_on_a_moved_node(self, tmp_path, capsys, monkeypatch):
         # one node of one boost step moved by 1e-6; the boost steps' bound is
-        # rounding alone, so the steps on either side of it must fail
-        from snakeplan import cli
+        # rounding alone, so the steps on either side of it must fail.  The
+        # node is moved in steer_config's window, where the step check reads it
+        from snakeplan import planner
 
-        steer = cli.steer_config
+        plan_group_path, check_steps = planner.plan_group_path, planner._check_steps
         moved = []
 
-        def perturbed(*args, **kwargs):
-            path = steer(*args, **kwargs)
+        def plan(*args, **kwargs):
+            path = plan_group_path(*args, **kwargs)
             assert path.legs[0].kind == "boost"
             moved.append(path.legs[0].steps // 2)
-            z = path.nodes[moved[0], 5]
-            z += 1e-6 * np.array([-z[1], z[0], 0.0]) / np.hypot(z[0], z[1])
             return path
 
-        monkeypatch.setattr(cli, "steer_config", perturbed)
+        def perturbed(Z, a, *args):
+            # Z holds the node sets a .. a + len(Z) - 1; a window's last one
+            # moves to the front of the next, so it is moved once, as a later row
+            if a < moved[0] < a + len(Z):
+                z = Z[moved[0] - a, :, 5]
+                z += 1e-6 * np.array([-z[1], z[0], 0.0]) / np.hypot(z[0], z[1])
+            return check_steps(Z, a, *args)
+
+        monkeypatch.setattr(planner, "plan_group_path", plan)
+        monkeypatch.setattr(planner, "_check_steps", perturbed)
         code, checks, result = self._steer_checks(tmp_path, capsys)
         assert code == 3
         assert checks["final_config_distance"]["pass"]
@@ -628,14 +677,15 @@ class TestCli:
 
     def test_step_check_catches_a_rotated_control(self, tmp_path, capsys, monkeypatch):
         # the control of one geodesic step turned by 1e-3 rad: that step moves
-        # its nodes by up to 1e-3 h, several times its h^3 bound
-        from snakeplan import cli
+        # its nodes by up to 1e-3 h, several times its h^3 bound.  The control
+        # is turned in the plan, whose controls steer_config checks and records
+        from snakeplan import planner
 
-        steer = cli.steer_config
+        plan_group_path = planner.plan_group_path
         turned = []
 
         def perturbed(*args, **kwargs):
-            path = steer(*args, **kwargs)
+            path = plan_group_path(*args, **kwargs)
             k = path.legs[0].steps + path.legs[1].steps // 2
             u = path.controls[k]
             v = np.cross(u, [0.0, 0.0, 1.0])
@@ -644,7 +694,7 @@ class TestCli:
             turned.append(k)
             return path
 
-        monkeypatch.setattr(cli, "steer_config", perturbed)
+        monkeypatch.setattr(planner, "plan_group_path", perturbed)
         code, checks, result = self._steer_checks(tmp_path, capsys)
         assert code == 3
         residual = checks["step_consistency_residual"]

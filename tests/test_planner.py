@@ -1,4 +1,5 @@
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -8,7 +9,9 @@ from hypothesis import strategies as st
 from snakeplan.generate import random_config, random_so0, straight_config
 from snakeplan.lorentz import LieElement, _row_norms, basis_Omega, basis_U, exp_h
 from snakeplan.planner import (
+    DEFAULT_MAX_STEP,
     GEODESIC_MIN_STEPS,
+    GroupPath,
     LIFT_MARGIN_FACTOR,
     MAX_STEPS,
     _CHECK_CHUNK,
@@ -25,6 +28,7 @@ from snakeplan.planner import (
     plan_group_path,
     rotation_leg,
     steer_config,
+    steer_history,
     step_consistency,
     su11_geodesic,
 )
@@ -463,14 +467,14 @@ class TestInfinitesimalAction:
 class TestSteerConfig:
     def test_identity_constant_path(self, rng):
         cfg = random_config(rng, 3)
-        path = steer_config(cfg, np.eye(4))
+        path = steer_history(cfg, np.eye(4))
         assert len(path.nodes) == 1
         assert config_distance(path.final, cfg) < 1e-12
 
     def test_rotation_endpoint_and_horizontality(self, rng):
         cfg = random_config(rng, 3)
         A = rot_matrix(0.9, n=3)
-        path = steer_config(cfg, A, max_step=0.05)
+        path = steer_history(cfg, A, max_step=0.05)
         assert config_distance(path.final, act(A, cfg)) < 1e-9
         # every step is the boost of its control, within the derived bound
         r, bound = step_consistency(path)
@@ -490,7 +494,7 @@ class TestSteerConfig:
         rng = np.random.default_rng(200 + n)
         cfg = random_config(rng, n)
         A = random_so0(rng, n)
-        path = steer_config(cfg, A)
+        path = steer_history(cfg, A)
         plan = plan_group_path(A)
         assert path.times.tobytes() == plan.times.tobytes()
         assert path.controls.tobytes() == plan.controls.tobytes()
@@ -510,7 +514,7 @@ class TestSteerConfig:
         rng = np.random.default_rng(500 + n)
         A = lorentz_sample(rng, n, w)[0]
         cfg = random_config(rng, n)
-        path = steer_config(cfg, A)
+        path = steer_history(cfg, A)
         plan = plan_group_path(A)
         mats = dense_matrices(plan)
         for k in np.linspace(0, len(mats) - 1, 9).astype(int):
@@ -527,7 +531,7 @@ class TestSteerConfig:
         rng = np.random.default_rng(600 + n)
         cfg = random_config(rng, n)
         A = random_so0(rng, n)
-        path = steer_config(cfg, A)
+        path = steer_history(cfg, A)
         plan = plan_group_path(A)
         mats = dense_matrices(plan)
         eps = 1e-5
@@ -541,7 +545,7 @@ class TestSteerConfig:
 
     def test_fd_residuals_match_per_step_fits(self, rng):
         cfg = random_config(rng, 3)
-        path = steer_config(cfg, random_so0(rng, 3), max_step=0.05)
+        path = steer_history(cfg, random_so0(rng, 3), max_step=0.05)
         ref = []
         for k in range(1, len(path.nodes) - 1, 3):
             uk = path.config(k)
@@ -554,8 +558,8 @@ class TestSteerConfig:
     def test_fd_velocities_second_order(self, rng):
         cfg = random_config(rng, 3)
         A = random_so0(rng, 3)
-        r1 = config_velocity_residuals(steer_config(cfg, A, max_step=0.04), subsample=9).max()
-        r2 = config_velocity_residuals(steer_config(cfg, A, max_step=0.02), subsample=17).max()
+        r1 = config_velocity_residuals(steer_history(cfg, A, max_step=0.04), subsample=9).max()
+        r2 = config_velocity_residuals(steer_history(cfg, A, max_step=0.02), subsample=17).max()
         assert r2 < 0.5 * r1  # O(dt^2) contamination of the FD probe
 
 
@@ -592,7 +596,7 @@ class TestStepConsistency:
         cfg = random_config(rng, n)
         ratios = []
         for max_step in (0.04, 0.02, 0.01):
-            path = steer_config(cfg, A, max_step=max_step)
+            path = steer_history(cfg, A, max_step=max_step)
             r, bound = step_consistency(path)
             assert np.all(r <= bound)
             geodesic = np.repeat([leg.kind == "rotation" for leg in path.legs],
@@ -606,7 +610,7 @@ class TestStepConsistency:
         for seed in range(12):
             rng = np.random.default_rng(seed)
             A = random_so0(rng, n, rapidity_max=15.0)
-            r, bound = step_consistency(steer_config(random_config(rng, n), A))
+            r, bound = step_consistency(steer_history(random_config(rng, n), A))
             assert np.all(r <= bound)
 
     @pytest.mark.parametrize("theta", [1e-8, 1e-6, 1e-4, 1e-2, np.pi - 1e-9])
@@ -618,7 +622,7 @@ class TestStepConsistency:
         g = np.outer(Q[:, 1], Q[:, 0]) - np.outer(Q[:, 0], Q[:, 1])
         A = block_rot(np.eye(n) + np.sin(theta) * g + (1.0 - np.cos(theta)) * g @ g) \
             @ exp_h(0.3 * rng.normal(size=n))
-        r, bound = step_consistency(steer_config(random_config(rng, n), A))
+        r, bound = step_consistency(steer_history(random_config(rng, n), A))
         assert np.all(r <= bound)
 
     @pytest.mark.parametrize("w", [2.0, 12.0])
@@ -628,7 +632,7 @@ class TestStepConsistency:
         # eps even at |u| = 12, where |A|_2^2 eps is 6e-6
         rng = np.random.default_rng(12)
         A = lorentz_sample(rng, 3, w)[0]
-        path = steer_config(random_config(rng, 3), A)
+        path = steer_history(random_config(rng, 3), A)
         k = path.legs[0].steps - 1
         r, bound = step_consistency(path)
         assert np.all(r <= bound) and bound[k] < 1e-12
@@ -935,6 +939,79 @@ class TestLiftWindow:
                 tracemalloc.stop()
         bound = 8 * (48 * (11 * n + 8) + _CHECK_CHUNK)
         assert peaks[96] - peaks[48] <= bound < 8 * 1001 * 48 * n
+
+
+class TestSteerWindow:
+    @pytest.mark.parametrize("n, segments, rows, theta", [(15, 64, 4, 0.5), (63, 68, 2, 0.01)])
+    def test_record_matches_the_whole_history(self, monkeypatch, n, segments, rows, theta):
+        # a light-cone node set is (n+1) K doubles against a window of
+        # _CHECK_CHUNK: four node sets at n = 15, K = 1024, and the least, two,
+        # at n = 63, K = 1088, where one node set is larger than the window.
+        # Step counts: none, one, a window less one, a window, two windows,
+        # two windows and one; then a boost leg of two windows, whose end is
+        # a window's, before a geodesic leg to the angle theta (128 steps at
+        # 0.5, so every fourth node set is sampled, three to a window)
+        from snakeplan import planner
+
+        u0 = random_config(np.random.default_rng(5), n, segments=segments)
+        assert max(2, _CHECK_CHUNK // ((n + 1) * len(u0.nodes))) == rows
+        per = rows - 1  # the steps one window holds
+        e1 = np.eye(n)[0]
+
+        def boost(m):  # a boost leg of m >= 2 steps of DEFAULT_MAX_STEP
+            return exp_h((m - 0.5) * DEFAULT_MAX_STEP * e1)
+
+        def one_step(A, max_step=DEFAULT_MAX_STEP):  # no plan has one step
+            path = boost_leg(0.01 * e1)
+            leg = path.legs[0]
+            return GroupPath(times=path.times[:2], controls=path.controls[:1],
+                             legs=[replace(leg, steps=1, blocks=leg.blocks[:2])])
+
+        cases = [(m, np.eye(n + 1) if m == 0 else boost(m))
+                 for m in sorted({0, 1, per - 1, per, 2 * per, 2 * per + 1})]
+        cases.append((None, rot_matrix(theta, n) @ boost(2 * per)))
+        for m, A in cases:
+            with monkeypatch.context() as patch:
+                if m == 1:
+                    patch.setattr(planner, "plan_group_path", one_step)
+                path, whole = steer_config(u0, A), steer_history(u0, A)
+            if m is None:
+                assert [leg.steps for leg in path.legs][:1] == [2 * per]
+                m = len(path.controls)
+            assert len(path.times) == len(whole.nodes) == m + 1
+            r, bound = step_consistency(whole)
+            assert np.array_equal(path.times, whole.times)
+            assert np.array_equal(path.controls, whole.controls)
+            assert np.array_equal(path.head_trace, whole.head_trace)
+            assert np.array_equal(path.final.nodes, whole.final.nodes)
+            assert path.sample_every == max(1, (m + 1) // 32)
+            assert np.array_equal(path.samples, whole.nodes[:: path.sample_every])
+            assert np.array_equal(path.residuals, r) and np.array_equal(path.bounds, bound)
+            if m:
+                assert np.argmax(path.residuals / path.bounds) == np.argmax(r / bound)
+
+    def test_holds_no_node_history(self):
+        # steer_config at n = 16 on K = 48 and on K = 96 nodes.  Per node it
+        # keeps two m-step records (the check's p and r2), the check bound's
+        # temporaries on the boost leg's steps (at most 4 a step), the sampled
+        # node sets (at most 64 n) and the final configuration with its
+        # check's temporaries (at most 4 n).  Its workspace, with a window's
+        # temporaries, is at most 3 _CHECK_CHUNK doubles at either K, and
+        # nothing else depends on K.  A node history would add 48 (m+1)(n+1).
+        n, peaks = 16, {}
+        A = random_so0(np.random.default_rng(7), n)
+        plan = plan_group_path(A)
+        m, boost = len(plan.controls), plan.legs[0].steps
+        for segments in (3, 6):
+            u0 = random_config(np.random.default_rng(7), n, segments=segments)
+            tracemalloc.start()
+            try:
+                steer_config(u0, A)
+                peaks[len(u0.nodes)] = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        bound = 8 * (48 * (2 * m + 4 * boost + 68 * n) + 3 * _CHECK_CHUNK)
+        assert peaks[96] - peaks[48] <= bound < 8 * 48 * (m + 1) * (n + 1)
 
 
 def certifies(margin, delta, floor):
