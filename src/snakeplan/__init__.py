@@ -5,7 +5,6 @@ from .lorentz import (
     LieElement,
     Membership,
     basis_Omega,
-    basis_U,
     block_l1_norm,
     boost_decompose,
     bracket,
@@ -20,7 +19,6 @@ from .lorentz import (
     pseudo_adjoint,
 )
 from .planner import (
-    ConfigPath,
     GroupPath,
     LiftPath,
     SteerPath,
@@ -52,7 +50,6 @@ from .sphere import (
     bracket_rotation_flow,
     hyperbolic_distance,
     lorentz_to_hyperbolic,
-    mobius_sphere_action,
     reflect_plane,
     reflect_sphere,
     stereographic,

@@ -22,7 +22,7 @@ control as its boost vector.  lift-head interpolates the head-curve samples
 with spline.not_a_knot, so no subcommand loads scipy; spline and generate
 are imported only by the runners that use them.  steer_config checks every
 step of its path against the boost of the control it recorded as it walks
-the path, under the bound planner.step_consistency derives from the step and
+the path, under the bound planner._consistency derives from the step and
 the leg; steer reads the residuals and bounds off its record.  No check
 compares the plan ledger with the controls, or factorize's blocks with each
 other: controls are unit-norm and the blocks commute by construction, so

@@ -51,6 +51,8 @@ def matrix_from_json(obj: dict) -> np.ndarray:
         A = np.asarray(obj["rows"], dtype=float)
     except (KeyError, TypeError, ValueError) as exc:
         raise ValueError(f"bad matrix payload: {exc}") from exc
+    if n < 1:
+        raise ValueError(f"matrix dim must be at least 1, got {n}")
     if A.shape != (n + 1, n + 1):
         raise ValueError(f"matrix shape {A.shape} does not match dim {n}")
     if not np.all(np.isfinite(A)):

@@ -37,7 +37,6 @@ __all__ = [
     "boost_decompose",
     "kak_decompose",
     "bracket",
-    "basis_U",
     "basis_Omega",
     "factorize",
     "block_l1_norm",
@@ -281,12 +280,6 @@ class LieElement:
 
     def s_norm(self) -> float:
         return float(np.linalg.norm(self.skew))
-
-
-def basis_U(i: int, n: int) -> LieElement:
-    """U_i, 1-indexed boost generator."""
-    _axis_index(i, n)
-    return LieElement(u=np.eye(n)[i - 1])
 
 
 def _axis_index(i: int, n: int) -> None:

@@ -20,8 +20,10 @@ reaches Exp(theta * g) exactly once the elliptic frequency closes
 The configuration-space planners push these paths through the sphere
 action node-wise, steer_config one plan leg at a time in the leg's own
 frame; their velocities tangent_at(nodes[k], controls[k]) are
-then genuine horizontal fields, and step_consistency checks every step
-against the boost of its control.
+then genuine horizontal fields, and steer_config checks every step against
+the boost of its control.  steer_config and horizontal_lift return a
+record with no node history; steer_history and lift_history return
+(record, every node set).
 """
 
 from __future__ import annotations
@@ -39,7 +41,6 @@ from .sphere import _cone_images, mobius_sphere_action_many, sphere_point, tange
 
 __all__ = [
     "GroupPath",
-    "ConfigPath",
     "LiftPath",
     "LegRecord",
     "act",
@@ -52,7 +53,6 @@ __all__ = [
     "steer_config",
     "steer_history",
     "SteerPath",
-    "step_consistency",
     "horizontal_lift",
     "lift_history",
     "SingularityApproach",
@@ -352,44 +352,11 @@ def infinitesimal_action(X: LieElement, u: SnakeConfig) -> np.ndarray:
 
 
 @dataclass
-class ConfigPath:
-    """Time-gridded horizontal path of configurations with every node set,
-    as steer_history collects it.
-
-    Every step shares the partition and quadrature of grid (the start
-    configuration); nodes[k] holds the unit directions at times[k], and nodes
-    may be a strided view (steer_history's are coordinate-major in memory, an
-    (n, m+1, K) array).  No velocities are stored: the
-    velocity at step k is tangent_at(nodes[k], controls[k]), the horizontal
-    field of the step's control.
-    """
-
-    times: np.ndarray  # (m+1,)
-    grid: SnakeConfig
-    nodes: np.ndarray  # (m+1, K, n)
-    controls: np.ndarray  # (m, n): boost vector w per step
-    legs: list  # LegRecords of the group plan
-
-    @property
-    def head_trace(self) -> np.ndarray:
-        """Head position E(u) at every time, (m+1, n)."""
-        return self.grid.weights @ self.nodes
-
-    def config(self, k: int) -> SnakeConfig:
-        """The configuration at step k."""
-        return _on_grid(self.grid, self.nodes[k])
-
-    @property
-    def final(self) -> SnakeConfig:
-        return self.config(-1)
-
-
-@dataclass
 class SteerPath:
     """Record of a steer, without its node history: per time the head E(u),
-    per step the control and step_consistency's residual and bound, the node
-    sets at every sample_every-th time and the final configuration.
-    steer_history gives every node set as well."""
+    per step the control and the step check's residual and bound
+    (_consistency), the node sets at every sample_every-th time and the
+    final configuration.  steer_history gives the nodes as well."""
 
     times: np.ndarray  # (m+1,)
     grid: SnakeConfig  # the start configuration
@@ -432,20 +399,21 @@ def steer_config(u0: SnakeConfig, A: np.ndarray, max_step: float = DEFAULT_MAX_S
 
     The light-cone node sets pass through a window of at most _CHECK_CHUNK
     doubles (two node sets if one is larger).  When it fills, its node sets
-    become sphere points, step_consistency's residuals are taken between
-    them, their head rows and every (m+1) // 32-th of them are recorded, and
-    the last one moves to the front.  So a steer holds O(m (n + K)) plus one
-    workspace, and returns a SteerPath with no node history.
+    become sphere points, the step check's residuals are taken between them
+    (_check_steps), their head rows and every (m+1) // 32-th of them are
+    recorded, and the last one moves to the front.  So a steer holds
+    O(m (n + K)) plus one workspace, and returns a SteerPath with no node
+    history.
     """
     return _steer(u0, A, max_step, _CHECK_CHUNK)[0]
 
 
-def steer_history(u0: SnakeConfig, A: np.ndarray, max_step: float = DEFAULT_MAX_STEP) -> ConfigPath:
-    """steer_config's path with every node set, (m+1, K, n): the same walk
-    with a window that holds them all."""
-    record, nodes = _steer(u0, A, max_step, None)
-    return ConfigPath(times=record.times, grid=u0, nodes=nodes, controls=record.controls,
-                      legs=record.legs)
+def steer_history(u0: SnakeConfig, A: np.ndarray, max_step: float = DEFAULT_MAX_STEP) -> tuple:
+    """(record, nodes): steer_config's SteerPath and every node set of the
+    steer, (m+1, K, n), from the same walk with a window that holds them all.
+    The nodes are a view of the spatial rows of a coordinate-major
+    (n+1, m+1, K) array."""
+    return _steer(u0, A, max_step, None)
 
 
 def _steer(u0: SnakeConfig, A: np.ndarray, max_step: float, doubles) -> tuple:
@@ -466,7 +434,8 @@ def _steer(u0: SnakeConfig, A: np.ndarray, max_step: float, doubles) -> tuple:
     n, K, m = u0.dim, u0.nodes.shape[0], len(plan.controls)
     cone = (n + 1) * K
     rows = m + 1 if doubles is None else min(m + 1, max(2, doubles // cone))
-    steps = _check_steps_per_pass(rows - 1, n, K)
+    # the check's steps per pass: few enough that its images stay in cache
+    steps = max(1, min(rows - 1, _CHECK_CHUNK // (n * K)))
     # one allocation per call: with separate arrays of this size the allocator
     # trims the heap between calls and the next call faults the pages back in
     rest = cone * (rows + 1)  # the window and the leg's start point, then p, r2 and scratch
@@ -474,10 +443,14 @@ def _steer(u0: SnakeConfig, A: np.ndarray, max_step: float, doubles) -> tuple:
     window = space[: cone * rows].reshape(n + 1, rows, K).transpose(1, 0, 2)
     start = space[cone * rows : rest].reshape(n + 1, K)
     p, r2 = space[rest : rest + 2 * m * K].reshape(2, m, K)
-    scratch = _check_scratch(space[rest + 2 * m * K :], steps, n, K)
+    # the check's images (steps, n, K), coordinate-major as the window is, and
+    # its node-wise coefficients and quotients (steps, K)
+    check = space[rest + 2 * m * K :].reshape(n + 2, steps, K)
+    scratch = check[:n].transpose(1, 0, 2), check[n], check[n + 1]
     nodes = window[:, 1:].swapaxes(1, 2)  # (rows, K, n)
 
-    h, unit, hw = _step_boosts(plan.times, plan.controls)
+    h, speed = np.diff(plan.times), _row_norms(plan.controls)
+    hw = h * speed
     head_trace = np.empty((m + 1, n))
     every = max(1, (m + 1) // 32)
     samples = np.empty((len(range(0, m + 1, every)), n, K))
@@ -488,7 +461,7 @@ def _steer(u0: SnakeConfig, A: np.ndarray, max_step: float, doubles) -> tuple:
         their head rows and samples recorded, all but row j unless last."""
         a = k - j
         _cone_images(window[int(a > 0) : j + 1])
-        _check_steps(window[: j + 1, 1:], a, unit, hw, p, r2, scratch)
+        _check_steps(window[: j + 1, 1:], a, plan.controls, speed, hw, p, r2, scratch)
         end = j + 1 if last else j
         np.matmul(u0.weights, nodes[:end], out=head_trace[a : a + end])
         first = -a % every  # the window row of the first sampled node set
@@ -524,12 +497,36 @@ def _steer(u0: SnakeConfig, A: np.ndarray, max_step: float, doubles) -> tuple:
     return record, nodes[: j + 1]
 
 
-def step_consistency(path: ConfigPath) -> tuple:
-    """(r, bound), both (m,): the L^2 distance r_k of a steer path's nodes[k+1]
-    from the closed-form boost exp_h(h controls[k]) acting on nodes[k], and
-    the bound it must stay under.  steer_config takes them as it walks, a
-    window at a time, with the same arithmetic; this is the check of a
-    steer_history path.
+def _check_steps(Z: np.ndarray, a: int, controls, speed, hw, p, r2, scratch) -> None:
+    """The step check's node-wise part for the node sets a.. of a steer,
+    Z (s+1, n, K), a pass per scratch's worth of steps: writes the steps'
+    p = <w, z> / |w| and squared node distances into rows a..a+s of p and
+    r2.  Each pass forms its own w / |w| from the controls and speeds."""
+    for i in range(0, len(Z) - 1, len(scratch[1])):
+        j = min(i + len(scratch[1]), len(Z) - 1)
+        image, coef, inv = (buf[: j - i] for buf in scratch)
+        rows, z, z_next = slice(a + i, a + j), Z[i:j], Z[i + 1 : j + 1]
+        unit = controls[rows] / speed[rows, None]
+        np.einsum("mi,mik->mk", unit, z, out=p[rows])
+        c, s = np.cosh(hw[rows])[:, None], np.sinh(hw[rows])[:, None]
+        # coef = s + (c - 1) p and inv = 1 / (c + s p)
+        np.multiply(c - 1.0, p[rows], out=coef)
+        coef += s
+        np.multiply(s, p[rows], out=inv)
+        inv += c
+        np.divide(1.0, inv, out=inv)
+        np.einsum("mi,mk->mik", unit, coef, out=image)
+        image += z
+        image *= inv[:, None]
+        image -= z_next
+        np.einsum("mik,mik->mk", image, image, out=r2[rows])
+
+
+def _consistency(times, legs, grid: SnakeConfig, h, hw, p, r2) -> tuple:
+    """(r, bound), both (m,): the L^2 distance r_k of a steer's node set k+1
+    from the closed-form boost exp_h(h controls[k]) acting on node set k, and
+    the bound it must stay under, from every step's p and r2 rows
+    (_check_steps).
 
     The image of a node z under exp_h(h w), with c = cosh(h|w|),
     s = sinh(h|w|) and p = <w, z> / |w|, is
@@ -570,70 +567,6 @@ def step_consistency(path: ConfigPath) -> tuple:
       A node near a boost's repelling point reads up to eps e^{2 rho}; one
       pushed towards its attracting point, a few eps.
     """
-    if not isinstance(path, ConfigPath) or \
-            sum(leg.steps for leg in path.legs) != len(path.controls):
-        raise ValueError("step_consistency needs a steer path with its nodes (steer_history), "
-                         "whose legs cover its steps")
-    Z = path.nodes.swapaxes(-1, -2)  # (m+1, n, K)
-    n, K = Z.shape[1:]
-    h, unit, hw = _step_boosts(path.times, path.controls)
-    p, r2 = np.empty((len(h), K)), np.empty((len(h), K))
-    steps = _check_steps_per_pass(len(h), n, K)
-    _check_steps(Z, 0, unit, hw, p, r2,
-                 _check_scratch(np.empty((n + 2) * K * steps), steps, n, K))
-    return _consistency(path.times, path.legs, path.grid, h, hw, p, r2)
-
-
-def _step_boosts(times: np.ndarray, controls: np.ndarray) -> tuple:
-    """(h, w / |w|, h |w|) per step."""
-    h = np.diff(times)
-    speed = _row_norms(controls)
-    return h, controls / speed[:, None], h * speed
-
-
-def _check_steps_per_pass(span: int, n: int, K: int) -> int:
-    """Steps the check takes in one pass over a span of steps: few enough
-    that its images stay in cache, at least one."""
-    return max(1, min(span, _CHECK_CHUNK // (n * K)))
-
-
-def _check_scratch(flat: np.ndarray, steps: int, n: int, K: int) -> tuple:
-    """The step check's scratch for `steps` steps, carved from flat: the
-    images (steps, n, K), coordinate-major as steer's node sets are, and the
-    node-wise coefficients and quotients (steps, K)."""
-    size = steps * K
-    image = flat[: n * size].reshape(n, steps, K).transpose(1, 0, 2)
-    coef = flat[n * size : (n + 1) * size].reshape(steps, K)
-    inv = flat[(n + 1) * size : (n + 2) * size].reshape(steps, K)
-    return image, coef, inv
-
-
-def _check_steps(Z: np.ndarray, a: int, unit, hw, p, r2, scratch) -> None:
-    """step_consistency's node-wise part for the node sets a.. of a steer
-    path, Z (s+1, n, K), a pass per scratch's worth of steps: writes the
-    steps' p = <w, z> / |w| and squared node distances into rows a..a+s of
-    p and r2."""
-    for i in range(0, len(Z) - 1, len(scratch[1])):
-        j = min(i + len(scratch[1]), len(Z) - 1)
-        image, coef, inv = (buf[: j - i] for buf in scratch)
-        rows, z, z_next = slice(a + i, a + j), Z[i:j], Z[i + 1 : j + 1]
-        np.einsum("mi,mik->mk", unit[rows], z, out=p[rows])
-        c, s = np.cosh(hw[rows])[:, None], np.sinh(hw[rows])[:, None]
-        # coef = s + (c - 1) p and inv = 1 / (c + s p)
-        np.multiply(c - 1.0, p[rows], out=coef)
-        coef += s
-        np.multiply(s, p[rows], out=inv)
-        inv += c
-        np.divide(1.0, inv, out=inv)
-        np.einsum("mi,mk->mik", unit[rows], coef, out=image)
-        image += z
-        image *= inv[:, None]
-        image -= z_next
-        np.einsum("mik,mik->mk", image, image, out=r2[rows])
-
-
-def _consistency(times, legs, grid: SnakeConfig, h, hw, p, r2) -> tuple:
-    """(r, bound) of step_consistency from every step's p and r2 rows."""
     r = np.sqrt(r2 @ grid.weights)
     # rounding per node: (n + 8) eps ((1 + e^{h|w|}) (sqrt(2) (1 + |S|) / W_t + 1) + 1)
     unit_err = (grid.dim + 8) * np.finfo(float).eps
@@ -701,14 +634,14 @@ def lift_history(
     dt: float = DEFAULT_LIFT_STEP,
 ) -> tuple:
     """(record, nodes): horizontal_lift's LiftPath and every node set of the
-    lift, (m+1, K, n), from the same loop with a window that holds them all:
-    room for MAX_STEPS + 1 node sets, of which m + 1 are allocated."""
-    return _lift(u0, head, head_dot, t_final, dt, (MAX_STEPS + 1) * u0.nodes.size)
+    lift, (m+1, K, n), from the same loop with a window that holds them all."""
+    return _lift(u0, head, head_dot, t_final, dt, None)
 
 
-def _lift(u0: SnakeConfig, head, head_dot, t_final: float, dt: float, doubles: int) -> tuple:
+def _lift(u0: SnakeConfig, head, head_dot, t_final: float, dt: float, doubles) -> tuple:
     """horizontal_lift with a node window of at most `doubles` doubles (two
-    node sets at least): (record, the window's node sets in use at the end).
+    node sets at least; every one when None): (record, the window's node
+    sets in use at the end).
 
     A step writes its stage arrays into buffers allocated once per lift,
     with the arithmetic of the plain expressions, so the bits are theirs;
@@ -765,7 +698,7 @@ def _lift(u0: SnakeConfig, head, head_dot, t_final: float, dt: float, doubles: i
     controls = np.empty((m, n))
     margins = np.empty(m)
     head_trace = np.empty((m + 1, n))
-    rows = min(m + 1, max(2, doubles // u0.nodes.size))
+    rows = m + 1 if doubles is None else min(m + 1, max(2, doubles // u0.nodes.size))
     window = np.empty((rows,) + u0.nodes.shape)
     window[0] = u0.nodes
     # step 0's exact solve comes first, so a singular start aborts before
@@ -822,14 +755,16 @@ def _lift(u0: SnakeConfig, head, head_dot, t_final: float, dt: float, doubles: i
     return record, window[: j + 1]
 
 
-def config_velocity_residuals(path: ConfigPath, subsample: int = 1) -> np.ndarray:
-    """fit_horizontal residuals of centered finite-difference velocities.
+def config_velocity_residuals(path: SteerPath | LiftPath, nodes: np.ndarray,
+                              subsample: int = 1) -> np.ndarray:
+    """fit_horizontal residuals of the centered finite-difference velocities
+    of a path's node sets, (record, nodes) as steer_history or lift_history
+    gives them.
 
-    A diagnostic for the horizontality of a ConfigPath that does not reuse
-    the recorded controls.
+    A diagnostic for horizontality that does not reuse the recorded controls.
     """
-    k = np.arange(1, len(path.nodes) - 1, subsample)
-    u = sphere_point(path.nodes[k])
+    k = np.arange(1, len(nodes) - 1, subsample)
+    u = sphere_point(nodes[k])
     dt = path.times[k + 1] - path.times[k - 1]
-    v = tangent_at(u, (path.nodes[k + 1] - path.nodes[k - 1]) / dt[:, None, None])
+    v = tangent_at(u, (nodes[k + 1] - nodes[k - 1]) / dt[:, None, None])
     return fit_horizontal(path.grid, u, v).residual

@@ -19,7 +19,7 @@ import numpy as np
 from numpy.polynomial import legendre as npleg
 
 from .lorentz import _positive
-from .sphere import sphere_point, xi_field
+from .sphere import sphere_point
 
 __all__ = [
     "SnakeConfig",
@@ -30,7 +30,6 @@ __all__ = [
     "snake_curve",
     "snake_curve_matrix",
     "is_singular",
-    "e_field",
     "differential_endpoint",
     "fit_horizontal",
     "critical_radii",
@@ -249,11 +248,6 @@ def is_singular(u: SnakeConfig):
     """(flag, margin): singular iff margin = lambda_min(A_u) <= SINGULARITY_TOL_FACTOR * L."""
     margin = float(np.linalg.eigh(_gram(u.weights, u.L, u.nodes)[1])[0][0])
     return margin <= SINGULARITY_TOL_FACTOR * u.L, margin
-
-
-def e_field(i: int, u: SnakeConfig) -> np.ndarray:
-    """E_i = xi_i at every node, the gradient of head coordinate i (1-indexed)."""
-    return xi_field(i, u.nodes)
 
 
 def differential_endpoint(u: SnakeConfig, v: np.ndarray) -> np.ndarray:

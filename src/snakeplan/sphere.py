@@ -32,7 +32,6 @@ __all__ = [
     "reflect_plane",
     "hyperbolic_distance",
     "lorentz_to_hyperbolic",
-    "mobius_sphere_action",
     "mobius_sphere_action_many",
     "xi_field",
     "xi_bracket",
@@ -160,11 +159,6 @@ def lorentz_to_hyperbolic(A: np.ndarray, x: np.ndarray) -> np.ndarray:
     if y[0] <= 0.0:
         raise NotOrthochronous("image left the positive sheet")
     return y[1:]
-
-
-def mobius_sphere_action(A: np.ndarray, z: np.ndarray) -> np.ndarray:
-    """Conformal action through the light cone: z -> w.x / w.t, w = A (1, z)."""
-    return mobius_sphere_action_many(A, sphere_point(z)[None])[0]
 
 
 def mobius_sphere_action_many(A: np.ndarray, Z: np.ndarray) -> np.ndarray:

@@ -22,7 +22,6 @@ from snakeplan.generate import (
 from snakeplan.lorentz import (
     LieElement,
     basis_Omega,
-    basis_U,
     boost_decompose,
     exp_h,
     factorize,
@@ -36,7 +35,6 @@ from snakeplan.planner import (
     horizontal_lift,
     plan_group_path,
     steer_history,
-    step_consistency,
     su11_geodesic,
 )
 from snakeplan.rotations import so_exp_blocks, so_log
@@ -45,14 +43,14 @@ from snakeplan.snake import (
     config_distance,
     critical_radii,
     endpoint,
-    e_field,
     is_singular,
 )
 from snakeplan.sphere import (
     bracket_rotation_flow,
-    mobius_sphere_action,
+    mobius_sphere_action_many,
     tangent_at,
     xi_bracket,
+    xi_field,
 )
 from conftest import series_expm
 
@@ -170,7 +168,8 @@ def test_criterion_05_gradient_flow_dictionary():
             k4 = f(y + h * k3)
             y = y + (h / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
             y = unit(y)
-        worst = max(worst, np.linalg.norm(y - mobius_sphere_action(exp_h(v), z)))
+        target = mobius_sphere_action_many(exp_h(v), z[None])[0]
+        worst = max(worst, np.linalg.norm(y - target))
     ok = worst <= 1e-6
     report(5, "gradient flow (RK4, h=1e-3, t in [0,1]) vs light-cone boost action, 20 draws",
            f"{worst:.2e}", ok)
@@ -206,7 +205,7 @@ def test_criterion_06_bracket_rotation():
     # describes; for orthonormal pairs the cubic term cancels and the decay
     # is one order faster (checked separately below).
     def flow(d, s, p):
-        return mobius_sphere_action(exp_h(s * unit(d)), p)
+        return mobius_sphere_action_many(exp_h(s * unit(d)), p[None])[0]
 
     def cycle(v, w, s, p):
         return flow(v, s, flow(w, s, flow(v, -s, flow(w, -s, p))))
@@ -246,10 +245,10 @@ def test_criterion_07_infinitesimal_action_identities():
     eps = 1e-5
     worst_u, worst_om = 0.0, 0.0
     for i in range(1, n + 1):
-        Ap = exp_h(eps * basis_U(i, n).u)
-        Am = exp_h(-eps * basis_U(i, n).u)
+        Ap = exp_h(eps * np.eye(n)[i - 1])
+        Am = exp_h(-eps * np.eye(n)[i - 1])
         fd = (act(Ap, cfg).nodes - act(Am, cfg).nodes) / (2 * eps)
-        worst_u = max(worst_u, np.max(np.linalg.norm(fd - e_field(i, cfg), axis=1)))
+        worst_u = max(worst_u, np.max(np.linalg.norm(fd - xi_field(i, cfg.nodes), axis=1)))
     for i, j in ((1, 2), (2, 4), (1, 3)):
         G = basis_Omega(i, j, n).matrix()
         Rp = series_expm(eps * G)
@@ -352,7 +351,7 @@ def test_criterion_09_rotation_ledger_equals_angle_sum():
 
 def test_criterion_10_orbit_steering():
     # each step is the boost of its recorded control within its derived bound
-    # (step_consistency); the nodes' own central-difference velocities are
+    # (the steer record's residuals and bounds); the nodes' own central-difference velocities are
     # horizontal up to an error that falls with the step: second order inside a
     # leg, first order where a difference straddles two legs' controls
     rng = np.random.default_rng(10)
@@ -362,12 +361,12 @@ def test_criterion_10_orbit_steering():
         n = 2 + k % 5
         u0 = random_config(rng, n)
         A = random_so0(rng, n)
-        path = steer_history(u0, A, max_step=0.05)
+        path, nodes = steer_history(u0, A, max_step=0.05)
         worst_final = max(worst_final, config_distance(path.final, act(A, u0)))
-        r, bound = step_consistency(path)
+        r, bound = path.residuals, path.bounds
         worst_step = max(worst_step, float((r / bound).max()))
-        fd = config_velocity_residuals(path).max()
-        fd_half = config_velocity_residuals(steer_history(u0, A, max_step=0.025)).max()
+        fd = config_velocity_residuals(path, nodes).max()
+        fd_half = config_velocity_residuals(*steer_history(u0, A, max_step=0.025)).max()
         worst_fd_ratio = max(worst_fd_ratio, fd_half / fd)
     elapsed = time.perf_counter() - t0
     ok = worst_final <= 1e-7 and worst_step <= 1.0 and worst_fd_ratio < 0.75 and elapsed < 30.0

@@ -267,6 +267,28 @@ class TestCli:
         error = json.loads(capsys.readouterr().out)["outputs"]["error"]
         assert error["kind"] == "validation" and error["message"].startswith(message)
 
+    @pytest.mark.parametrize("command", ["decompose", "factorize", "plan-group", "steer"])
+    def test_matrix_of_dim_0_exits_2(self, tmp_path, capsys, command):
+        # a 1x1 matrix matches a declared dim of 0, but SO0(0,1) has no
+        # spatial axis: every matrix subcommand rejects it on load
+        m = tmp_path / "A.json"
+        sio.dump_json({"dim": 0, "rows": [[1.0]]}, m)
+        argv = [command, "--matrix", str(m)]
+        if command == "steer":
+            argv += ["--config", self._gen_config(tmp_path)]
+        capsys.readouterr()
+        assert main(argv) == 2
+        error = json.loads(capsys.readouterr().out)["outputs"]["error"]
+        assert error == {"kind": "validation", "message": "matrix dim must be at least 1, got 0"}
+
+    @pytest.mark.parametrize("command", ["decompose", "factorize", "plan-group"])
+    def test_matrix_of_dim_1_is_valid(self, tmp_path, capsys, command):
+        m = tmp_path / "A.json"
+        sio.dump_json(sio.matrix_to_json(exp_h(np.array([0.7]))), m)
+        capsys.readouterr()
+        assert main([command, "--matrix", str(m)]) == 0
+        assert json.loads(capsys.readouterr().out)["verification"]["passed"]
+
     @pytest.mark.parametrize("command", ["steer", "lift-head"])
     @pytest.mark.parametrize("case, message", [
         ("L-nan", "L must be positive and finite, got nan"),

@@ -10,7 +10,6 @@ from snakeplan.lorentz import (
     NotABoost,
     NotLorentz,
     basis_Omega,
-    basis_U,
     block_l1_norm,
     boost_decompose,
     bracket,
@@ -331,13 +330,13 @@ class TestDecompositionMembership:
 class TestBracket:
     def test_u1_u2_gives_omega12(self):
         n = 4
-        out = bracket(basis_U(1, n), basis_U(2, n))
+        out = bracket(LieElement(u=e(0, n)), LieElement(u=e(1, n)))
         assert np.linalg.norm(out.u) == 0.0
         assert np.array_equal(out.skew, basis_Omega(1, 2, n).skew)
 
     def test_u1_omega12_gives_u2(self):
         n = 3
-        out = bracket(basis_U(1, n), basis_Omega(1, 2, n))
+        out = bracket(LieElement(u=e(0, n)), basis_Omega(1, 2, n))
         assert np.allclose(out.u, e(1, n))
         assert np.linalg.norm(out.skew) == 0.0
 

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from snakeplan.generate import random_config, random_so0, straight_config
-from snakeplan.lorentz import LieElement, _row_norms, basis_Omega, basis_U, exp_h
+from snakeplan.lorentz import LieElement, _row_norms, basis_Omega, exp_h
 from snakeplan.planner import (
     DEFAULT_MAX_STEP,
     GEODESIC_MIN_STEPS,
@@ -29,17 +29,15 @@ from snakeplan.planner import (
     rotation_leg,
     steer_config,
     steer_history,
-    step_consistency,
     su11_geodesic,
 )
 from snakeplan.snake import (
     _gram,
     config_distance,
     endpoint,
-    e_field,
     fit_horizontal,
 )
-from snakeplan.sphere import mobius_sphere_action_many, tangent_at
+from snakeplan.sphere import mobius_sphere_action_many, tangent_at, xi_field
 
 from conftest import DIMS, RAPIDITIES, l2_norm, lorentz_sample
 
@@ -55,7 +53,7 @@ def node_rounding(G, Z, legs):
     of the path, whose conformal factor there is w_t(start) / w_t <=
     |G_start|_2 / w_t. Finished legs end on a rotation, so
     |G_start|_2 <= |S|_2 |G|_2 with |S|_2 <= 7 the norm of the block of the
-    leg in progress (step_consistency). So the two differ by at most
+    leg in progress (planner._consistency). So the two differ by at most
     8 (7 legs + 1) eps |G|_2 / w_t.
     """
     norm = np.abs(G[..., 0, 0]) + np.linalg.norm(G[..., 0, 1:], axis=-1)
@@ -426,8 +424,8 @@ class TestInfinitesimalAction:
     def test_boost_generator_gives_e_field(self, rng):
         cfg = random_config(rng, 4)
         for i in (1, 3):
-            got = infinitesimal_action(basis_U(i, 4), cfg)
-            assert np.allclose(got, e_field(i, cfg), atol=1e-14)
+            got = infinitesimal_action(LieElement(u=np.eye(4)[i - 1]), cfg)
+            assert np.allclose(got, xi_field(i, cfg.nodes), atol=1e-14)
 
     def test_rotation_at_constant_config(self):
         cfg = straight_config(3)  # all nodes e1
@@ -467,18 +465,17 @@ class TestInfinitesimalAction:
 class TestSteerConfig:
     def test_identity_constant_path(self, rng):
         cfg = random_config(rng, 3)
-        path = steer_history(cfg, np.eye(4))
-        assert len(path.nodes) == 1
+        path, nodes = steer_history(cfg, np.eye(4))
+        assert len(nodes) == 1
         assert config_distance(path.final, cfg) < 1e-12
 
     def test_rotation_endpoint_and_horizontality(self, rng):
         cfg = random_config(rng, 3)
         A = rot_matrix(0.9, n=3)
-        path = steer_history(cfg, A, max_step=0.05)
+        path, _ = steer_history(cfg, A, max_step=0.05)
         assert config_distance(path.final, act(A, cfg)) < 1e-9
         # every step is the boost of its control, within the derived bound
-        r, bound = step_consistency(path)
-        assert np.all(r <= bound)
+        assert np.all(path.residuals <= path.bounds)
 
     def test_random_so0_final_config(self, rng):
         cfg = random_config(rng, 4)
@@ -494,7 +491,7 @@ class TestSteerConfig:
         rng = np.random.default_rng(200 + n)
         cfg = random_config(rng, n)
         A = random_so0(rng, n)
-        path = steer_history(cfg, A)
+        path, nodes = steer_history(cfg, A)
         plan = plan_group_path(A)
         assert path.times.tobytes() == plan.times.tobytes()
         assert path.controls.tobytes() == plan.controls.tobytes()
@@ -502,9 +499,9 @@ class TestSteerConfig:
             [(r.kind, r.length, r.steps, r.theta) for r in plan.legs]
         assert np.array_equal(path.legs[0].u, plan.legs[0].u)
         mats = dense_matrices(plan)
-        assert len(path.nodes) == len(mats)
+        assert len(nodes) == len(mats)
         dense = mobius_sphere_action_many(mats, cfg.nodes)
-        gap = np.linalg.norm(path.nodes - dense, axis=-1)
+        gap = np.linalg.norm(nodes - dense, axis=-1)
         assert np.all(gap <= node_rounding(mats, cfg.nodes, len(plan.legs)))
 
     @pytest.mark.parametrize("w", [0.0, 2.0, 8.0, 15.0])
@@ -514,7 +511,7 @@ class TestSteerConfig:
         rng = np.random.default_rng(500 + n)
         A = lorentz_sample(rng, n, w)[0]
         cfg = random_config(rng, n)
-        path = steer_history(cfg, A)
+        _, nodes = steer_history(cfg, A)
         plan = plan_group_path(A)
         mats = dense_matrices(plan)
         for k in np.linspace(0, len(mats) - 1, 9).astype(int):
@@ -523,7 +520,7 @@ class TestSteerConfig:
             for j, z in enumerate(cfg.nodes):
                 cone = G @ np.concatenate([[1.0], z])
                 x = cone[1:] / np.linalg.norm(cone[1:])
-                assert np.linalg.norm(path.nodes[k, j] - x) <= bound[j]
+                assert np.linalg.norm(nodes[k, j] - x) <= bound[j]
 
     @pytest.mark.parametrize("n", [2, 3, 8])
     def test_velocities_match_finite_difference_at_sampled_steps(self, n):
@@ -531,7 +528,7 @@ class TestSteerConfig:
         rng = np.random.default_rng(600 + n)
         cfg = random_config(rng, n)
         A = random_so0(rng, n)
-        path = steer_history(cfg, A)
+        path, nodes = steer_history(cfg, A)
         plan = plan_group_path(A)
         mats = dense_matrices(plan)
         eps = 1e-5
@@ -541,25 +538,25 @@ class TestSteerConfig:
             minus = act(exp_h(-eps * u) @ G, cfg).nodes
             fd = (plus - minus) / (2 * eps)
             # steer's velocity is the field of its control at its nodes
-            assert np.max(np.abs(tangent_at(path.nodes[k], u) - fd)) < 1e-8
+            assert np.max(np.abs(tangent_at(nodes[k], u) - fd)) < 1e-8
 
     def test_fd_residuals_match_per_step_fits(self, rng):
         cfg = random_config(rng, 3)
-        path = steer_history(cfg, random_so0(rng, 3), max_step=0.05)
+        path, nodes = steer_history(cfg, random_so0(rng, 3), max_step=0.05)
         ref = []
-        for k in range(1, len(path.nodes) - 1, 3):
-            uk = path.config(k)
-            fd = (path.nodes[k + 1] - path.nodes[k - 1]) / (path.times[k + 1] - path.times[k - 1])
+        for k in range(1, len(nodes) - 1, 3):
+            uk = _on_grid(cfg, nodes[k])
+            fd = (nodes[k + 1] - nodes[k - 1]) / (path.times[k + 1] - path.times[k - 1])
             ref.append(fit_horizontal(uk, uk.nodes, tangent_at(uk.nodes, fd)).residual)
-        got = config_velocity_residuals(path, subsample=3)
+        got = config_velocity_residuals(path, nodes, subsample=3)
         assert got.shape == (len(ref),)
         assert np.max(np.abs(got - ref)) <= 1e-14
 
     def test_fd_velocities_second_order(self, rng):
         cfg = random_config(rng, 3)
         A = random_so0(rng, 3)
-        r1 = config_velocity_residuals(steer_history(cfg, A, max_step=0.04), subsample=9).max()
-        r2 = config_velocity_residuals(steer_history(cfg, A, max_step=0.02), subsample=17).max()
+        r1 = config_velocity_residuals(*steer_history(cfg, A, max_step=0.04), subsample=9).max()
+        r2 = config_velocity_residuals(*steer_history(cfg, A, max_step=0.02), subsample=17).max()
         assert r2 < 0.5 * r1  # O(dt^2) contamination of the FD probe
 
 
@@ -596,8 +593,8 @@ class TestStepConsistency:
         cfg = random_config(rng, n)
         ratios = []
         for max_step in (0.04, 0.02, 0.01):
-            path = steer_history(cfg, A, max_step=max_step)
-            r, bound = step_consistency(path)
+            path, _ = steer_history(cfg, A, max_step=max_step)
+            r, bound = path.residuals, path.bounds
             assert np.all(r <= bound)
             geodesic = np.repeat([leg.kind == "rotation" for leg in path.legs],
                                  [leg.steps for leg in path.legs])
@@ -610,8 +607,8 @@ class TestStepConsistency:
         for seed in range(12):
             rng = np.random.default_rng(seed)
             A = random_so0(rng, n, rapidity_max=15.0)
-            r, bound = step_consistency(steer_history(random_config(rng, n), A))
-            assert np.all(r <= bound)
+            path, _ = steer_history(random_config(rng, n), A)
+            assert np.all(path.residuals <= path.bounds)
 
     @pytest.mark.parametrize("theta", [1e-8, 1e-6, 1e-4, 1e-2, np.pi - 1e-9])
     @pytest.mark.parametrize("n", [2, 3, 8])
@@ -622,33 +619,36 @@ class TestStepConsistency:
         g = np.outer(Q[:, 1], Q[:, 0]) - np.outer(Q[:, 0], Q[:, 1])
         A = block_rot(np.eye(n) + np.sin(theta) * g + (1.0 - np.cos(theta)) * g @ g) \
             @ exp_h(0.3 * rng.normal(size=n))
-        r, bound = step_consistency(steer_history(random_config(rng, n), A))
-        assert np.all(r <= bound)
+        path, _ = steer_history(random_config(rng, n), A)
+        assert np.all(path.residuals <= path.bounds)
 
     @pytest.mark.parametrize("w", [2.0, 12.0])
-    def test_boost_steps_see_a_moved_node_at_large_rapidity(self, w):
+    def test_boost_steps_see_a_moved_node_at_large_rapidity(self, monkeypatch, w):
         # a boost step's rounding term is each node's own 1 / W_t, so a node
         # the boost pushed towards its attracting point is checked to a few
-        # eps even at |u| = 12, where |A|_2^2 eps is 6e-6
+        # eps even at |u| = 12, where |A|_2^2 eps is 6e-6.  The node is moved
+        # in steer_history's window, where the step check reads it
+        from snakeplan import planner
+
         rng = np.random.default_rng(12)
         A = lorentz_sample(rng, 3, w)[0]
-        path = steer_history(random_config(rng, 3), A)
-        k = path.legs[0].steps - 1
-        r, bound = step_consistency(path)
-        assert np.all(r <= bound) and bound[k] < 1e-12
-        j = int(np.argmax(path.nodes[k] @ path.controls[k]))
-        z = path.nodes[k, j]
-        z += 1e-9 * tangent_at(z, rng.normal(size=3))
-        r, bound = step_consistency(path)
-        assert r[k - 1] > bound[k - 1] and r[k] > bound[k]
-
-    def test_needs_a_steer_path(self, rng):
         cfg = random_config(rng, 3)
-        c0 = endpoint(cfg)
-        lift = horizontal_lift(cfg, lambda t: np.tile(c0, (len(t), 1)),
-                               lambda t: np.zeros((len(t), 3)), t_final=0.1, dt=1e-2)
-        with pytest.raises(ValueError, match="needs a steer path"):
-            step_consistency(lift)
+        path, nodes = steer_history(cfg, A)
+        k = path.legs[0].steps - 1
+        r, bound = path.residuals, path.bounds
+        assert np.all(r <= bound) and bound[k] < 1e-12
+        j = int(np.argmax(nodes[k] @ path.controls[k]))
+        v, check_steps = rng.normal(size=3), planner._check_steps
+
+        def moved(Z, a, *args):  # Z holds every node set, a = 0
+            z = Z[k, :, j]
+            z += 1e-9 * tangent_at(z, v)
+            return check_steps(Z, a, *args)
+
+        monkeypatch.setattr(planner, "_check_steps", moved)
+        path, _ = steer_history(cfg, A)
+        r, bound = path.residuals, path.bounds
+        assert r[k - 1] > bound[k - 1] and r[k] > bound[k]
 
 
 class TestHorizontalLift:
@@ -974,18 +974,18 @@ class TestSteerWindow:
             with monkeypatch.context() as patch:
                 if m == 1:
                     patch.setattr(planner, "plan_group_path", one_step)
-                path, whole = steer_config(u0, A), steer_history(u0, A)
+                path, (whole, nodes) = steer_config(u0, A), steer_history(u0, A)
             if m is None:
                 assert [leg.steps for leg in path.legs][:1] == [2 * per]
                 m = len(path.controls)
-            assert len(path.times) == len(whole.nodes) == m + 1
-            r, bound = step_consistency(whole)
+            assert len(path.times) == len(nodes) == m + 1
+            r, bound = whole.residuals, whole.bounds
             assert np.array_equal(path.times, whole.times)
             assert np.array_equal(path.controls, whole.controls)
-            assert np.array_equal(path.head_trace, whole.head_trace)
-            assert np.array_equal(path.final.nodes, whole.final.nodes)
+            assert np.array_equal(path.head_trace, u0.weights @ nodes)
+            assert np.array_equal(path.final.nodes, _on_grid(u0, nodes[-1]).nodes)
             assert path.sample_every == max(1, (m + 1) // 32)
-            assert np.array_equal(path.samples, whole.nodes[:: path.sample_every])
+            assert np.array_equal(path.samples, nodes[:: path.sample_every])
             assert np.array_equal(path.residuals, r) and np.array_equal(path.bounds, bound)
             if m:
                 assert np.argmax(path.residuals / path.bounds) == np.argmax(r / bound)

@@ -11,14 +11,13 @@ from snakeplan.snake import (
     critical_radii,
     differential_endpoint,
     endpoint,
-    e_field,
     fit_horizontal,
     gauss_legendre,
     is_singular,
     snake_curve,
     snake_curve_matrix,
 )
-from snakeplan.sphere import tangent_at
+from snakeplan.sphere import tangent_at, xi_field
 
 from conftest import l2_norm
 
@@ -324,11 +323,11 @@ class TestHorizontalFields:
     def test_e_field_index_outside_1_to_n_rejected(self, rng, i):
         # index 0 would otherwise give the field of the last axis, as e[-1]
         with pytest.raises(ValueError, match=f"index {i} out of range 1..3"):
-            e_field(i, random_config(rng, 3))
+            xi_field(i, random_config(rng, 3).nodes)
 
     def test_constant_config_orthogonal_direction(self):
         cfg = constant_config(e(0, 3))
-        v = e_field(2, cfg)
+        v = xi_field(2, cfg.nodes)
         assert np.allclose(v, np.tile(e(1, 3), (cfg.nodes.shape[0], 1)))
 
     def test_tangency(self, rng):
@@ -352,7 +351,7 @@ class TestDifferentialEndpoint:
 
     def test_orthogonal_constant_case(self):
         cfg = constant_config(e(1, 2), L=2.0)
-        got = differential_endpoint(cfg, e_field(1, cfg))
+        got = differential_endpoint(cfg, xi_field(1, cfg.nodes))
         assert np.allclose(got, 2.0 * e(0, 2), atol=1e-12)
 
     def test_matches_finite_difference_of_endpoint(self, rng):
@@ -394,7 +393,7 @@ class TestFitHorizontal:
 
     def test_singular_config_restricted(self):
         cfg = straight_config(3)
-        res = fit_horizontal(cfg, cfg.nodes, e_field(2, cfg))
+        res = fit_horizontal(cfg, cfg.nodes, xi_field(2, cfg.nodes))
         assert res.restricted
 
 

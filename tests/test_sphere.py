@@ -11,7 +11,6 @@ from snakeplan.sphere import (
     bracket_rotation_flow,
     hyperbolic_distance,
     lorentz_to_hyperbolic,
-    mobius_sphere_action,
     mobius_sphere_action_many,
     reflect_plane,
     reflect_sphere,
@@ -167,19 +166,19 @@ class TestLorentzToHyperbolic:
 class TestSphereAction:
     def test_identity(self, rng):
         z = rand_unit(rng, 4)
-        assert np.allclose(mobius_sphere_action(np.eye(5), z), z)
+        assert np.allclose(mobius_sphere_action_many(np.eye(5), z[None])[0], z)
 
     def test_rotation_case(self, rng):
         R = random_rotation(rng, 4)
         z = rand_unit(rng, 4)
-        assert np.allclose(mobius_sphere_action(rot_block(R), z), R @ z, atol=1e-12)
+        assert np.allclose(mobius_sphere_action_many(rot_block(R), z[None])[0], R @ z, atol=1e-12)
 
     def test_group_law(self, rng):
         A, B = random_so0(rng, 3), random_so0(rng, 3)
         for _ in range(20):
             z = rand_unit(rng, 3)
-            ab = mobius_sphere_action(A @ B, z)
-            a_b = mobius_sphere_action(A, mobius_sphere_action(B, z))
+            ab = mobius_sphere_action_many(A @ B, z[None])[0]
+            a_b = mobius_sphere_action_many(A, mobius_sphere_action_many(B, z[None]))[0]
             assert np.linalg.norm(ab - a_b) < 1e-10
 
     def test_stays_on_sphere(self, rng):
@@ -191,7 +190,7 @@ class TestSphereAction:
     def test_non_orthochronous_rejected(self, rng):
         J = np.diag([-1.0, 1.0, 1.0, 1.0])
         with pytest.raises(NotOrthochronous):
-            mobius_sphere_action(J @ exp_h(rng.normal(size=3)), rand_unit(rng, 3))
+            mobius_sphere_action_many(J @ exp_h(rng.normal(size=3)), rand_unit(rng, 3)[None])
 
     def test_orbit_matches_gradient_flow_rk4(self, rng):
         # closed-form boost orbit vs RK4 on zdot = v - <v, z> z
@@ -208,7 +207,7 @@ class TestSphereAction:
             k4 = f(y + h * k3)
             y = y + (h / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
             y /= np.linalg.norm(y)
-        target = mobius_sphere_action(exp_h(v), z)
+        target = mobius_sphere_action_many(exp_h(v), z[None])[0]
         assert np.linalg.norm(y - target) < 1e-6
 
 
@@ -306,7 +305,7 @@ class TestBracketRotationFlow:
         z = rand_unit(rng, n)
 
         def flow(d, s, p):
-            return mobius_sphere_action(exp_h(s * unit(d)), p)
+            return mobius_sphere_action_many(exp_h(s * unit(d)), p[None])[0]
 
         def cycle(s, p):
             # right-to-left composition of Phi^v_s Phi^w_s Phi^v_-s Phi^w_-s
@@ -328,8 +327,8 @@ class TestInfinitesimalDictionary:
             z = rand_unit(rng, 4)
             eps = 1e-6
             fd = (
-                mobius_sphere_action(exp_h(eps * v), z)
-                - mobius_sphere_action(exp_h(-eps * v), z)
+                mobius_sphere_action_many(exp_h(eps * v), z[None])[0]
+                - mobius_sphere_action_many(exp_h(-eps * v), z[None])[0]
             ) / (2 * eps)
             assert np.linalg.norm(fd - tangent_at(z, v)) < 1e-6
 
@@ -340,7 +339,8 @@ class TestInfinitesimalDictionary:
         eps = 1e-6
         Rp = np.eye(n + 1) + np.sin(eps) * G + (1 - np.cos(eps)) * (G @ G)
         Rm = np.eye(n + 1) - np.sin(eps) * G + (1 - np.cos(eps)) * (G @ G)
-        fd = (mobius_sphere_action(Rp, z) - mobius_sphere_action(Rm, z)) / (2 * eps)
+        fd = (mobius_sphere_action_many(Rp, z[None])[0]
+              - mobius_sphere_action_many(Rm, z[None])[0]) / (2 * eps)
         expected = np.zeros(n)
         expected[i - 1] = z[j - 1]
         expected[j - 1] = -z[i - 1]
