@@ -40,6 +40,13 @@ def dump_json(obj, path) -> None:
         fh.write("\n")
 
 
+def _whole(value) -> int:
+    """value as an int when it is a whole number: 2 or 2.0, not 2.5, "2" or true."""
+    if isinstance(value, (str, bool)) or isinstance(value, float) and not value.is_integer():
+        raise TypeError(f"expected a whole number, got {value!r}")
+    return int(value)
+
+
 def matrix_to_json(A: np.ndarray) -> dict:
     A = np.asarray(A, dtype=float)
     return {"dim": int(A.shape[0] - 1), "rows": A.tolist()}
@@ -47,7 +54,7 @@ def matrix_to_json(A: np.ndarray) -> dict:
 
 def matrix_from_json(obj: dict) -> np.ndarray:
     try:
-        n = int(obj["dim"])
+        n = _whole(obj["dim"])
         A = np.asarray(obj["rows"], dtype=float)
     except (KeyError, TypeError, ValueError) as exc:
         raise ValueError(f"bad matrix payload: {exc}") from exc
@@ -76,12 +83,11 @@ def blocks_to_json(rb: RotationBlocks) -> dict:
 
 
 def config_to_json(cfg: SnakeConfig) -> dict:
-    m = cfg.nodes_per_segment
     return {
         "L": float(cfg.L),
         "partition": cfg.partition.tolist(),
         "segments": [{"nodes": cfg.segment_nodes(k).tolist()} for k in range(cfg.segment_count)],
-        "quadrature": {"scheme": "gauss-legendre", "nodes_per_segment": int(m)},
+        "quadrature": {"scheme": "gauss-legendre", "nodes_per_segment": cfg.nodes_per_segment},
         "resolution_bound": float(cfg.max_node_angle),
     }
 
@@ -95,7 +101,7 @@ def config_from_json(obj: dict) -> SnakeConfig:
         if not isinstance(quad, dict):
             raise TypeError(f"quadrature must be an object, got {quad!r}")
         m = quad.get("nodes_per_segment")
-        m = None if m is None else int(m)
+        m = None if m is None else _whole(m)
         bound = float(obj.get("resolution_bound", DEFAULT_MAX_NODE_ANGLE))
     except (KeyError, TypeError, ValueError) as exc:
         raise ValueError(f"bad config payload: {exc}") from exc

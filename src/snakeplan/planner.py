@@ -67,7 +67,7 @@ LIFT_MARGIN_FACTOR = 1e-3  # horizontal_lift aborts below lambda_min(A_u) = fact
 # most steps one leg, probe or lift may take, checked before anything is
 # allocated: ~9x the 10,899 of a seeded random_so0 steer at n = 96
 MAX_STEPS = 100_000
-_CHECK_CHUNK = 1 << 16  # the step check's scratch and the steer and lift node windows, in doubles
+_CHECK_CHUNK = 1 << 16  # the steer and lift node windows, in doubles
 
 
 class SingularityApproach(RuntimeError):
@@ -124,8 +124,8 @@ class GroupPath:
         return G
 
     def length(self) -> float:
-        # the left-to-right sum keeps the exported length deterministic
-        return float(sum(_row_norms(self.controls) * np.diff(self.times)))
+        # cumsum adds left to right as a loop does, so the exported length is deterministic
+        return float(np.cumsum(np.append(0.0, _row_norms(self.controls) * np.diff(self.times)))[-1])
 
     def leg_lengths(self) -> dict:
         out = {"boost": 0.0, "rotation": 0.0}
@@ -332,10 +332,8 @@ def _on_grid(grid: SnakeConfig, nodes: np.ndarray) -> SnakeConfig:
     A conformal map or an integrator step can stretch angular spacing, so
     the resolution bound is relaxed to what the moved nodes realize.
     """
-    return SnakeConfig(
-        L=grid.L, partition=grid.partition, nodes=nodes, weights=grid.weights,
-        nodes_per_segment=grid.nodes_per_segment, max_node_angle=float(np.pi),
-    )
+    return SnakeConfig(L=grid.L, partition=grid.partition, nodes=nodes,
+                       max_node_angle=float(np.pi))
 
 
 def act(A: np.ndarray, u: SnakeConfig) -> SnakeConfig:
@@ -423,9 +421,9 @@ def _steer(u0: SnakeConfig, A: np.ndarray, max_step: float, doubles) -> tuple:
 
     The window is coordinate-major, (n+1, rows, K) in memory, as one array of
     every node set would be, so each pass over it runs along rows of K values
-    and its node sets are those of such an array bit for bit.  It, the start
-    point of the leg in progress and the step check's rows and scratch are
-    carved from one allocation per call.
+    and its node sets are those of such an array bit for bit.  It, the leg's
+    start point, the step check's rows and its scratch for one pass over a full
+    window (rows - 1 steps) are carved from one allocation per call.
     """
     A = np.asarray(A, dtype=float)
     if u0.dim != A.shape[0] - 1:
@@ -434,18 +432,16 @@ def _steer(u0: SnakeConfig, A: np.ndarray, max_step: float, doubles) -> tuple:
     n, K, m = u0.dim, u0.nodes.shape[0], len(plan.controls)
     cone = (n + 1) * K
     rows = m + 1 if doubles is None else min(m + 1, max(2, doubles // cone))
-    # the check's steps per pass: few enough that its images stay in cache
-    steps = max(1, min(rows - 1, _CHECK_CHUNK // (n * K)))
     # one allocation per call: with separate arrays of this size the allocator
     # trims the heap between calls and the next call faults the pages back in
     rest = cone * (rows + 1)  # the window and the leg's start point, then p, r2 and scratch
-    space = np.empty(rest + (2 * m + (n + 2) * steps) * K)
+    space = np.empty(rest + (2 * m + (n + 2) * (rows - 1)) * K)
     window = space[: cone * rows].reshape(n + 1, rows, K).transpose(1, 0, 2)
     start = space[cone * rows : rest].reshape(n + 1, K)
     p, r2 = space[rest : rest + 2 * m * K].reshape(2, m, K)
-    # the check's images (steps, n, K), coordinate-major as the window is, and
-    # its node-wise coefficients and quotients (steps, K)
-    check = space[rest + 2 * m * K :].reshape(n + 2, steps, K)
+    # the check's images (rows - 1, n, K), coordinate-major as the window is,
+    # and its node-wise coefficients and quotients (rows - 1, K)
+    check = space[rest + 2 * m * K :].reshape(n + 2, rows - 1, K)
     scratch = check[:n].transpose(1, 0, 2), check[n], check[n + 1]
     nodes = window[:, 1:].swapaxes(1, 2)  # (rows, K, n)
 
@@ -455,17 +451,17 @@ def _steer(u0: SnakeConfig, A: np.ndarray, max_step: float, doubles) -> tuple:
     every = max(1, (m + 1) // 32)
     samples = np.empty((len(range(0, m + 1, every)), n, K))
 
-    def flush(last: bool) -> None:
+    def flush() -> None:
         """Window rows 0..j, node sets a..k: their sphere points (row 0 is one
-        already after the first window), the steps between them checked,
-        their head rows and samples recorded, all but row j unless last."""
+        already after the first window), the steps between them checked, and
+        their head rows and samples recorded.  Row j moves to the front of the
+        next window, which records it again with the same bits."""
         a = k - j
         _cone_images(window[int(a > 0) : j + 1])
         _check_steps(window[: j + 1, 1:], a, plan.controls, speed, hw, p, r2, scratch)
-        end = j + 1 if last else j
-        np.matmul(u0.weights, nodes[:end], out=head_trace[a : a + end])
+        np.matmul(u0.weights, nodes[: j + 1], out=head_trace[a : k + 1])
         first = -a % every  # the window row of the first sampled node set
-        picked = window[first:end:every, 1:]
+        picked = window[first : j + 1 : every, 1:]
         i = (a + first) // every
         samples[i : i + len(picked)] = picked
 
@@ -481,7 +477,7 @@ def _steer(u0: SnakeConfig, A: np.ndarray, max_step: float, doubles) -> tuple:
         PtW, eye = P.T @ start, np.eye(S.shape[-1])
         while s < leg.steps:
             if j == rows - 1:  # the window is full
-                flush(False)
+                flush()
                 window[0] = window[j]
                 j = 0
             c = min(leg.steps - s, rows - 1 - j)
@@ -489,7 +485,7 @@ def _steer(u0: SnakeConfig, A: np.ndarray, max_step: float, doubles) -> tuple:
             np.matmul(P, (S[s + 1 : s + c + 1] - eye) @ PtW, out=out)
             out += start
             j, k, s = j + c, k + c, s + c
-    flush(True)
+    flush()
     residuals, bounds = _consistency(plan.times, plan.legs, u0, h, hw, p, r2)
     record = SteerPath(times=plan.times, grid=u0, controls=plan.controls, legs=plan.legs,
                        head_trace=head_trace, final=_on_grid(u0, nodes[j]), residuals=residuals,
@@ -499,27 +495,26 @@ def _steer(u0: SnakeConfig, A: np.ndarray, max_step: float, doubles) -> tuple:
 
 def _check_steps(Z: np.ndarray, a: int, controls, speed, hw, p, r2, scratch) -> None:
     """The step check's node-wise part for the node sets a.. of a steer,
-    Z (s+1, n, K), a pass per scratch's worth of steps: writes the steps'
-    p = <w, z> / |w| and squared node distances into rows a..a+s of p and
-    r2.  Each pass forms its own w / |w| from the controls and speeds."""
-    for i in range(0, len(Z) - 1, len(scratch[1])):
-        j = min(i + len(scratch[1]), len(Z) - 1)
-        image, coef, inv = (buf[: j - i] for buf in scratch)
-        rows, z, z_next = slice(a + i, a + j), Z[i:j], Z[i + 1 : j + 1]
-        unit = controls[rows] / speed[rows, None]
-        np.einsum("mi,mik->mk", unit, z, out=p[rows])
-        c, s = np.cosh(hw[rows])[:, None], np.sinh(hw[rows])[:, None]
-        # coef = s + (c - 1) p and inv = 1 / (c + s p)
-        np.multiply(c - 1.0, p[rows], out=coef)
-        coef += s
-        np.multiply(s, p[rows], out=inv)
-        inv += c
-        np.divide(1.0, inv, out=inv)
-        np.einsum("mi,mk->mik", unit, coef, out=image)
-        image += z
-        image *= inv[:, None]
-        image -= z_next
-        np.einsum("mik,mik->mk", image, image, out=r2[rows])
+    Z (s+1, n, K), in one pass: writes the s steps' p = <w, z> / |w| and
+    squared node distances into rows a..a+s-1 of p and r2, with w / |w| formed
+    from the controls and speeds.  scratch, its images (s', n, K) and its
+    coefficients and quotients (s', K), holds s' >= s steps."""
+    rows, z, z_next = slice(a, a + len(Z) - 1), Z[:-1], Z[1:]
+    image, coef, inv = (buf[: len(z)] for buf in scratch)
+    unit = controls[rows] / speed[rows, None]
+    np.einsum("mi,mik->mk", unit, z, out=p[rows])
+    c, s = np.cosh(hw[rows])[:, None], np.sinh(hw[rows])[:, None]
+    # coef = s + (c - 1) p and inv = 1 / (c + s p)
+    np.multiply(c - 1.0, p[rows], out=coef)
+    coef += s
+    np.multiply(s, p[rows], out=inv)
+    inv += c
+    np.divide(1.0, inv, out=inv)
+    np.einsum("mi,mk->mik", unit, coef, out=image)
+    image += z
+    image *= inv[:, None]
+    image -= z_next
+    np.einsum("mik,mik->mk", image, image, out=r2[rows])
 
 
 def _consistency(times, legs, grid: SnakeConfig, h, hw, p, r2) -> tuple:
@@ -530,8 +525,8 @@ def _consistency(times, legs, grid: SnakeConfig, h, hw, p, r2) -> tuple:
 
     The image of a node z under exp_h(h w), with c = cosh(h|w|),
     s = sinh(h|w|) and p = <w, z> / |w|, is
-    (z + (s + (c - 1) p) w / |w|) / (c + s p); it is built node-major, a
-    few steps at a time.  Every point of the sphere moves under a Lie-algebra
+    (z + (s + (c - 1) p) w / |w|) / (c + s p); it is built node-major, one
+    window of steps at a time.  Every point of the sphere moves under a Lie-algebra
     element by at most its boost norm plus its rotation rate, and the
     quadrature weights sum to L, so r_k <= sqrt(L) (magnus_k + rounding_k):
 

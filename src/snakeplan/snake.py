@@ -13,13 +13,13 @@ from __future__ import annotations
 
 import functools
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 from numpy.polynomial import legendre as npleg
 
 from .lorentz import _positive
-from .sphere import sphere_point
+from .sphere import sphere_point, tangent_at
 
 __all__ = [
     "SnakeConfig",
@@ -89,15 +89,16 @@ def _gauss_grid(partition: np.ndarray, m: int):
 
 @dataclass(frozen=True)
 class SnakeConfig:
-    """Sampled configuration: quadrature grid over the partition plus unit
-    direction vectors at every node.  Immutable after construction."""
+    """Sampled configuration: unit direction vectors at the composite Gauss-Legendre
+    nodes of the partition, K / N per segment.  The quadrature follows from these
+    and is computed here, never passed in.  Immutable after construction."""
 
     L: float
     partition: np.ndarray  # (N+1,) strictly increasing, [0, L]
     nodes: np.ndarray  # (K, n) unit vectors at quadrature abscissae
-    weights: np.ndarray  # (K,) quadrature weights, sum = L
-    nodes_per_segment: int
     max_node_angle: float = DEFAULT_MAX_NODE_ANGLE
+    nodes_per_segment: int = field(init=False)  # K / N
+    weights: np.ndarray = field(init=False)  # (K,) quadrature weights, sum = L
 
     def __post_init__(self):
         _positive("L", self.L)
@@ -112,10 +113,10 @@ class SnakeConfig:
         if not np.isfinite(nodes).all():
             raise ValueError("nodes must be finite")
         nodes = sphere_point(nodes)
-        m = self.nodes_per_segment
         nseg = part.shape[0] - 1
-        if nodes.shape[0] != nseg * m:
-            raise ValueError("node count does not match partition * nodes_per_segment")
+        m = nodes.shape[0] // nseg
+        if m < 1 or nodes.shape[0] != nseg * m:
+            raise ValueError(f"node count {len(nodes)} is not a positive multiple of {nseg}")
         # adjacent nodes within a segment must stay angularly close
         seg = nodes.reshape(nseg, m, nodes.shape[1])
         dots = np.clip(np.einsum("kij,kij->ki", seg[:, :-1], seg[:, 1:]), -1.0, 1.0)
@@ -127,10 +128,11 @@ class SnakeConfig:
                 f"segment {k}: adjacent-node angle {steps[k]:.3f} exceeds "
                 f"resolution bound {self.max_node_angle:.3f}"
             )
-        for name, arr in (("partition", part), ("nodes", nodes),
-                          ("weights", np.asarray(self.weights, dtype=float))):
+        weights = _gauss_grid(part, m)[1]
+        for name, arr in (("partition", part), ("nodes", nodes), ("weights", weights)):
             arr.setflags(write=False)
             object.__setattr__(self, name, arr)
+        object.__setattr__(self, "nodes_per_segment", m)
 
     @property
     def dim(self) -> int:
@@ -152,14 +154,11 @@ class SnakeConfig:
     ) -> "SnakeConfig":
         """Sample a callable s -> direction (need not be normalized)."""
         partition = _partition(partition)
-        times, weights = _gauss_grid(partition, nodes_per_segment)
+        times = _gauss_grid(partition, nodes_per_segment)[0]
         vals = np.array([np.asarray(direction_fn(t), dtype=float) for t in times])
         if dim is not None and vals.shape[1] != dim:
             raise ValueError("direction_fn dimension mismatch")
-        return cls(
-            L=float(L), partition=partition, nodes=vals, weights=weights,
-            nodes_per_segment=nodes_per_segment, max_node_angle=max_node_angle,
-        )
+        return cls(L=float(L), partition=partition, nodes=vals, max_node_angle=max_node_angle)
 
     @classmethod
     def from_segment_samples(
@@ -170,7 +169,7 @@ class SnakeConfig:
         max_node_angle: float = DEFAULT_MAX_NODE_ANGLE,
     ) -> "SnakeConfig":
         """Build from per-segment node arrays sampled at Gauss abscissae,
-        each (nodes, n) with the same shape."""
+        each (nodes, n) with the same shape, one per segment of the partition."""
         partition = _partition(partition)
         segments = [np.asarray(s, dtype=float) for s in segments]
         if not segments:
@@ -179,19 +178,15 @@ class SnakeConfig:
             if seg.ndim != 2:
                 raise ValueError(f"segment {k}: nodes must be a list of direction vectors, "
                                  f"got shape {seg.shape}")
-        m, n = segments[0].shape
-        if any(len(s) != m for s in segments):
-            raise ValueError("all segments must carry the same number of nodes")
-        for k, seg in enumerate(segments):
-            if seg.shape[1] != n:
+            if seg.shape[1] != segments[0].shape[1]:
                 raise ValueError(f"segment {k}: nodes have dimension {seg.shape[1]}, "
-                                 f"segment 0's have {n}")
-        _, weights = _gauss_grid(partition, m)
-        return cls(
-            L=float(L), partition=partition, nodes=np.concatenate(segments),
-            weights=weights, nodes_per_segment=m,
-            max_node_angle=max_node_angle,
-        )
+                                 f"segment 0's have {segments[0].shape[1]}")
+        if any(len(s) != len(segments[0]) for s in segments):
+            raise ValueError("all segments must carry the same number of nodes")
+        if len(segments) != len(partition) - 1:
+            raise ValueError(f"segments: {len(segments)} given, partition has {len(partition) - 1}")
+        return cls(L=float(L), partition=partition, nodes=np.concatenate(segments),
+                   max_node_angle=max_node_angle)
 
     def segment_nodes(self, k: int) -> np.ndarray:
         m = self.nodes_per_segment
@@ -265,22 +260,10 @@ class FitResult:
     restricted: np.ndarray  # True where A_u was singular and the fit used range(A_u)
 
 
-def _horizontal_residual(grid: SnakeConfig, nodes: np.ndarray, w: np.ndarray,
-                         v: np.ndarray) -> np.ndarray:
-    """||v - (w - <w,u>u)||_{L^2} per node set u (..., K, n), built in place
-    over rows of K nodes in one (..., n, K) buffer (contiguous reads for
-    node-major stacks such as steer_config's), not through sphere.tangent_at."""
-    uT = nodes.swapaxes(-1, -2)
-    resid = (w[..., None, :] @ uT) * uT
-    resid -= w[..., :, None]
-    resid += v.swapaxes(-1, -2)
-    return np.sqrt(np.einsum("k,...ik,...ik->...", grid.weights, resid, resid))
-
-
 def fit_horizontal(grid: SnakeConfig, nodes: np.ndarray, v: np.ndarray) -> FitResult:
-    """Least-squares horizontal direction, minimizing ||v - (w - <w,u>u)||_{L^2}
-    by A_u w = int v ds, for unit node sets u (K, n) or (..., K, n) and fields
-    v of the same shape, all on grid's partition and quadrature.
+    """Least-squares horizontal direction w, minimizing the L^2 norm of the
+    residual v - tangent_at(u, w) by A_u w = int v ds, for unit node sets u
+    (K, n) or (..., K, n) and fields v of the same shape, all on grid's quadrature.
 
     v must be tangent at u: only then is int v ds the normal equation's
     right-hand side.  One batched eigen-solve inverts every A_u, masking
@@ -297,7 +280,8 @@ def fit_horizontal(grid: SnakeConfig, nodes: np.ndarray, v: np.ndarray) -> FitRe
     coeffs = np.einsum("...ji,...j->...i", vecs, v.swapaxes(-1, -2) @ grid.weights)
     scaled = np.where(keep, coeffs / np.where(keep, vals, 1.0), 0.0)
     w = np.einsum("...ij,...j->...i", vecs, scaled)
-    return FitResult(w=w, residual=_horizontal_residual(grid, nodes, w, v),
+    r = v - tangent_at(nodes, w[..., None, :])
+    return FitResult(w=w, residual=np.sqrt(np.einsum("k,...ki,...ki->...", grid.weights, r, r)),
                      restricted=~keep.all(axis=-1))
 
 

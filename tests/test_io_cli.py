@@ -25,6 +25,7 @@ MALFORMED = [
     ("nodes-null", "segment 1: nodes must be a list of direction vectors, got shape ()"),
     ("nodes-3d", "segment 0: nodes must be a list of direction vectors, got shape (16, 1, 3)"),
     ("nodes-widths", "segment 1: nodes have dimension 4, segment 0's have 3"),
+    ("partition-split", "segments: 3 given, partition has 6"),
 ]
 
 
@@ -39,6 +40,12 @@ def malform(obj: dict, case: str) -> None:
         obj["partition"] = [[0.0, obj["L"]]]
     elif case == "nodes-null":
         segments[1]["nodes"] = None
+    elif case == "partition-split":
+        # 48 nodes split evenly over 6 segments too, and no quadrature block
+        # declares 16 a segment
+        part = obj["partition"]
+        obj["partition"] = [p for a, b in zip(part, part[1:]) for p in (a, 0.5 * (a + b))] + [part[-1]]
+        del obj["quadrature"]
     elif case == "nodes-3d":
         for seg in segments:
             seg["nodes"] = [[node] for node in seg["nodes"]]
@@ -88,6 +95,17 @@ class TestJsonRoundtrips:
         with pytest.raises(ValueError) as exc:
             sio.config_from_json(obj)
         assert message in str(exc.value)
+
+    @pytest.mark.parametrize("count", [16.7, "16", True, 16.0])
+    def test_config_node_count_is_a_whole_number(self, rng, count):
+        # int() would read 16.7 and "16" as 16; the segments hold 16 nodes each
+        obj = sio.config_to_json(random_config(rng, 3))
+        obj["quadrature"]["nodes_per_segment"] = count
+        if count == 16.0:
+            assert sio.config_from_json(obj).nodes_per_segment == 16
+        else:
+            with pytest.raises(ValueError, match="bad config payload: expected a whole number"):
+                sio.config_from_json(obj)
 
     @pytest.mark.parametrize("case, message", MALFORMED)
     def test_config_field_of_wrong_shape_rejected(self, rng, case, message):
@@ -280,6 +298,27 @@ class TestCli:
         assert main(argv) == 2
         error = json.loads(capsys.readouterr().out)["outputs"]["error"]
         assert error == {"kind": "validation", "message": "matrix dim must be at least 1, got 0"}
+
+    @pytest.mark.parametrize("command", ["decompose", "factorize", "plan-group", "steer"])
+    @pytest.mark.parametrize("dim", [2.5, "2", True, float("inf"), 2.0])
+    def test_matrix_dim_is_a_whole_number(self, tmp_path, capsys, command, dim):
+        # int() would read 2.5 and "2" as 2 and true as 1, and raise OverflowError
+        # on Infinity; 2.0 is 2
+        m = self._gen_matrix(tmp_path, dim=2)
+        sio.dump_json(dict(json.loads(Path(m).read_text()), dim=dim), m)
+        argv = [command, "--matrix", m]
+        if command == "steer":
+            argv += ["--config", self._gen_config(tmp_path, dim=2)]
+        capsys.readouterr()
+        code = main(argv)
+        outputs = json.loads(capsys.readouterr().out)["outputs"]
+        if dim == 2.0:
+            assert code == 0 and "error" not in outputs
+        else:
+            assert code == 2
+            assert outputs["error"] == {
+                "kind": "validation",
+                "message": f"bad matrix payload: expected a whole number, got {dim!r}"}
 
     @pytest.mark.parametrize("command", ["decompose", "factorize", "plan-group"])
     def test_matrix_of_dim_1_is_valid(self, tmp_path, capsys, command):
@@ -485,6 +524,28 @@ class TestCli:
         report = json.loads(capsys.readouterr().out)
         assert (tmp_path / "o" / "plan.json").exists()
         assert report["verification"]["passed"]
+
+    @pytest.mark.parametrize("dim, eps", [(2, 1.0), (3, -1.0), (8, 1.0)])
+    def test_decompose_factors_json_rebuilds_the_matrix(self, tmp_path, capsys, dim, eps):
+        # a time reversal puts the matrix outside SO(n,1); decompose factors all of O(n,1)
+        A = np.diag([eps] + [1.0] * dim) @ random_so0(np.random.default_rng(dim), dim)
+        m, out = tmp_path / "A.json", tmp_path / "decompose"
+        sio.dump_json(sio.matrix_to_json(A), m)
+        capsys.readouterr()
+        assert main(["decompose", "--matrix", str(m), "--out-dir", str(out)]) == 0
+        report = json.loads(capsys.readouterr().out)
+        assert report["outputs"]["factors.json"] == str(out / "factors.json")
+        factors = json.loads((out / "factors.json").read_text())
+        result = report["outputs"]["result"]
+        membership = "SO0" if eps > 0 else "O"
+        assert (factors["epsilon"], factors["membership"]) == (eps, membership)
+        assert (result["epsilon"], result["membership"]) == (eps, membership)
+        D = np.zeros((dim + 1, dim + 1))
+        D[0, 0], D[1:, 1:] = factors["epsilon"], factors["orthogonal"]
+        rebuilt = D @ sio.matrix_from_json(factors["boost"])
+        check = report["verification"]["checks"][0]
+        assert check["name"] == "reconstruction_residual"
+        assert np.linalg.norm(rebuilt - A) <= check["tol"]
 
     @pytest.mark.parametrize("dim", [2, 3, 8])
     def test_factorize_blocks_json_rebuilds_the_matrix(self, tmp_path, capsys, dim):

@@ -197,6 +197,18 @@ class TestPlanGroupPath:
             total = sum(length for length in path.leg_lengths().values())
             assert path.length() == pytest.approx(total, abs=1e-6)
 
+    def test_length_is_the_left_to_right_sum_of_the_steps(self):
+        # the exported length is fixed by its order of summation: bit for bit
+        # that of a loop, on plans and on long probes
+        paths = [plan_group_path(random_so0(np.random.default_rng(s), n))
+                 for s in range(3) for n in (2, 3, 8)]
+        paths += [commutator_probe(1, 2, t, m, 3) for t in (0.0, 0.5) for m in (1, 64, 1280)]
+        for path in paths:
+            total = 0.0
+            for step in _row_norms(path.controls) * np.diff(path.times):
+                total += float(step)
+            assert path.length() == total
+
     @pytest.mark.parametrize("n", DIMS)
     @pytest.mark.parametrize("w", RAPIDITIES)
     def test_endpoint_across_rapidity(self, rng, n, w):

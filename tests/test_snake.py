@@ -116,6 +116,24 @@ class TestConfigValidation:
         with pytest.raises(ValueError, match="needs at least one segment"):
             SnakeConfig.from_segment_samples(1.0, [0.0, 1.0], [])
 
+    @pytest.mark.parametrize("count", [1, 5, 7])
+    def test_node_count_must_be_a_positive_multiple_of_the_segments(self, count):
+        nodes = np.tile(e(0, 2), (count, 1))
+        with pytest.raises(ValueError, match=f"node count {count} is not a positive multiple of 2"):
+            SnakeConfig(L=1.0, partition=[0.0, 0.4, 1.0], nodes=nodes)
+
+    def test_quadrature_follows_from_partition_and_node_count(self):
+        # built directly, a config takes no weights and no per-segment count:
+        # 8 nodes on 2 segments are 4-point Gauss-Legendre rules on each
+        nodes = np.tile(e(0, 2), (8, 1))
+        cfg = SnakeConfig(L=1.0, partition=[0.0, 0.4, 1.0], nodes=nodes)
+        w = np.polynomial.legendre.leggauss(4)[1]
+        assert cfg.nodes_per_segment == 4
+        assert np.allclose(cfg.weights, np.concatenate([0.2 * w, 0.3 * w]), rtol=0.0, atol=1e-15)
+        assert not cfg.weights.flags.writeable
+        with pytest.raises(TypeError):
+            SnakeConfig(L=1.0, partition=[0.0, 0.4, 1.0], nodes=nodes, weights=cfg.weights)
+
     def test_resolution_bound_pi_admits_antipodal_neighbours(self):
         # the bound act and the planners' paths carry: no turn is too large
         nodes = np.array([e(0, 2), -e(0, 2)] * 2)
