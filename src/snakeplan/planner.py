@@ -18,8 +18,8 @@ whose control Ad_{Exp(-tau Omega)} U stays in h with unit norm.  The leg
 reaches Exp(theta * g) exactly once the elliptic frequency closes
 (sqrt(eta^2 - 1) * T = 2 pi), at arc length T = sqrt(theta^2 + 4 pi theta).
 The configuration-space planners push these paths through the sphere
-action node-wise, steer_config one plan leg at a time in the leg's own
-frame; their velocities tangent_at(nodes[k], controls[k]) are
+action node-wise, steer_config one plan leg at a time in the coordinates of
+the leg's own frame; their velocities tangent_at(nodes[k], controls[k]) are
 then genuine horizontal fields, and steer_config checks every step against
 the boost of its control.  steer_config and horizontal_lift return a
 record with no node history; steer_history and lift_history return
@@ -37,7 +37,7 @@ from .lorentz import (LieElement, _plane_indices, _positive, _row_norms, exp_h, 
                       spatial_block)
 from .rotations import _plane_generator, planar_rotation
 from .snake import SnakeConfig, _gram, endpoint, fit_horizontal
-from .sphere import _cone_images, mobius_sphere_action_many, sphere_point, tangent_at
+from .sphere import NotOrthochronous, mobius_sphere_action_many, sphere_point, tangent_at
 
 __all__ = [
     "GroupPath",
@@ -67,7 +67,7 @@ LIFT_MARGIN_FACTOR = 1e-3  # horizontal_lift aborts below lambda_min(A_u) = fact
 # most steps one leg, probe or lift may take, checked before anything is
 # allocated: ~9x the 10,899 of a seeded random_so0 steer at n = 96
 MAX_STEPS = 100_000
-_CHECK_CHUNK = 1 << 16  # the steer and lift node windows, in doubles
+_CHECK_CHUNK = 1 << 16  # the lift's node window, in doubles
 
 
 class SingularityApproach(RuntimeError):
@@ -387,148 +387,98 @@ class LiftPath:
 
 def steer_config(u0: SnakeConfig, A: np.ndarray, max_step: float = DEFAULT_MAX_STEP) -> SteerPath:
     """Push u0 along plan_group_path(A)'s horizontal path to act(A, u0),
-    checking every step as it goes.
-
-    The path's times, controls and legs are the plan's.  Each leg moves the
-    nodes z reached at its start, as light-cone points W0 = (1, z)^T, to
-    W = W0 + P (S - Id) P^T W0 with P its frame and S its blocks (LegRecord):
-    O(n K) per step.  They differ from the action of the plan's matrices at
-    dimension n by rounding.
-
-    The light-cone node sets pass through a window of at most _CHECK_CHUNK
-    doubles (two node sets if one is larger).  When it fills, its node sets
-    become sphere points, the step check's residuals are taken between them
-    (_check_steps), their head rows and every (m+1) // 32-th of them are
-    recorded, and the last one moves to the front.  So a steer holds
-    O(m (n + K)) plus one workspace, and returns a SteerPath with no node
-    history.
-    """
-    return _steer(u0, A, max_step, _CHECK_CHUNK)[0]
+    checking every step as it goes.  The path's times, controls and legs are
+    the plan's.  A leg moves a node only through its d <= 2 coordinates in
+    the leg's frame and one scale (_leg_frame), so whole node sets are formed
+    only at the leg ends and every (m+1) // 32-th time: a steer holds
+    O(m (n + K)) and returns a SteerPath with no node history."""
+    return _steer(u0, A, max_step)
 
 
 def steer_history(u0: SnakeConfig, A: np.ndarray, max_step: float = DEFAULT_MAX_STEP) -> tuple:
     """(record, nodes): steer_config's SteerPath and every node set of the
-    steer, (m+1, K, n), from the same walk with a window that holds them all.
-    The nodes are a view of the spatial rows of a coordinate-major
-    (n+1, m+1, K) array."""
-    return _steer(u0, A, max_step, None)
+    steer, (m+1, K, n), formed from the same walk's frame coordinates."""
+    sets = [u0.nodes[None]]
+    record = _steer(u0, A, max_step, sets)
+    return record, np.concatenate(sets)
 
 
-def _steer(u0: SnakeConfig, A: np.ndarray, max_step: float, doubles) -> tuple:
-    """steer_config with a window of at most `doubles` doubles of light-cone
-    node sets (two at least; every one when None): (record, the window's
-    node sets in use at the end).
-
-    The window is coordinate-major, (n+1, rows, K) in memory, as one array of
-    every node set would be, so each pass over it runs along rows of K values
-    and its node sets are those of such an array bit for bit.  It, the leg's
-    start point, the step check's rows and its scratch for one pass over a full
-    window (rows - 1 steps) are carved from one allocation per call.
-    """
+def _steer(u0: SnakeConfig, A: np.ndarray, max_step: float, history: list | None = None):
+    """steer_config, appending each leg's node sets but its first to a list history."""
     A = np.asarray(A, dtype=float)
     if u0.dim != A.shape[0] - 1:
         raise ValueError("dimension mismatch between config and matrix")
     plan = plan_group_path(A, max_step=max_step)
     n, K, m = u0.dim, u0.nodes.shape[0], len(plan.controls)
-    cone = (n + 1) * K
-    rows = m + 1 if doubles is None else min(m + 1, max(2, doubles // cone))
-    # one allocation per call: with separate arrays of this size the allocator
-    # trims the heap between calls and the next call faults the pages back in
-    rest = cone * (rows + 1)  # the window and the leg's start point, then p, r2 and scratch
-    space = np.empty(rest + (2 * m + (n + 2) * (rows - 1)) * K)
-    window = space[: cone * rows].reshape(n + 1, rows, K).transpose(1, 0, 2)
-    start = space[cone * rows : rest].reshape(n + 1, K)
-    p, r2 = space[rest : rest + 2 * m * K].reshape(2, m, K)
-    # the check's images (rows - 1, n, K), coordinate-major as the window is,
-    # and its node-wise coefficients and quotients (rows - 1, K)
-    check = space[rest + 2 * m * K :].reshape(n + 2, rows - 1, K)
-    scratch = check[:n].transpose(1, 0, 2), check[n], check[n + 1]
-    nodes = window[:, 1:].swapaxes(1, 2)  # (rows, K, n)
-
-    h, speed = np.diff(plan.times), _row_norms(plan.controls)
-    hw = h * speed
     head_trace = np.empty((m + 1, n))
+    head_trace[0] = u0.weights @ u0.nodes
     every = max(1, (m + 1) // 32)
-    samples = np.empty((len(range(0, m + 1, every)), n, K))
-
-    def flush() -> None:
-        """Window rows 0..j, node sets a..k: their sphere points (row 0 is one
-        already after the first window), the steps between them checked, and
-        their head rows and samples recorded.  Row j moves to the front of the
-        next window, which records it again with the same bits."""
-        a = k - j
-        _cone_images(window[int(a > 0) : j + 1])
-        _check_steps(window[: j + 1, 1:], a, plan.controls, speed, hw, p, r2, scratch)
-        np.matmul(u0.weights, nodes[: j + 1], out=head_trace[a : k + 1])
-        first = -a % every  # the window row of the first sampled node set
-        picked = window[first : j + 1 : every, 1:]
-        i = (a + first) // every
-        samples[i : i + len(picked)] = picked
-
-    window[0, 0] = 1.0
-    window[0, 1:] = u0.nodes.T
-    k = j = 0  # the step of window row j
+    samples = np.empty((len(range(0, m + 1, every)), K, n))
+    samples[0] = u0.nodes
+    residuals, bounds = np.empty((2, m))
+    # a leg's per-step rows (frame coordinates, the check's) in one array: as a dozen
+    # arrays, freeing them trimmed the heap and the next call faulted it back in
+    work = np.empty((9, max((leg.steps for leg in plan.legs), default=0) + 1, K))
+    z, k = u0.nodes, 0
     for leg in plan.legs:
-        if k:  # the leg starts on the light cone at (1, z), z the node reached
-            _cone_images(window[j : j + 1])
-            window[j, 0] = 1.0
-        start[...] = window[j]
-        P, S, s = leg.frame, leg.blocks, 0
-        PtW, eye = P.T @ start, np.eye(S.shape[-1])
-        while s < leg.steps:
-            if j == rows - 1:  # the window is full
-                flush()
-                window[0] = window[j]
-                j = 0
-            c = min(leg.steps - s, rows - 1 - j)
-            out = window[j + 1 : j + c + 1]
-            np.matmul(P, (S[s + 1 : s + c + 1] - eye) @ PtW, out=out)
-            out += start
-            j, k, s = j + c, k + c, s + c
-    flush()
-    residuals, bounds = _consistency(plan.times, plan.legs, u0, h, hw, p, r2)
-    record = SteerPath(times=plan.times, grid=u0, controls=plan.controls, legs=plan.legs,
-                       head_trace=head_trace, final=_on_grid(u0, nodes[j]), residuals=residuals,
-                       bounds=bounds, sample_every=every, samples=samples.swapaxes(1, 2))
-    return record, nodes[: j + 1]
+        F, end, rows = leg.frame[1:, 1:], k + leg.steps, work[:, : leg.steps + 1]
+        zp, rho2, xi = _leg_frame(z, leg, rows)
+        head_trace[k + 1 : end + 1] = (xi[0, 1:] @ (u0.weights[:, None] * zp)
+                                       + (xi[1:, 1:] @ u0.weights).T @ F.T)
+        residuals[k:end], bounds[k:end] = _consistency(
+            leg, plan.times[k : end + 1], plan.controls[k:end], u0, zp, rho2, xi, rows[3:, :-1])
+        first = -(-(k + 1) // every)  # the first sample after the leg's start
+        picked = np.arange(first * every - k, leg.steps + 1, every)
+        samples[first : first + len(picked)] = _node_sets(zp, F, xi, picked)
+        z = _node_sets(zp, F, xi, leg.steps)
+        if history is not None:
+            history.append(_node_sets(zp, F, xi, slice(1, None)))
+        k = end
+    return SteerPath(times=plan.times, grid=u0, controls=plan.controls, legs=plan.legs,
+                     head_trace=head_trace, final=_on_grid(u0, z), residuals=residuals,
+                     bounds=bounds, sample_every=every, samples=samples)
 
 
-def _check_steps(Z: np.ndarray, a: int, controls, speed, hw, p, r2, scratch) -> None:
-    """The step check's node-wise part for the node sets a.. of a steer,
-    Z (s+1, n, K), in one pass: writes the s steps' p = <w, z> / |w| and
-    squared node distances into rows a..a+s-1 of p and r2, with w / |w| formed
-    from the controls and speeds.  scratch, its images (s', n, K) and its
-    coefficients and quotients (s', K), holds s' >= s steps."""
-    rows, z, z_next = slice(a, a + len(Z) - 1), Z[:-1], Z[1:]
-    image, coef, inv = (buf[: len(z)] for buf in scratch)
-    unit = controls[rows] / speed[rows, None]
-    np.einsum("mi,mik->mk", unit, z, out=p[rows])
-    c, s = np.cosh(hw[rows])[:, None], np.sinh(hw[rows])[:, None]
-    # coef = s + (c - 1) p and inv = 1 / (c + s p)
-    np.multiply(c - 1.0, p[rows], out=coef)
-    coef += s
-    np.multiply(s, p[rows], out=inv)
-    inv += c
-    np.divide(1.0, inv, out=inv)
-    np.einsum("mi,mk->mik", unit, coef, out=image)
-    image += z
-    image *= inv[:, None]
-    image -= z_next
-    np.einsum("mik,mik->mk", image, image, out=r2[rows])
+def _leg_frame(z: np.ndarray, leg: LegRecord, rows) -> tuple:
+    """(z0perp, |z0perp|^2, xi) for the nodes z (K, n) at a leg's start, xi in
+    rows[:d+1]: node s of the leg is xi_0s z0perp + F xi_s', xi' = xi[1:].  With
+    q = F^T z and z0perp = z - F q the blocks S take (1, z) to (y_t, z0perp + F y_x),
+    y = S (1, q); so xi = (1, y_x) / N, N^2 = |z0perp|^2 + |y_x|^2 (a sum that
+    cannot cancel), and every y_t, the point's W_t, must be positive."""
+    F, S = leg.frame[1:, 1:], leg.blocks
+    q = z @ F
+    zp = z - q @ F.T
+    rho2 = np.einsum("kn,kn->k", zp, zp)
+    y = np.matmul(S.transpose(1, 0, 2), np.vstack([np.ones(len(z)), q.T]), out=rows[: S.shape[-1]])
+    if np.any(y[0] <= 0.0):
+        raise NotOrthochronous("some image ray left the forward light cone")
+    y[0] = 1.0 / np.sqrt(rho2 + np.einsum("isk,isk->sk", y[1:], y[1:]))  # y_t is read no more
+    y[1:] *= y[0]
+    return zp, rho2, y
 
 
-def _consistency(times, legs, grid: SnakeConfig, h, hw, p, r2) -> tuple:
-    """(r, bound), both (m,): the L^2 distance r_k of a steer's node set k+1
-    from the closed-form boost exp_h(h controls[k]) acting on node set k, and
-    the bound it must stay under, from every step's p and r2 rows
-    (_check_steps).
+def _node_sets(zp, F, xi, s) -> np.ndarray:
+    """A leg's node sets at the steps s (_leg_frame), formed elementwise, so
+    a node set's bits do not depend on which others are formed with it."""
+    return xi[0, s, :, None] * zp + sum(xi[i + 1, s, :, None] * F[:, i] for i in range(F.shape[1]))
 
-    The image of a node z under exp_h(h w), with c = cosh(h|w|),
-    s = sinh(h|w|) and p = <w, z> / |w|, is
-    (z + (s + (c - 1) p) w / |w|) / (c + s p); it is built node-major, one
-    window of steps at a time.  Every point of the sphere moves under a Lie-algebra
-    element by at most its boost norm plus its rotation rate, and the
-    quadrature weights sum to L, so r_k <= sqrt(L) (magnus_k + rounding_k):
+
+def _consistency(leg, times, w, grid: SnakeConfig, zp, rho2, xi, rows) -> tuple:
+    """(r, bound), both (steps,), for one leg of a steer from its times
+    (steps+1,), its controls w and its frame coordinates (_leg_frame), with
+    six scratch rows (steps, K): the L^2 distance r_k of node set k+1 from the
+    closed-form boost exp_h(h w_k) acting on node set k, and its bound.
+
+    With c = cosh(h|w|), s = sinh(h|w|), e = w / |w| = F eh + eperp and
+    p = <e, z>, the boost takes a node z to (z + gamma D e) / D, D = c + s p
+    and gamma = (s + (c - 1) p) / D.  Node j is xi_0j z0perp + F xi_j', so its
+    image less node j+1 is res_0 z0perp + F res' + gamma eperp, with
+    res = xi_j / D + gamma (0, eh) - xi_{j+1}, of squared norm
+    |(|z0perp| res_0, res')|^2 + gamma (2 res_0 <eperp, z0perp> + gamma |eperp|^2):
+    a control off the frame moves the image along eperp, where no node goes.
+    Every point of the sphere moves under a Lie-algebra element by at most
+    its boost norm plus its rotation rate, and the quadrature weights sum to
+    L, so r_k <= sqrt(L) (magnus_k + rounding_k):
 
     - magnus_k.  Over a step, the path's group increment is exp(Omega), Omega
       the Magnus expansion of its control Y, of which exp_h(h Y_mid) keeps the
@@ -544,47 +494,71 @@ def _consistency(times, legs, grid: SnakeConfig, h, hw, p, r2) -> tuple:
       puts their coefficient between -0.03 and 0.06 for x <= 3 pi / 32 (a
       geodesic leg turns through |eta| T = theta + 2 pi <= 3 pi in at least
       GEODESIC_MIN_STEPS steps).
-    - rounding_k.  A node is the image of W = W0 + P (S - Id) P^T W0,
-      W0 = (1, z0) at its leg's start (steer_config), with |S|_2 = e^rho the
-      norm of the leg's block: rho is the boost leg's rapidity so far, and on a
-      geodesic leg cosh rho = 1 + (1 - cos(freq s)) / freq^2
-      <= 1 + T^2 / (2 pi^2).  S's closed forms err by 4 eps |S| and the three
-      products sum at most n + 1 terms each, so
-      |dW| <= (n + 8) eps sqrt(2) (1 + |S|).  The image W_x / |W_x| moves by
-      |dW_x| / W_t, plus (n / 2 + 3) eps for its quotient and norm, where
-      1 / W_t <= |S| (|W0| = sqrt(2) <= |S| |W|), and on a boost leg
-      1 / W_t = cosh(tau) - sinh(tau) <w, z> / |w| is the node's own, tau
-      into the leg.  The check's boost stretches node k's error, and node
-      k+1's 1 / W_t, by at most e^{h|w|}, and its own sums add (n + 8) eps;
-      so a node is off by at most
+    - rounding_k.  A node is (z0perp + F y_x) / N, y = S (1, q), q = F^T z0
+      and z0perp = z0 - F q at the leg's start (_leg_frame), |S|_2 = e^rho
+      the norm of the leg's block: rho is the boost leg's rapidity so far,
+      and on a geodesic leg cosh rho = 1 + (1 - cos(freq s)) / freq^2
+      <= 1 + T^2 / (2 pi^2).  An error common to a leg's steps moves its start
+      point, whose orbit the check follows too.  Of the rest: q's n-term sums
+      err by |dq| <= sqrt(2) n eps, which z0perp takes up again, so W_x misses
+      the image of (1, z0) by F ((S - Id)(0, dq))_x; z0perp's and y's sums run
+      over d + 1 <= 3 terms and S's closed forms err by 4 eps |S|, on
+      |(1, q)| <= sqrt(2).  So |dW_x| <= sqrt(2) eps ((n + 6) + (n + 7) |S|),
+      within (n + 8) eps sqrt(2) (1 + |S|) as for W formed at dimension n.
+      The node moves by |dW_x| / W_t (W_t = y_t = N), plus (n / 2 + 3) eps
+      for N's n + d squares, its root and the scalings, where 1 / W_t <= |S|
+      (|W0| = sqrt(2) <= |S| |W|), and on a boost leg
+      1 / W_t = cosh(tau) - sinh(tau) <w, z> / |w| is the node's own, tau into
+      the leg.  F^T z0perp = -dq puts the node's length off 1 by |dq| / W_t,
+      which changes by O(h) a step and cancels from r_k, and p by as much,
+      which moves the image by 2 sinh(h|w|) times that.  The check's boost
+      stretches node k's error, and node k+1's 1 / W_t, by at most e^{h|w|},
+      and its sums add (n + 8) eps (n terms in |z0perp|^2, <eperp, z0perp> and
+      F^T e, d + 1 in the rest); so a node is off by at most
       (n + 8) eps ((1 + e^{h|w|}) (sqrt(2) (1 + |S|) / W_t + 1) + 1), and
-      rounding_k is the L^2 norm of that over the nodes, divided by sqrt(L).
-      A node near a boost's repelling point reads up to eps e^{2 rho}; one
-      pushed towards its attracting point, a few eps.
+      rounding_k is its L^2 norm over the nodes, divided by sqrt(L).  A node
+      near a boost's repelling point reads up to eps e^{2 rho}; one pushed
+      towards its attracting point, a few eps.
     """
+    h, speed = np.diff(times), _row_norms(w)
+    hw, e, F = h * speed, w / speed[:, None], leg.frame[1:, 1:]
+    c, sn = np.cosh(hw)[:, None], np.sinh(hw)[:, None]
+    eh = e @ F
+    eperp = e - eh @ F.T
+    g, p, inv, gamma, res, r2 = rows
+    np.matmul(eperp, zp.T, out=g)  # <eperp, z0perp>
+    np.einsum("sd,dsk->sk", eh, xi[1:, :-1], out=p)
+    p += np.multiply(xi[0, :-1], g, out=res)
+    np.divide(1.0, c + sn * p, out=inv)
+    np.multiply(sn + (c - 1.0) * p, inv, out=gamma)
+    np.subtract(xi[0, :-1] * inv, xi[0, 1:], out=res)  # res_0, then the terms of eperp
+    g *= 2.0 * res
+    g += np.multiply(gamma, np.einsum("sn,sn->s", eperp, eperp)[:, None], out=r2)
+    g *= gamma
+    np.multiply(res, res, out=r2)
+    r2 *= rho2
+    r2 += g
+    for i in range(F.shape[1]):  # res_i, along F
+        np.subtract(xi[i + 1, :-1] * inv + gamma * eh[:, i, None], xi[i + 1, 1:], out=res)
+        r2 += np.multiply(res, res, out=res)
     r = np.sqrt(r2 @ grid.weights)
     # rounding per node: (n + 8) eps ((1 + e^{h|w|}) (sqrt(2) (1 + |S|) / W_t + 1) + 1)
     unit_err = (grid.dim + 8) * np.finfo(float).eps
-    bound, k = np.empty_like(h), 0
-    for leg in legs:
-        end = k + leg.steps
-        hk, stretch = h[k:end], np.exp(hw[k:end])
-        if leg.kind == "rotation":
-            eta = abs(_vertical_parameter(leg.theta)[0])
-            cosh_rho = 1.0 + leg.length**2 / (2.0 * np.pi**2)
-            S = cosh_rho + np.sqrt(cosh_rho * cosh_rho - 1.0)  # 1 / W_t <= |S|
-            magnus = hk**3 * (eta * eta / 24.0 + eta / 12.0) * (1.0 + (eta * hk) ** 2)
-            bound[k:end] = magnus + unit_err * (
-                (1.0 + stretch) * (np.sqrt(2.0) * (1.0 + S) * S + 1.0) + 1.0)
-        else:
-            # each node's own 1 / W_t = cosh(tau) - sinh(tau) <w, z> / |w|, tau
-            # into the leg, stretched by e^{h|w|} to cover node k+1
-            tau = times[k : end + 1, None] - times[k]
-            inv_wt = stretch[:, None] * (np.cosh(tau[:-1]) - np.sinh(tau[:-1]) * p[k:end])
-            node = (1.0 + stretch[:, None]) * (
-                np.sqrt(2.0) * (1.0 + np.exp(tau[1:])) * inv_wt + 1.0) + 1.0
-            bound[k:end] = unit_err * np.sqrt(node**2 @ grid.weights / grid.L)
-        k = end
+    stretch = np.exp(hw)
+    if leg.kind == "rotation":
+        eta = abs(_vertical_parameter(leg.theta)[0])
+        cosh_rho = 1.0 + leg.length**2 / (2.0 * np.pi**2)
+        S = cosh_rho + np.sqrt(cosh_rho * cosh_rho - 1.0)  # 1 / W_t <= |S|
+        magnus = h**3 * (eta * eta / 24.0 + eta / 12.0) * (1.0 + (eta * h) ** 2)
+        bound = magnus + unit_err * ((1.0 + stretch) * (np.sqrt(2.0) * (1.0 + S) * S + 1.0) + 1.0)
+    else:
+        # each node's own 1 / W_t = cosh(tau) - sinh(tau) <w, z> / |w|, tau
+        # into the leg, stretched by e^{h|w|} to cover node k+1
+        tau = times[:, None] - times[0]
+        inv_wt = stretch[:, None] * (np.cosh(tau[:-1]) - np.sinh(tau[:-1]) * p)
+        node = (1.0 + stretch[:, None]) * (
+            np.sqrt(2.0) * (1.0 + np.exp(tau[1:])) * inv_wt + 1.0) + 1.0
+        bound = unit_err * np.sqrt(node**2 @ grid.weights / grid.L)
     return r, np.sqrt(grid.L) * bound
 
 

@@ -110,6 +110,8 @@ class SnakeConfig:
         if abs(part[0]) > 0 or abs(part[-1] - self.L) > 1e-12 * max(1.0, self.L):
             raise ValueError("partition must run exactly from 0 to L")
         nodes = np.asarray(self.nodes, dtype=float)
+        if nodes.ndim != 2:
+            raise ValueError(f"nodes must be a (K, n) array, got shape {nodes.shape}")
         if not np.isfinite(nodes).all():
             raise ValueError("nodes must be finite")
         nodes = sphere_point(nodes)

@@ -9,10 +9,8 @@ z maps to w.x/w.t where w = A (1, z).
 
 The batched action stores the light-cone points of K nodes as columns,
 W = A (1, z)^T of shape (..., n+1, K), so every elementwise pass runs over
-rows of K contiguous nodes; _cone_images turns W's spatial rows into the
-images in place, as (..., K, n) views of node-major (..., n, K) arrays.
-planner.steer_config builds its W leg by leg, a window of node sets at a
-time, and takes its nodes the same way.
+rows of K contiguous nodes, and turns W's spatial rows into the images in
+place, as (..., K, n) views of node-major (..., n, K) arrays.
 """
 
 from __future__ import annotations
@@ -172,13 +170,8 @@ def mobius_sphere_action_many(A: np.ndarray, Z: np.ndarray) -> np.ndarray:
     Z = np.asarray(Z, dtype=float)
     for G in A.reshape((-1,) + A.shape[-2:]):
         _require_so0(G)
-    return _cone_images(A @ np.concatenate([np.ones((1, Z.shape[0])), Z.T]))
-
-
-def _cone_images(W: np.ndarray) -> np.ndarray:
-    """Sphere points of light-cone columns W (..., n+1, k), every W_t
-    positive: the quotient W_x / W_t, normalized, computed in place in W's
-    spatial rows and returned as their (..., k, n) view."""
+    # the images W_x / W_t of the columns W = A (1, z)^T, normalized in place
+    W = A @ np.concatenate([np.ones((1, Z.shape[0])), Z.T])
     Wt, out = W[..., :1, :], W[..., 1:, :]
     if np.any(Wt <= 0.0):
         raise NotOrthochronous("some image ray left the forward light cone")

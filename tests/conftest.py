@@ -52,3 +52,15 @@ def lorentz_sample(rng, n: int, w: float, eps: float = 1.0, det: float = 1.0):
     P[0, 0] = eps
     P[1:, 1:] = R
     return P @ exp_h(u), u
+
+
+def turn_node(frame, s: int, j: int, angle: float) -> None:
+    """Turn node j of a leg's node set s by angle, in place, in the leg's
+    frame coordinates (planner._leg_frame's (z0perp, |z0perp|^2, xi), node
+    s = xi_0s z0perp + F xi_s[1:]): a rotation in the plane of the node's
+    z0perp and the frame's first direction, which keeps it a unit vector."""
+    _, rho2, xi = frame
+    rho = np.sqrt(rho2[j])
+    a, b = rho * xi[0, s, j], xi[1, s, j]
+    xi[0, s, j] = (np.cos(angle) * a - np.sin(angle) * b) / rho
+    xi[1, s, j] = np.sin(angle) * a + np.cos(angle) * b

@@ -14,7 +14,7 @@ from snakeplan.generate import circle_head_curve, random_config, random_so0, str
 from snakeplan.lorentz import exp_h, spatial_block
 from snakeplan.planner import plan_group_path
 
-from conftest import lorentz_sample
+from conftest import lorentz_sample, turn_node
 
 # config payloads whose fields have the wrong shape, at n = 3 with 16 nodes a
 # segment, and the error that names the field
@@ -705,30 +705,23 @@ class TestCli:
             report["outputs"]["result"]
 
     def test_step_check_fails_on_a_moved_node(self, tmp_path, capsys, monkeypatch):
-        # one node of one boost step moved by 1e-6; the boost steps' bound is
+        # one node of one boost step turned by 1e-6; the boost steps' bound is
         # rounding alone, so the steps on either side of it must fail.  The
-        # node is moved in steer_config's window, where the step check reads it
+        # node is turned in the boost leg's frame coordinates, which the head
+        # rows, the samples and the step check all read
         from snakeplan import planner
 
-        plan_group_path, check_steps = planner.plan_group_path, planner._check_steps
-        moved = []
+        leg_frame, moved = planner._leg_frame, []
 
-        def plan(*args, **kwargs):
-            path = plan_group_path(*args, **kwargs)
-            assert path.legs[0].kind == "boost"
-            moved.append(path.legs[0].steps // 2)
-            return path
+        def perturbed(z, leg, rows):
+            frame = leg_frame(z, leg, rows)
+            if not moved:  # the plan's first leg
+                assert leg.kind == "boost"
+                moved.append(leg.steps // 2)
+                turn_node(frame, moved[0], 5, 1e-6)
+            return frame
 
-        def perturbed(Z, a, *args):
-            # Z holds the node sets a .. a + len(Z) - 1; a window's last one
-            # moves to the front of the next, so it is moved once, as a later row
-            if a < moved[0] < a + len(Z):
-                z = Z[moved[0] - a, :, 5]
-                z += 1e-6 * np.array([-z[1], z[0], 0.0]) / np.hypot(z[0], z[1])
-            return check_steps(Z, a, *args)
-
-        monkeypatch.setattr(planner, "plan_group_path", plan)
-        monkeypatch.setattr(planner, "_check_steps", perturbed)
+        monkeypatch.setattr(planner, "_leg_frame", perturbed)
         code, checks, result = self._steer_checks(tmp_path, capsys)
         assert code == 3
         assert checks["final_config_distance"]["pass"]
@@ -779,6 +772,38 @@ class TestCli:
 
         monkeypatch.setattr(planner, "plan_group_path", perturbed)
         code, checks, result = self._steer_checks(tmp_path, capsys)
+        assert code == 3
+        residual = checks["step_consistency_residual"]
+        assert not residual["pass"] and residual["value"] > 3.0 * residual["tol"]
+        assert result["consistency_worst_step"] == turned[0]
+
+    @pytest.mark.parametrize("dim", [3, 8])
+    def test_step_check_catches_a_control_turned_off_its_frame(self, tmp_path, capsys,
+                                                               monkeypatch, dim):
+        # the control of one geodesic step turned by 1e-3 rad out of its leg's
+        # plane: the leg moves its nodes only in that plane and along their
+        # own z0perp, so the step's image leaves them along the control's part
+        # off the frame, and only that part of the check can see it
+        from snakeplan import planner
+
+        plan_group_path = planner.plan_group_path
+        turned = []
+
+        def perturbed(*args, **kwargs):
+            path = plan_group_path(*args, **kwargs)
+            leg = path.legs[1]
+            assert leg.kind == "rotation"
+            k = path.legs[0].steps + leg.steps // 2
+            F = leg.frame[1:, 1:]
+            off = np.eye(dim) - F @ F.T  # its columns are orthogonal to the plane
+            v = off[:, np.argmax(np.linalg.norm(off, axis=0))]
+            u = path.controls[k]
+            path.controls[k] = np.cos(1e-3) * u + np.sin(1e-3) * v / np.linalg.norm(v)
+            turned.append(k)
+            return path
+
+        monkeypatch.setattr(planner, "plan_group_path", perturbed)
+        code, checks, result = self._steer_checks(tmp_path, capsys, dim=dim, seed=7)
         assert code == 3
         residual = checks["step_consistency_residual"]
         assert not residual["pass"] and residual["value"] > 3.0 * residual["tol"]

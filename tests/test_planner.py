@@ -39,7 +39,7 @@ from snakeplan.snake import (
 )
 from snakeplan.sphere import mobius_sphere_action_many, tangent_at, xi_field
 
-from conftest import DIMS, RAPIDITIES, l2_norm, lorentz_sample
+from conftest import DIMS, RAPIDITIES, l2_norm, lorentz_sample, turn_node
 
 
 def node_rounding(G, Z, legs):
@@ -638,8 +638,8 @@ class TestStepConsistency:
     def test_boost_steps_see_a_moved_node_at_large_rapidity(self, monkeypatch, w):
         # a boost step's rounding term is each node's own 1 / W_t, so a node
         # the boost pushed towards its attracting point is checked to a few
-        # eps even at |u| = 12, where |A|_2^2 eps is 6e-6.  The node is moved
-        # in steer_history's window, where the step check reads it
+        # eps even at |u| = 12, where |A|_2^2 eps is 6e-6.  The node is turned
+        # in the boost leg's frame coordinates, where the step check reads it
         from snakeplan import planner
 
         rng = np.random.default_rng(12)
@@ -650,14 +650,15 @@ class TestStepConsistency:
         r, bound = path.residuals, path.bounds
         assert np.all(r <= bound) and bound[k] < 1e-12
         j = int(np.argmax(nodes[k] @ path.controls[k]))
-        v, check_steps = rng.normal(size=3), planner._check_steps
+        leg_frame = planner._leg_frame
 
-        def moved(Z, a, *args):  # Z holds every node set, a = 0
-            z = Z[k, :, j]
-            z += 1e-9 * tangent_at(z, v)
-            return check_steps(Z, a, *args)
+        def moved(z, leg, rows):
+            frame = leg_frame(z, leg, rows)
+            if leg.kind == "boost":  # the plan's first leg
+                turn_node(frame, k, j, 1e-9)
+            return frame
 
-        monkeypatch.setattr(planner, "_check_steps", moved)
+        monkeypatch.setattr(planner, "_leg_frame", moved)
         path, _ = steer_history(cfg, A)
         r, bound = path.residuals, path.bounds
         assert r[k - 1] > bound[k - 1] and r[k] > bound[k]
@@ -953,21 +954,19 @@ class TestLiftWindow:
         assert peaks[96] - peaks[48] <= bound < 8 * 1001 * 48 * n
 
 
-class TestSteerWindow:
-    @pytest.mark.parametrize("n, segments, rows, theta", [(15, 64, 4, 0.5), (63, 68, 2, 0.01)])
-    def test_record_matches_the_whole_history(self, monkeypatch, n, segments, rows, theta):
-        # a light-cone node set is (n+1) K doubles against a window of
-        # _CHECK_CHUNK: four node sets at n = 15, K = 1024, and the least, two,
-        # at n = 63, K = 1088, where one node set is larger than the window.
-        # Step counts: none, one, a window less one, a window, two windows,
-        # two windows and one; then a boost leg of two windows, whose end is
-        # a window's, before a geodesic leg to the angle theta (128 steps at
-        # 0.5, so every fourth node set is sampled, three to a window)
+class TestSteerLegs:
+    @pytest.mark.parametrize("case", ["no-step", "one-step", "boost", "boost-then-geodesic",
+                                      "sample-at-a-leg-end"])
+    def test_record_matches_the_whole_history(self, monkeypatch, case):
+        # steer_config's record against steer_history's node sets where legs
+        # begin and end: a plan of no step, a plan of one step, a boost leg
+        # alone (60 steps, every node set sampled), a boost leg before a
+        # geodesic leg (128 steps at 0.5 rad), and the same with a 60-step
+        # boost, whose end falls on a sampled time
         from snakeplan import planner
 
-        u0 = random_config(np.random.default_rng(5), n, segments=segments)
-        assert max(2, _CHECK_CHUNK // ((n + 1) * len(u0.nodes))) == rows
-        per = rows - 1  # the steps one window holds
+        n = 8
+        u0 = random_config(np.random.default_rng(5), n)
         e1 = np.eye(n)[0]
 
         def boost(m):  # a boost leg of m >= 2 steps of DEFAULT_MAX_STEP
@@ -979,41 +978,45 @@ class TestSteerWindow:
             return GroupPath(times=path.times[:2], controls=path.controls[:1],
                              legs=[replace(leg, steps=1, blocks=leg.blocks[:2])])
 
-        cases = [(m, np.eye(n + 1) if m == 0 else boost(m))
-                 for m in sorted({0, 1, per - 1, per, 2 * per, 2 * per + 1})]
-        cases.append((None, rot_matrix(theta, n) @ boost(2 * per)))
-        for m, A in cases:
-            with monkeypatch.context() as patch:
-                if m == 1:
-                    patch.setattr(planner, "plan_group_path", one_step)
-                path, (whole, nodes) = steer_config(u0, A), steer_history(u0, A)
-            if m is None:
-                assert [leg.steps for leg in path.legs][:1] == [2 * per]
-                m = len(path.controls)
-            assert len(path.times) == len(nodes) == m + 1
-            r, bound = whole.residuals, whole.bounds
-            assert np.array_equal(path.times, whole.times)
-            assert np.array_equal(path.controls, whole.controls)
-            assert np.array_equal(path.head_trace, u0.weights @ nodes)
-            assert np.array_equal(path.final.nodes, _on_grid(u0, nodes[-1]).nodes)
-            assert path.sample_every == max(1, (m + 1) // 32)
-            assert np.array_equal(path.samples, nodes[:: path.sample_every])
-            assert np.array_equal(path.residuals, r) and np.array_equal(path.bounds, bound)
-            if m:
-                assert np.argmax(path.residuals / path.bounds) == np.argmax(r / bound)
+        A = {"no-step": np.eye(n + 1), "one-step": np.eye(n + 1), "boost": boost(60),
+             "boost-then-geodesic": rot_matrix(0.5, n) @ boost(9),
+             "sample-at-a-leg-end": rot_matrix(0.5, n) @ boost(60)}[case]
+        with monkeypatch.context() as patch:
+            if case == "one-step":
+                patch.setattr(planner, "plan_group_path", one_step)
+            path, (whole, nodes) = steer_config(u0, A), steer_history(u0, A)
+        m = len(path.controls)
+        assert m == {"no-step": 0, "one-step": 1, "boost": 60, "boost-then-geodesic": 9 + 128,
+                     "sample-at-a-leg-end": 60 + 128}[case]
+        if case == "sample-at-a-leg-end":
+            assert path.legs[0].steps % path.sample_every == 0
+        assert len(path.times) == len(nodes) == m + 1
+        for name in ("times", "controls", "head_trace", "residuals", "bounds", "samples"):
+            assert np.array_equal(getattr(path, name), getattr(whole, name))
+        assert np.array_equal(path.final.nodes, whole.final.nodes)
+        assert np.array_equal(path.final.nodes, _on_grid(u0, nodes[-1]).nodes)
+        assert path.sample_every == max(1, (m + 1) // 32)
+        assert np.array_equal(path.samples, nodes[:: path.sample_every])
+        # a head row is the same quadrature of the same frame coordinates as
+        # weights @ nodes, summed in another order: the two sums of K terms
+        # w_k (xi_0k z0perp_k + F xi'_k), of 2-norm at most sqrt(3) w_k, and the
+        # node's own d + 1 <= 3 terms differ by at most sqrt(3) (2K + 7) eps L
+        bound = np.sqrt(3.0) * (2 * len(u0.nodes) + 7) * np.finfo(float).eps * u0.L
+        assert np.all(np.linalg.norm(path.head_trace - u0.weights @ nodes, axis=1) <= bound)
+        assert np.all(path.residuals <= path.bounds)
 
     def test_holds_no_node_history(self):
         # steer_config at n = 16 on K = 48 and on K = 96 nodes.  Per node it
-        # keeps two m-step records (the check's p and r2), the check bound's
-        # temporaries on the boost leg's steps (at most 4 a step), the sampled
-        # node sets (at most 64 n) and the final configuration with its
-        # check's temporaries (at most 4 n).  Its workspace, with a window's
-        # temporaries, is at most 3 _CHECK_CHUNK doubles at either K, and
-        # nothing else depends on K.  A node history would add 48 (m+1)(n+1).
+        # holds nine rows of longest + 1 steps for the leg in progress (its
+        # frame coordinates and the check's rows) and at most seven more of
+        # temporaries (the scale's and the bound's), the sampled node sets with
+        # one leg's worth of temporaries (at most 3 x 64 n) and the final
+        # configuration with its check's temporaries (at most 4 n).  Nothing
+        # else depends on K.  A node history would add 48 (m+1)(n+1).
         n, peaks = 16, {}
         A = random_so0(np.random.default_rng(7), n)
         plan = plan_group_path(A)
-        m, boost = len(plan.controls), plan.legs[0].steps
+        m, longest = len(plan.controls), max(leg.steps for leg in plan.legs)
         for segments in (3, 6):
             u0 = random_config(np.random.default_rng(7), n, segments=segments)
             tracemalloc.start()
@@ -1022,7 +1025,7 @@ class TestSteerWindow:
                 peaks[len(u0.nodes)] = tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
-        bound = 8 * (48 * (2 * m + 4 * boost + 68 * n) + 3 * _CHECK_CHUNK)
+        bound = 8 * 48 * (16 * (longest + 1) + 196 * n)
         assert peaks[96] - peaks[48] <= bound < 8 * 48 * (m + 1) * (n + 1)
 
 

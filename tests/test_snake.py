@@ -122,6 +122,11 @@ class TestConfigValidation:
         with pytest.raises(ValueError, match=f"node count {count} is not a positive multiple of 2"):
             SnakeConfig(L=1.0, partition=[0.0, 0.4, 1.0], nodes=nodes)
 
+    @pytest.mark.parametrize("shape", [(4,), (2, 4, 2)])
+    def test_nodes_must_be_a_2d_array(self, shape):
+        with pytest.raises(ValueError, match=r"nodes must be a \(K, n\) array, got shape"):
+            SnakeConfig(L=1.0, partition=[0.0, 1.0], nodes=np.ones(shape))
+
     def test_quadrature_follows_from_partition_and_node_count(self):
         # built directly, a config takes no weights and no per-segment count:
         # 8 nodes on 2 segments are 4-point Gauss-Legendre rules on each
