@@ -21,9 +21,9 @@ artifact.  Artifacts are built only under --out-dir.  plan.json writes each
 control as its boost vector.  lift-head interpolates the head-curve samples
 with spline.not_a_knot, so no subcommand loads scipy; spline and generate
 are imported only by the runners that use them.  steer_config checks every
-step of its path against the boost of the control it recorded as it walks
-the path, under the bound planner._consistency derives from the step and
-the leg; steer reads the residuals and bounds off its record.  No check
+step of its path against the boost of its leg's control as it walks the
+path, under the bound planner._consistency derives from the step and the
+leg; steer reads the residuals and bounds off its record.  No check
 compares the plan ledger with the controls, or factorize's blocks with each
 other: controls are unit-norm and the blocks commute by construction, so
 such checks could not fail.
@@ -197,7 +197,7 @@ def _run_plan_group(sc: Scenario, marks: dict):
     outputs: dict = {}
     _export(sc, outputs, "plan.json", lambda p: sio.dump_json(sio.group_path_to_json(path), p))
     marks["export"] = time.perf_counter()
-    result = {"length": float(path.length()), "steps": len(path.controls),
+    result = {"length": float(path.length()), "steps": len(path.times) - 1,
               "legs": len(path.legs), "ledger": path.leg_lengths()}
     return checks, outputs, result
 
@@ -287,13 +287,12 @@ def _run_probe_bracket(sc: Scenario, marks: dict):
     err = np.linalg.norm(path.endpoint() - target)
     marks["verify"] = time.perf_counter()
     outputs: dict = {}
+    length = float(path.length())
     _export(sc, outputs, "probe.json", lambda p: sio.dump_json({
-        "m": m, "t": t, "endpoint_error": float(err),
-        "path_length": float(path.length()),
-    }, p))
+        "m": m, "t": t, "endpoint_error": float(err), "path_length": length}, p))
     marks["export"] = time.perf_counter()
-    result = {"endpoint_error": float(err), "length": float(path.length()),
-              "steps": len(path.controls), "legs": len(path.legs)}
+    result = {"endpoint_error": float(err), "length": length,
+              "steps": len(path.times) - 1, "legs": len(path.legs)}
     return [], outputs, result
 
 

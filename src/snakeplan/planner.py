@@ -7,7 +7,8 @@ path by left multiplication (gamma -> leg * gamma), which preserves this
 notion of horizontality and matches the way the factorization
 A = prod_j Exp(theta_j B_j) * exp_h(u) is rebuilt leg by leg.  A leg acts
 only on span(e0, u) or span(e0, x, y), so it is held in that frame of at
-most 3 dimensions, and a path is its times, controls and legs.
+most 3 dimensions, and a path is its times and legs: each leg's controls are
+a closed function of the leg, formed from it when asked for.
 
 Rotation endpoints are not reachable along h directly; each planar rotation
 leg is a normal geodesic
@@ -28,7 +29,7 @@ record with no node history; steer_history and lift_history return
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
 from functools import cached_property
 
 import numpy as np
@@ -67,7 +68,6 @@ LIFT_MARGIN_FACTOR = 1e-3  # horizontal_lift aborts below lambda_min(A_u) = fact
 # most steps one leg, probe or lift may take, checked before anything is
 # allocated: ~9x the 10,899 of a seeded random_so0 steer at n = 96
 MAX_STEPS = 100_000
-_CHECK_CHUNK = 1 << 16  # the lift's node window, in doubles
 
 
 class SingularityApproach(RuntimeError):
@@ -79,7 +79,7 @@ class SingularityApproach(RuntimeError):
         self.margin = margin
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class LegRecord:
     """One leg of a group path, held in its own frame.
 
@@ -87,6 +87,8 @@ class LegRecord:
     for a plane, so it is stored at that frame's dimension d <= 2: frame is
     P = diag(1, F), (n+1, d+1), and blocks are its matrices S, (s+1, d+1, d+1)
     in SO0(d,1); at dimension n the leg's matrix is Id + P (S - Id) P^T.
+    Its times are linspace(0, length, steps + 1) and its controls derive from
+    it too; a record hashes by identity, so a probe's four are formed once.
     """
 
     kind: str  # "boost" | "rotation"
@@ -98,6 +100,17 @@ class LegRecord:
     u: np.ndarray | None = None
 
     @cached_property
+    def controls(self) -> np.ndarray:
+        """(s, d): each step's control in the frame coordinates F^T w, formed
+        once per leg: e1 on a boost leg, and (cos, -sin)(tau eta) at the step
+        midpoints tau on a geodesic leg, eta its vertical parameter."""
+        if self.kind == "boost":
+            return np.ones((self.steps, 1))
+        times = np.linspace(0.0, self.length, self.steps + 1)
+        angle = 0.5 * (times[:-1] + times[1:]) * _vertical_parameter(self.theta)[0]
+        return np.stack([np.cos(angle), -np.sin(angle)], axis=1)
+
+    @cached_property
     def end(self) -> np.ndarray:
         """The leg's last matrix at dimension n, formed once per leg."""
         P, S = self.frame, self.blocks[-1]
@@ -106,56 +119,70 @@ class LegRecord:
 
 @dataclass
 class GroupPath:
-    """Time-gridded horizontal path in SO0(n,1) with control records.
-
-    controls[k] is the boost vector of the right logarithmic derivative at
-    the midpoint of step k.  The matrices are held leg by leg in the legs'
+    """Time-gridded horizontal path in SO0(n,1), held leg by leg in the legs'
     own frames (LegRecord), gamma(s) = leg(s - t_start) @ gamma(t_start).
-    """
+    controls[k], the boost vector of the right logarithmic derivative at the
+    midpoint of step k, is formed from its leg when asked for."""
 
     times: np.ndarray  # (m+1,)
-    controls: np.ndarray  # (m, n)
-    legs: list = field(default_factory=list)
+    legs: list
+    dim: int  # n
+
+    @property
+    def controls(self) -> np.ndarray:
+        """(m, n): every leg's frame controls at dimension n."""
+        table, rows = self._control_table()
+        return table[rows]
 
     def endpoint(self) -> np.ndarray:
-        G = np.eye(self.controls.shape[1] + 1)
+        G = np.eye(self.dim + 1)
         for leg in self.legs:
             G = leg.end @ G
         return G
 
     def length(self) -> float:
+        table, rows = self._control_table()
         # cumsum adds left to right as a loop does, so the exported length is deterministic
-        return float(np.cumsum(np.append(0.0, _row_norms(self.controls) * np.diff(self.times)))[-1])
+        return float(np.cumsum(np.append(0.0, _row_norms(table)[rows] * np.diff(self.times)))[-1])
+
+    def _control_table(self) -> tuple:
+        """(table, rows): the controls of each distinct leg record at dimension
+        n, c_0 F_0 + c_1 F_1 formed elementwise (so u/|u| and cos x - sin y to
+        the bit), and the table row of each step: the controls are table[rows]."""
+        records = {leg: i for i, leg in enumerate(dict.fromkeys(self.legs))}
+        table, steps = [np.zeros((0, self.dim))], np.array([0] + [leg.steps for leg in records])
+        for leg in records:
+            c, F = leg.controls, leg.frame[1:, 1:]
+            table.append(sum((c[:, i, None] * F[:, i] for i in range(1, F.shape[1])), c[:, :1] * F[:, 0]))
+        which = np.fromiter(map(records.__getitem__, self.legs), np.intp, len(self.legs))
+        counts = steps[1:][which]  # each leg's rows start at its record's first
+        rows = np.repeat(np.cumsum(steps)[:-1][which] - np.cumsum(counts) + counts, counts)
+        return np.concatenate(table), rows + np.arange(len(rows))
 
     def leg_lengths(self) -> dict:
-        out = {"boost": 0.0, "rotation": 0.0}
-        for leg in self.legs:
-            out[leg.kind] += leg.length
-        return out
+        return {kind: float(sum(leg.length for leg in self.legs if leg.kind == kind))
+                for kind in ("boost", "rotation")}
 
     def consistency_residual(self) -> float:
-        """max_k || S_{k+1} - exp_h(dt F^T u_k) S_k ||, every leg's blocks S
-        against its controls in its own frame F; O(dt^3) per step."""
+        """max_k || S_{k+1} - exp_h(dt c_k) S_k ||, every leg's blocks S against
+        its frame controls c; O(dt^3) per step."""
         h, worst, k = np.diff(self.times), 0.0, 0
         for leg in self.legs:
             end = k + leg.steps
-            local = h[k:end, None] * (self.controls[k:end] @ leg.frame[1:, 1:])
-            steps = exp_h(local) @ leg.blocks[:-1]
+            steps = exp_h(h[k:end, None] * leg.controls) @ leg.blocks[:-1]
             worst = max(worst, np.linalg.norm(steps - leg.blocks[1:], axis=(1, 2)).max())
             k = end
         return float(worst)
 
 
 def _join(n: int, legs) -> GroupPath:
-    """The path that runs every leg in turn: their times, controls and
-    records concatenated once."""
-    times, controls, records = [np.zeros(1)], [np.zeros((0, n))], []
+    """The path that runs every leg in turn: their times and records
+    concatenated once."""
+    times, records = [np.zeros(1)], []
     for leg in legs:
         times.append(times[-1][-1] + leg.times[1:])
-        controls.append(leg.controls)
         records.extend(leg.legs)
-    return GroupPath(times=np.concatenate(times), controls=np.concatenate(controls),
-                     legs=records)
+    return GroupPath(times=np.concatenate(times), legs=records, dim=n)
 
 
 def _within_cap(count: float, cause: str) -> int:
@@ -182,7 +209,7 @@ def boost_leg(u_vec: np.ndarray, max_step: float = DEFAULT_MAX_STEP) -> GroupPat
     times = np.linspace(0.0, T, m + 1)
     record = LegRecord(kind="boost", length=T, steps=m, frame=spatial_block(uh[:, None]),
                        blocks=exp_h(times[:, None] * [1.0]), u=u_vec.copy())
-    return GroupPath(times=times, controls=np.tile(uh, (m, 1)), legs=[record])
+    return GroupPath(times=times, legs=[record], dim=len(u_vec))
 
 
 def _vertical_parameter(theta: float) -> tuple:
@@ -210,7 +237,7 @@ def _plane_geodesic_leg(
     gamma(tau) = Exp(-tau * eta * Omega_g) @ Exp(tau * (U_x + eta * Omega_g)),
     control Ad U_x of constant unit norm; endpoint closes at
     T = sqrt(theta^2 + 4 pi theta).  The blocks are built in the frame
-    [x, y], with e1 and e2 for x and y; the controls are in R^n.
+    [x, y], with e1 and e2 for x and y.
     """
     if not 0.0 < theta <= np.pi + 1e-12:
         raise ValueError("plane geodesic needs an angle in (0, pi]")
@@ -225,11 +252,9 @@ def _plane_geodesic_leg(
     # (M / freq)^3 = -M / freq, so Exp(tau M) is a planar rotation by freq * tau
     exp_tm = planar_rotation(M / freq, freq * times)
     blocks = spatial_block(planar_rotation(g, -times * eta)) @ exp_tm
-    taus = 0.5 * (times[:-1] + times[1:])
-    controls = np.cos(taus * eta)[:, None] * x - np.sin(taus * eta)[:, None] * y
     record = LegRecord(kind="rotation", length=T, steps=m, theta=theta,
                        frame=spatial_block(np.stack([x, y], axis=1)), blocks=blocks)
-    return GroupPath(times=times, controls=controls, legs=[record])
+    return GroupPath(times=times, legs=[record], dim=len(x))
 
 
 def su11_geodesic(theta: float, max_step: float = DEFAULT_MAX_STEP) -> GroupPath:
@@ -304,21 +329,19 @@ def commutator_probe(
     s = np.sqrt(t / m)
     legs = max(2.0, np.ceil(s / max_step))  # _steps_for of each boost leg
     _within_cap(4 * m * legs, f"t = {t}, m = {m}, step = {max_step}")
-    ei = np.zeros(n)
-    ei[i - 1] = s
-    ej = np.zeros(n)
-    ej[j - 1] = s
-    base = [boost_leg(v, max_step=max_step) for v in (ej, ei, -ej, -ei)]
+    ei, ej = s * np.eye(n)[[i - 1, j - 1]]
+    # the four legs differ in their frames [v / |v|] alone: one boost leg, re-framed
+    leg = boost_leg(ej, max_step=max_step).legs[0]
+    base = [replace(leg, frame=spatial_block((v / leg.length)[:, None]), u=v)
+            for v in (ej, ei, -ej, -ei)]
     # odd repetitions run the cycle reversed, (-ej, -ei, ej, ei): the path is
-    # this period, repeated and cut to 4m legs.  Every leg has the time grid
-    # tau, and the leg offsets are _join's left-to-right sums of its end.
+    # this period, repeated and cut to 4m legs, and the leg offsets are
+    # _join's left-to-right sums of its end.
     period, reps = (base + base[2:] + base[:2])[: 4 * m], (m + 1) // 2
-    tau = base[0].times
+    tau = np.linspace(0.0, leg.length, leg.steps + 1)
     offsets = np.concatenate([[0.0], np.cumsum(np.full(4 * m - 1, tau[-1]))])
     times = np.concatenate([[0.0], (offsets[:, None] + tau[1:]).ravel()])
-    controls = np.tile(np.concatenate([leg.controls for leg in period]), (reps, 1))
-    return GroupPath(times=times, controls=controls[: 4 * m * (len(tau) - 1)],
-                     legs=([leg.legs[0] for leg in period] * reps)[: 4 * m])
+    return GroupPath(times=times, legs=(period * reps)[: 4 * m], dim=n)
 
 
 # ---------------------------------------------------------------------------
@@ -352,13 +375,13 @@ def infinitesimal_action(X: LieElement, u: SnakeConfig) -> np.ndarray:
 @dataclass
 class SteerPath:
     """Record of a steer, without its node history: per time the head E(u),
-    per step the control and the step check's residual and bound
-    (_consistency), the node sets at every sample_every-th time and the
-    final configuration.  steer_history gives the nodes as well."""
+    per step the step check's residual and bound (_consistency), the node
+    sets at every sample_every-th time and the final configuration.  The
+    controls are the plan legs' (LegRecord.controls).  steer_history gives
+    the nodes as well."""
 
     times: np.ndarray  # (m+1,)
     grid: SnakeConfig  # the start configuration
-    controls: np.ndarray  # (m, n): boost vector w per step
     legs: list  # LegRecords of the group plan
     head_trace: np.ndarray  # (m+1, n)
     final: SnakeConfig
@@ -387,8 +410,8 @@ class LiftPath:
 
 def steer_config(u0: SnakeConfig, A: np.ndarray, max_step: float = DEFAULT_MAX_STEP) -> SteerPath:
     """Push u0 along plan_group_path(A)'s horizontal path to act(A, u0),
-    checking every step as it goes.  The path's times, controls and legs are
-    the plan's.  A leg moves a node only through its d <= 2 coordinates in
+    checking every step as it goes.  The path's times and legs are the
+    plan's.  A leg moves a node only through its d <= 2 coordinates in
     the leg's frame and one scale (_leg_frame), so whole node sets are formed
     only at the leg ends and every (m+1) // 32-th time: a steer holds
     O(m (n + K)) and returns a SteerPath with no node history."""
@@ -409,7 +432,7 @@ def _steer(u0: SnakeConfig, A: np.ndarray, max_step: float, history: list | None
     if u0.dim != A.shape[0] - 1:
         raise ValueError("dimension mismatch between config and matrix")
     plan = plan_group_path(A, max_step=max_step)
-    n, K, m = u0.dim, u0.nodes.shape[0], len(plan.controls)
+    n, K, m = u0.dim, u0.nodes.shape[0], len(plan.times) - 1
     head_trace = np.empty((m + 1, n))
     head_trace[0] = u0.weights @ u0.nodes
     every = max(1, (m + 1) // 32)
@@ -418,7 +441,7 @@ def _steer(u0: SnakeConfig, A: np.ndarray, max_step: float, history: list | None
     residuals, bounds = np.empty((2, m))
     # a leg's per-step rows (frame coordinates, the check's) in one array: as a dozen
     # arrays, freeing them trimmed the heap and the next call faulted it back in
-    work = np.empty((9, max((leg.steps for leg in plan.legs), default=0) + 1, K))
+    work = np.empty((8, max((leg.steps for leg in plan.legs), default=0) + 1, K))
     z, k = u0.nodes, 0
     for leg in plan.legs:
         F, end, rows = leg.frame[1:, 1:], k + leg.steps, work[:, : leg.steps + 1]
@@ -426,7 +449,7 @@ def _steer(u0: SnakeConfig, A: np.ndarray, max_step: float, history: list | None
         head_trace[k + 1 : end + 1] = (xi[0, 1:] @ (u0.weights[:, None] * zp)
                                        + (xi[1:, 1:] @ u0.weights).T @ F.T)
         residuals[k:end], bounds[k:end] = _consistency(
-            leg, plan.times[k : end + 1], plan.controls[k:end], u0, zp, rho2, xi, rows[3:, :-1])
+            leg, plan.times[k : end + 1], u0, zp, rho2, xi, rows[3:, :-1])
         first = -(-(k + 1) // every)  # the first sample after the leg's start
         picked = np.arange(first * every - k, leg.steps + 1, every)
         samples[first : first + len(picked)] = _node_sets(zp, F, xi, picked)
@@ -434,7 +457,7 @@ def _steer(u0: SnakeConfig, A: np.ndarray, max_step: float, history: list | None
         if history is not None:
             history.append(_node_sets(zp, F, xi, slice(1, None)))
         k = end
-    return SteerPath(times=plan.times, grid=u0, controls=plan.controls, legs=plan.legs,
+    return SteerPath(times=plan.times, grid=u0, legs=plan.legs,
                      head_trace=head_trace, final=_on_grid(u0, z), residuals=residuals,
                      bounds=bounds, sample_every=every, samples=samples)
 
@@ -463,22 +486,22 @@ def _node_sets(zp, F, xi, s) -> np.ndarray:
     return xi[0, s, :, None] * zp + sum(xi[i + 1, s, :, None] * F[:, i] for i in range(F.shape[1]))
 
 
-def _consistency(leg, times, w, grid: SnakeConfig, zp, rho2, xi, rows) -> tuple:
+def _consistency(leg, times, grid: SnakeConfig, zp, rho2, xi, rows) -> tuple:
     """(r, bound), both (steps,), for one leg of a steer from its times
-    (steps+1,), its controls w and its frame coordinates (_leg_frame), with
-    six scratch rows (steps, K): the L^2 distance r_k of node set k+1 from the
-    closed-form boost exp_h(h w_k) acting on node set k, and its bound.
+    (steps+1,), its frame controls v (LegRecord.controls) and its frame
+    coordinates (_leg_frame), with five scratch rows (steps, K): the L^2
+    distance r_k of node set k+1 from the closed-form boost exp_h(h w_k),
+    w = F v, acting on node set k, and its bound.
 
-    With c = cosh(h|w|), s = sinh(h|w|), e = w / |w| = F eh + eperp and
-    p = <e, z>, the boost takes a node z to (z + gamma D e) / D, D = c + s p
-    and gamma = (s + (c - 1) p) / D.  Node j is xi_0j z0perp + F xi_j', so its
-    image less node j+1 is res_0 z0perp + F res' + gamma eperp, with
-    res = xi_j / D + gamma (0, eh) - xi_{j+1}, of squared norm
-    |(|z0perp| res_0, res')|^2 + gamma (2 res_0 <eperp, z0perp> + gamma |eperp|^2):
-    a control off the frame moves the image along eperp, where no node goes.
-    Every point of the sphere moves under a Lie-algebra element by at most
-    its boost norm plus its rotation rate, and the quadrature weights sum to
-    L, so r_k <= sqrt(L) (magnus_k + rounding_k):
+    With c = cosh(h|w|), s = sinh(h|w|), e = v / |v| and p = <F e, z>, the
+    boost takes a node z to (z + gamma D F e) / D, D = c + s p and
+    gamma = (s + (c - 1) p) / D.  Node j is xi_0j z0perp + F xi_j', so
+    p = <e, xi_j'> and its image less node j+1 is res_0 z0perp + F res',
+    res = xi_j / D + gamma (0, e) - xi_{j+1}, of squared norm
+    |(|z0perp| res_0, res')|^2.  Every point of the sphere moves under a
+    Lie-algebra element by at most its boost norm plus its rotation rate,
+    and the quadrature weights sum to L, so
+    r_k <= sqrt(L) (magnus_k + rounding_k):
 
     - magnus_k.  Over a step, the path's group increment is exp(Omega), Omega
       the Magnus expansion of its control Y, of which exp_h(h Y_mid) keeps the
@@ -513,33 +536,25 @@ def _consistency(leg, times, w, grid: SnakeConfig, zp, rho2, xi, rows) -> tuple:
       which changes by O(h) a step and cancels from r_k, and p by as much,
       which moves the image by 2 sinh(h|w|) times that.  The check's boost
       stretches node k's error, and node k+1's 1 / W_t, by at most e^{h|w|},
-      and its sums add (n + 8) eps (n terms in |z0perp|^2, <eperp, z0perp> and
-      F^T e, d + 1 in the rest); so a node is off by at most
+      and its sums add (n + 8) eps (n terms in |z0perp|^2, d + 1 in the
+      rest); so a node is off by at most
       (n + 8) eps ((1 + e^{h|w|}) (sqrt(2) (1 + |S|) / W_t + 1) + 1), and
       rounding_k is its L^2 norm over the nodes, divided by sqrt(L).  A node
       near a boost's repelling point reads up to eps e^{2 rho}; one pushed
       towards its attracting point, a few eps.
     """
-    h, speed = np.diff(times), _row_norms(w)
-    hw, e, F = h * speed, w / speed[:, None], leg.frame[1:, 1:]
+    v = leg.controls
+    h, speed = np.diff(times), _row_norms(v)
+    hw, e = h * speed, v / speed[:, None]
     c, sn = np.cosh(hw)[:, None], np.sinh(hw)[:, None]
-    eh = e @ F
-    eperp = e - eh @ F.T
-    g, p, inv, gamma, res, r2 = rows
-    np.matmul(eperp, zp.T, out=g)  # <eperp, z0perp>
-    np.einsum("sd,dsk->sk", eh, xi[1:, :-1], out=p)
-    p += np.multiply(xi[0, :-1], g, out=res)
+    p, inv, gamma, res, r2 = rows
+    np.einsum("sd,dsk->sk", e, xi[1:, :-1], out=p)
     np.divide(1.0, c + sn * p, out=inv)
     np.multiply(sn + (c - 1.0) * p, inv, out=gamma)
-    np.subtract(xi[0, :-1] * inv, xi[0, 1:], out=res)  # res_0, then the terms of eperp
-    g *= 2.0 * res
-    g += np.multiply(gamma, np.einsum("sn,sn->s", eperp, eperp)[:, None], out=r2)
-    g *= gamma
-    np.multiply(res, res, out=r2)
-    r2 *= rho2
-    r2 += g
-    for i in range(F.shape[1]):  # res_i, along F
-        np.subtract(xi[i + 1, :-1] * inv + gamma * eh[:, i, None], xi[i + 1, 1:], out=res)
+    np.subtract(xi[0, :-1] * inv, xi[0, 1:], out=res)  # res_0
+    np.multiply(res * res, rho2, out=r2)
+    for i in range(v.shape[1]):  # res_i, along F
+        np.subtract(xi[i + 1, :-1] * inv + gamma * e[:, i, None], xi[i + 1, 1:], out=res)
         r2 += np.multiply(res, res, out=res)
     r = np.sqrt(r2 @ grid.weights)
     # rounding per node: (n + 8) eps ((1 + e^{h|w|}) (sqrt(2) (1 + |S|) / W_t + 1) + 1)
@@ -562,13 +577,8 @@ def _consistency(leg, times, w, grid: SnakeConfig, zp, rho2, xi, rows) -> tuple:
     return r, np.sqrt(grid.L) * bound
 
 
-def horizontal_lift(
-    u0: SnakeConfig,
-    head,
-    head_dot,
-    t_final: float = 1.0,
-    dt: float = DEFAULT_LIFT_STEP,
-) -> LiftPath:
+def horizontal_lift(u0: SnakeConfig, head, head_dot, t_final: float = 1.0,
+                    dt: float = DEFAULT_LIFT_STEP) -> LiftPath:
     """Minimal-energy lift of a head curve: solve A_u w = c'(t), advance the
     nodes by w - <w,u>u with classical RK4, renormalizing after every step.
 
@@ -587,30 +597,24 @@ def horizontal_lift(
     vouch for falls back to the exact eigen-solve and abort check, so an
     abort happens at the same stage as with an eigen-solve at every stage.
 
-    The nodes pass through a window of at most _CHECK_CHUNK doubles (two
-    node sets if one is larger): when it fills, its head rows are recorded
-    and its last node set moves to the front.  So a lift holds O(m n) plus
-    one window, and returns a LiftPath with no node history.
+    A step reads its nodes from one of two buffers and writes the next ones
+    into the other, whose head row it records.  So a lift holds O(m n) plus
+    two node sets, and returns a LiftPath with no node history.
     """
-    return _lift(u0, head, head_dot, t_final, dt, _CHECK_CHUNK)[0]
+    return _lift(u0, head, head_dot, t_final, dt)
 
 
-def lift_history(
-    u0: SnakeConfig,
-    head,
-    head_dot,
-    t_final: float = 1.0,
-    dt: float = DEFAULT_LIFT_STEP,
-) -> tuple:
+def lift_history(u0: SnakeConfig, head, head_dot, t_final: float = 1.0,
+                 dt: float = DEFAULT_LIFT_STEP) -> tuple:
     """(record, nodes): horizontal_lift's LiftPath and every node set of the
-    lift, (m+1, K, n), from the same loop with a window that holds them all."""
-    return _lift(u0, head, head_dot, t_final, dt, None)
+    lift, (m+1, K, n), from the same loop."""
+    sets = [u0.nodes]
+    return _lift(u0, head, head_dot, t_final, dt, sets), np.stack(sets)
 
 
-def _lift(u0: SnakeConfig, head, head_dot, t_final: float, dt: float, doubles) -> tuple:
-    """horizontal_lift with a node window of at most `doubles` doubles (two
-    node sets at least; every one when None): (record, the window's node
-    sets in use at the end).
+def _lift(u0: SnakeConfig, head, head_dot, t_final: float, dt: float, history: list | None = None):
+    """horizontal_lift, appending a copy of each node set after the first to
+    a list history.
 
     A step writes its stage arrays into buffers allocated once per lift,
     with the arithmetic of the plain expressions, so the bits are theirs;
@@ -667,9 +671,9 @@ def _lift(u0: SnakeConfig, head, head_dot, t_final: float, dt: float, doubles) -
     controls = np.empty((m, n))
     margins = np.empty(m)
     head_trace = np.empty((m + 1, n))
-    rows = m + 1 if doubles is None else min(m + 1, max(2, doubles // u0.nodes.size))
-    window = np.empty((rows,) + u0.nodes.shape)
-    window[0] = u0.nodes
+    head_trace[0] = u0.weights @ u0.nodes
+    buffers = np.empty((2,) + u0.nodes.shape)  # the nodes of even and of odd times
+    buffers[0] = u0.nodes
     # step 0's exact solve comes first, so a singular start aborts before
     # the head curve is checked
     _, A0 = _gram(u0.weights, u0.L, u0.nodes)
@@ -678,13 +682,8 @@ def _lift(u0: SnakeConfig, head, head_dot, t_final: float, dt: float, doubles) -
         raise ValueError("head curve must start at endpoint(u0)")
     if np.linalg.norm(evaluate(head, np.linspace(0.0, t_final, 257)), axis=1).max() >= u0.L:
         raise ValueError("head target leaves the closed ball of radius L")
-    j = 0  # the window row of the step's start nodes
     for k in range(m):
-        if j == rows - 1:  # the window is full
-            head_trace[k - j : k] = u0.weights @ window[:-1]
-            window[0] = window[-1]
-            j = 0
-        y, y_next, w0, t = window[j], window[j + 1], controls[k], times[k]
+        y, y_next, w0, t = buffers[k % 2], buffers[(k + 1) % 2], controls[k], times[k]
         if k:
             np.matmul(np.multiply(y, weights, out=weighted).swapaxes(-1, -2), y, out=G)
             np.subtract(scaled_id, G, out=A0)
@@ -716,12 +715,12 @@ def _lift(u0: SnakeConfig, head, head_dot, t_final: float, dt: float, doubles) -
         np.add.reduce(np.multiply(k2, k2, out=point), axis=1, out=norms)
         np.sqrt(norms, out=norms)
         np.divide(k2, norms_col, out=y_next)
-        j += 1
-    head_trace[m - j :] = u0.weights @ window[: j + 1]
-    record = LiftPath(times=times, grid=u0, controls=controls, head_trace=head_trace,
-                      final=_on_grid(u0, window[j]), tracking_errors=_row_norms(head_trace - heads),
-                      margins=margins, eigen_solves=eigen_solves)
-    return record, window[: j + 1]
+        np.matmul(u0.weights, y_next, out=head_trace[k + 1])
+        if history is not None:
+            history.append(y_next.copy())
+    return LiftPath(times=times, grid=u0, controls=controls, head_trace=head_trace,
+                    final=_on_grid(u0, buffers[m % 2]), tracking_errors=_row_norms(head_trace - heads),
+                    margins=margins, eigen_solves=eigen_solves)
 
 
 def config_velocity_residuals(path: SteerPath | LiftPath, nodes: np.ndarray,

@@ -245,8 +245,10 @@ def planar_rotation(G: np.ndarray, angle) -> np.ndarray:
 
 
 def so_exp_blocks(blocks: RotationBlocks) -> np.ndarray:
-    """Commuting product of closed-form planar rotations Exp(theta_j B_j)."""
-    Q = np.eye(blocks.dim)
-    for b in blocks.blocks:
-        Q = planar_rotation(b.generator, b.theta) @ Q
-    return Q
+    """Commuting product of the planar rotations Exp(theta_j B_j), as one sum
+    over the planes (x, y) of every block, which are mutually orthogonal:
+    Id + sum sin(theta) (y x^T - x y^T) - (1 - cos(theta)) (x x^T + y y^T)."""
+    theta = np.array([b.theta for b in blocks.blocks for _ in b.planes])[:, None]
+    x, y = (np.reshape([p[i] for b in blocks.blocks for p in b.planes], (-1, blocks.dim)) for i in (0, 1))
+    s, c = np.sin(theta), 1.0 - np.cos(theta)
+    return np.eye(blocks.dim) + np.concatenate([s * y - c * x, -s * x - c * y]).T @ np.concatenate([x, y])

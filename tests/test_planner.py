@@ -14,7 +14,6 @@ from snakeplan.planner import (
     GroupPath,
     LIFT_MARGIN_FACTOR,
     MAX_STEPS,
-    _CHECK_CHUNK,
     SingularityApproach,
     _on_grid,
     _vertical_parameter,
@@ -65,7 +64,7 @@ def dense_matrices(path):
     """Oracle: a group path's (m+1, n+1, n+1) matrix stack, each leg's blocks
     S embedded by its frame P as Id + P (S - Id) P^T and applied to the
     matrix the leg starts from."""
-    n = path.controls.shape[1]
+    n = path.dim
     mats = [np.eye(n + 1)[None]]
     for leg in path.legs:
         P, S = leg.frame, leg.blocks[1:]
@@ -344,19 +343,35 @@ class TestCommutatorProbe:
             plan_group_path(exp_h(np.array([1.0, 0.0, 0.0])), max_step=1e-6)
 
 
+def closed_form_controls(n, records):
+    """Oracle: every leg's controls in R^n from its closed form, leg by leg: u/|u|
+    on a boost leg, and cos(tau eta) x - sin(tau eta) y at the step midpoints tau
+    on a geodesic leg in the plane (x, y)."""
+    controls = [np.zeros((0, n))]
+    for leg in records:
+        if leg.kind == "boost":
+            controls.append(np.tile(leg.u / float(np.linalg.norm(leg.u)), (leg.steps, 1)))
+            continue
+        x, y = leg.frame[1:, 1], leg.frame[1:, 2]
+        times = np.linspace(0.0, leg.length, leg.steps + 1)
+        taus = 0.5 * (times[:-1] + times[1:])
+        eta = _vertical_parameter(leg.theta)[0]
+        controls.append(np.cos(taus * eta)[:, None] * x - np.sin(taus * eta)[:, None] * y)
+    return np.concatenate(controls)
+
+
 def concat_reference(n, legs):
     """Per-leg concatenation: re-copy the whole path for every leg."""
-    times, controls = np.zeros(1), np.zeros((0, n))
+    times = np.zeros(1)
     for leg in legs:
         times = np.concatenate([times, times[-1] + leg.times[1:]])
-        controls = np.concatenate([controls, leg.controls])
-    return times, controls
+    return times, closed_form_controls(n, [r for leg in legs for r in leg.legs])
 
 
 def assert_matches_legs(path, n, legs):
     times, controls = concat_reference(n, legs)
     assert np.array_equal(path.times, times)
-    assert np.array_equal(path.controls, controls)
+    assert path.controls.tobytes() == controls.tobytes()
     # one record per leg, in order, with its frame and blocks
     records = [r for leg in legs for r in leg.legs]
     assert [(r.kind, r.length, r.steps, r.theta) for r in path.legs] == \
@@ -364,6 +379,29 @@ def assert_matches_legs(path, n, legs):
     for got, want in zip(path.legs, records):
         assert np.array_equal(got.frame, want.frame)
         assert np.array_equal(got.blocks, want.blocks)
+
+
+class TestDerivedControls:
+    @pytest.mark.parametrize("n", [2, 3, 8, 32])
+    def test_plan_controls_are_the_closed_forms(self, n):
+        # to the bit, signed zeros too: each leg's frame controls taken to R^n
+        for seed in (3, 7):
+            plan = plan_group_path(random_so0(np.random.default_rng(seed), n))
+            assert {leg.kind for leg in plan.legs} == {"boost", "rotation"}
+            assert plan.controls.tobytes() == closed_form_controls(n, plan.legs).tobytes()
+
+    @pytest.mark.parametrize("t, m", [(0.6, 1), (-0.6, 8), (0.6, 64), (0.0, 4)])
+    def test_probe_controls_are_the_closed_forms(self, t, m):
+        # a probe repeats four leg records; the t = 0 probe has no leg
+        path = commutator_probe(2, 4, t, m, 4)
+        assert path.controls.shape == (len(path.times) - 1, 4)
+        assert path.controls.tobytes() == closed_form_controls(4, path.legs).tobytes()
+
+    def test_frame_controls_are_unit_and_in_the_frame(self):
+        plan = plan_group_path(random_so0(np.random.default_rng(7), 8))
+        for leg in plan.legs:
+            assert leg.controls.shape == (leg.steps, leg.frame.shape[1] - 1)
+            assert np.all(np.abs(_row_norms(leg.controls) - 1.0) <= 1e-15)
 
 
 class TestSingleAssembly:
@@ -506,7 +544,8 @@ class TestSteerConfig:
         path, nodes = steer_history(cfg, A)
         plan = plan_group_path(A)
         assert path.times.tobytes() == plan.times.tobytes()
-        assert path.controls.tobytes() == plan.controls.tobytes()
+        steered = GroupPath(times=path.times, legs=path.legs, dim=n)
+        assert steered.controls.tobytes() == plan.controls.tobytes()
         assert [(r.kind, r.length, r.steps, r.theta) for r in path.legs] == \
             [(r.kind, r.length, r.steps, r.theta) for r in plan.legs]
         assert np.array_equal(path.legs[0].u, plan.legs[0].u)
@@ -544,13 +583,20 @@ class TestSteerConfig:
         plan = plan_group_path(A)
         mats = dense_matrices(plan)
         eps = 1e-5
-        for k in np.linspace(0, len(plan.controls) - 1, 7).astype(int):
-            u, G = path.controls[k], mats[k]
+        controls = plan.controls
+        for k in np.linspace(0, len(controls) - 1, 7).astype(int):
+            u, G = controls[k], mats[k]
             plus = act(exp_h(eps * u) @ G, cfg).nodes
             minus = act(exp_h(-eps * u) @ G, cfg).nodes
             fd = (plus - minus) / (2 * eps)
             # steer's velocity is the field of its control at its nodes
             assert np.max(np.abs(tangent_at(nodes[k], u) - fd)) < 1e-8
+
+    def test_record_holds_no_controls(self, rng):
+        # the controls are the plan legs', derived from each leg's record
+        path = steer_config(random_config(rng, 3), random_so0(rng, 3))
+        assert not hasattr(path, "controls")
+        assert all(leg.controls.shape == (leg.steps, leg.frame.shape[1] - 1) for leg in path.legs)
 
     def test_fd_residuals_match_per_step_fits(self, rng):
         cfg = random_config(rng, 3)
@@ -649,7 +695,7 @@ class TestStepConsistency:
         k = path.legs[0].steps - 1
         r, bound = path.residuals, path.bounds
         assert np.all(r <= bound) and bound[k] < 1e-12
-        j = int(np.argmax(nodes[k] @ path.controls[k]))
+        j = int(np.argmax(nodes[k] @ path.legs[0].u))  # the leg's control is u / |u|
         leg_frame = planner._leg_frame
 
         def moved(z, leg, rows):
@@ -910,21 +956,18 @@ def toward_boundary(u0, depth=1e-4):
             lambda t: np.multiply.outer(np.pi * np.cos(np.pi * t), d))
 
 
-class TestLiftWindow:
-    @pytest.mark.parametrize("n, segments, rows", [(16, 64, 4), (64, 68, 2)])
-    def test_record_matches_the_whole_history(self, n, segments, rows):
-        # a node set is K n doubles against a window of _CHECK_CHUNK: four node
-        # sets at n = 16, K = 1024, and the least, two, at n = 64, K = 1088,
-        # where one node set is larger than the window.  Step counts: one, a
-        # window less one, a window, two windows, two windows and one
+class TestLiftHistory:
+    @pytest.mark.parametrize("n, segments", [(16, 64), (64, 68)])
+    def test_record_matches_the_whole_history(self, n, segments):
+        # the lift's two node buffers alternate, so a lift of an odd and of an
+        # even step count ends in each; K = 1024 and 1088 nodes
         u0 = random_config(np.random.default_rng(5), n, segments=segments)
-        assert max(2, _CHECK_CHUNK // u0.nodes.size) == rows
         head, head_dot = circle_loop(u0)
-        per = rows - 1  # the steps one window holds
-        for m in sorted({1, per - 1, per, 2 * per, 2 * per + 1} - {0}):
+        for m in (1, 2, 3, 4):
             path = horizontal_lift(u0, head, head_dot, t_final=0.01 * m, dt=0.01)
             whole, nodes = lift_history(u0, head, head_dot, t_final=0.01 * m, dt=0.01)
             assert len(path.times) == len(nodes) == m + 1
+            assert np.array_equal(nodes[0], u0.nodes)
             assert np.array_equal(path.head_trace, u0.weights @ nodes)
             assert np.array_equal(path.final.nodes, _on_grid(u0, nodes[-1]).nodes)
             assert np.array_equal(path.tracking_errors,
@@ -935,11 +978,11 @@ class TestLiftWindow:
 
     def test_holds_no_node_history(self):
         # a 1000-step lift at n = 8 on K = 48 and on K = 96 nodes.  Per node it
-        # allocates six stage buffers and the repeated weights (7 n doubles),
-        # the final configuration with its check's temporaries (at most 4 n)
-        # and node-wise scalars (dots, norms, the check's angles: at most 8);
-        # its window is at most _CHECK_CHUNK doubles at either K, and nothing
-        # else depends on K.  A node history would add 1001 * 48 n doubles.
+        # allocates six stage buffers, the repeated weights and two node sets
+        # (9 n doubles), the final configuration with its check's temporaries
+        # (at most 2 n) and node-wise scalars (dots, norms, the check's angles:
+        # at most 8), and nothing else depends on K.  A node history would add
+        # 1001 * 48 n doubles.
         n, peaks = 8, {}
         for segments in (3, 6):
             u0 = random_config(np.random.default_rng(7), n, segments=segments)
@@ -950,7 +993,7 @@ class TestLiftWindow:
                 peaks[len(u0.nodes)] = tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
-        bound = 8 * (48 * (11 * n + 8) + _CHECK_CHUNK)
+        bound = 8 * 48 * (11 * n + 8)
         assert peaks[96] - peaks[48] <= bound < 8 * 1001 * 48 * n
 
 
@@ -975,8 +1018,8 @@ class TestSteerLegs:
         def one_step(A, max_step=DEFAULT_MAX_STEP):  # no plan has one step
             path = boost_leg(0.01 * e1)
             leg = path.legs[0]
-            return GroupPath(times=path.times[:2], controls=path.controls[:1],
-                             legs=[replace(leg, steps=1, blocks=leg.blocks[:2])])
+            return GroupPath(times=path.times[:2], dim=n, legs=[
+                replace(leg, steps=1, length=float(path.times[1]), blocks=leg.blocks[:2])])
 
         A = {"no-step": np.eye(n + 1), "one-step": np.eye(n + 1), "boost": boost(60),
              "boost-then-geodesic": rot_matrix(0.5, n) @ boost(9),
@@ -985,13 +1028,13 @@ class TestSteerLegs:
             if case == "one-step":
                 patch.setattr(planner, "plan_group_path", one_step)
             path, (whole, nodes) = steer_config(u0, A), steer_history(u0, A)
-        m = len(path.controls)
+        m = len(path.times) - 1
         assert m == {"no-step": 0, "one-step": 1, "boost": 60, "boost-then-geodesic": 9 + 128,
                      "sample-at-a-leg-end": 60 + 128}[case]
         if case == "sample-at-a-leg-end":
             assert path.legs[0].steps % path.sample_every == 0
         assert len(path.times) == len(nodes) == m + 1
-        for name in ("times", "controls", "head_trace", "residuals", "bounds", "samples"):
+        for name in ("times", "head_trace", "residuals", "bounds", "samples"):
             assert np.array_equal(getattr(path, name), getattr(whole, name))
         assert np.array_equal(path.final.nodes, whole.final.nodes)
         assert np.array_equal(path.final.nodes, _on_grid(u0, nodes[-1]).nodes)
@@ -1007,7 +1050,7 @@ class TestSteerLegs:
 
     def test_holds_no_node_history(self):
         # steer_config at n = 16 on K = 48 and on K = 96 nodes.  Per node it
-        # holds nine rows of longest + 1 steps for the leg in progress (its
+        # holds eight rows of longest + 1 steps for the leg in progress (its
         # frame coordinates and the check's rows) and at most seven more of
         # temporaries (the scale's and the bound's), the sampled node sets with
         # one leg's worth of temporaries (at most 3 x 64 n) and the final
@@ -1016,7 +1059,7 @@ class TestSteerLegs:
         n, peaks = 16, {}
         A = random_so0(np.random.default_rng(7), n)
         plan = plan_group_path(A)
-        m, longest = len(plan.controls), max(leg.steps for leg in plan.legs)
+        m, longest = len(plan.times) - 1, max(leg.steps for leg in plan.legs)
         for segments in (3, 6):
             u0 = random_config(np.random.default_rng(7), n, segments=segments)
             tracemalloc.start()

@@ -206,7 +206,36 @@ class TestSoLog:
             so_log(rng.normal(size=(4, 4)))
 
 
+def block_product(rb):
+    """Oracle: the commuting product of every block's closed-form planar
+    rotation Exp(theta B), applied block by block at dimension n."""
+    from snakeplan.rotations import planar_rotation as exp_block
+
+    Q = np.eye(rb.dim)
+    for b in rb.blocks:
+        Q = exp_block(b.generator, b.theta) @ Q
+    return Q
+
+
 class TestSoExpBlocks:
+    @pytest.mark.parametrize("n", [2, 3, 8, 64])
+    def test_matches_the_block_product(self, n):
+        # a random rotation, one block of n // 2 planes at one angle, and (at
+        # n >= 4) a half-turn block of two planes beside a plane at 1 rad;
+        # every entry is a sum over at most n planes, the product's a product
+        # of at most n / 2 rotations
+        rng = np.random.default_rng(40 + n)
+        cases = [random_rotation(rng, n), planted(random_rotation(rng, n), [1.0] * (n // 2))[1]]
+        if n >= 4:
+            cases.append(planted(random_rotation(rng, n), [np.pi, np.pi, 1.0][: n // 2])[1])
+        eps = np.finfo(float).eps
+        for Q in cases:
+            _, rb = so_log(Q)
+            got, want = so_exp_blocks(rb), block_product(rb)
+            assert np.abs(got - want).max() <= 4 * n * eps
+            assert np.linalg.norm(got.T @ got - np.eye(n)) <= 4 * n * eps
+        assert len(so_log(cases[1])[1].blocks) == 1
+
     def test_empty(self):
         assert np.array_equal(so_exp_blocks(RotationBlocks(dim=3)), np.eye(3))
 
