@@ -17,16 +17,17 @@ _COMMANDS holds each subcommand's runner and option defaults: build_parser
 takes its flag defaults from there, and run() puts them under a scenario's
 own options.  Timing stays in the report (timing.seconds and the runner's
 timing.stages, printed in the order the stages ran), never in a result or an
-artifact.  Artifacts are built only under --out-dir.  plan.json writes each
-control as its boost vector.  lift-head interpolates the head-curve samples
-with spline.not_a_knot, so no subcommand loads scipy; spline and generate
-are imported only by the runners that use them.  steer_config checks every
-step of its path against the boost of its leg's control as it walks the
-path, under the bound planner._consistency derives from the step and the
-leg; steer reads the residuals and bounds off its record.  No check
+artifact.  Artifacts are built only under --out-dir.  plan.json writes the
+plan as its legs, each as what its builder takes, so the file alone
+rebuilds the plan bit for bit.  lift-head interpolates the head-curve
+samples with spline.not_a_knot, so no subcommand loads scipy; spline and
+generate are imported only by the runners that use them.  steer_config
+checks every step of its path against the boost of its leg's control as it
+walks the path, under the bound planner._consistency derives from the step
+and the leg; steer reads the residuals and bounds off its record.  No check
 compares the plan ledger with the controls, or factorize's blocks with each
 other: controls are unit-norm and the blocks commute by construction, so
-such checks could not fail.
+such checks could not fail, and a plan's length is its last time.
 """
 
 from __future__ import annotations
@@ -195,7 +196,8 @@ def _run_plan_group(sc: Scenario, marks: dict):
     ]
     marks["verify"] = time.perf_counter()
     outputs: dict = {}
-    _export(sc, outputs, "plan.json", lambda p: sio.dump_json(sio.group_path_to_json(path), p))
+    _export(sc, outputs, "plan.json", lambda p: sio.dump_json(
+        sio.group_path_to_json(path, sc.options["step"]), p))
     marks["export"] = time.perf_counter()
     result = {"length": float(path.length()), "steps": len(path.times) - 1,
               "legs": len(path.legs), "ledger": path.leg_lengths()}

@@ -136,23 +136,23 @@ def head_curve_from_json(obj: dict):
     return times, points
 
 
-def group_path_to_json(path: GroupPath) -> dict:
-    """Each control is written as its boost vector u (the path is horizontal)."""
-    return {
-        "times": path.times.tolist(),
-        "controls": path.controls.tolist(),
-        "length": float(path.length()),
-        "legs": [
-            {
-                "kind": leg.kind,
-                "length": float(leg.length),
-                "theta": float(leg.theta),
-                "u": None if leg.u is None else leg.u.tolist(),
-            }
-            for leg in path.legs
-        ],
-        "endpoint": matrix_to_json(path.endpoint()),
-    }
+def group_path_to_json(path: GroupPath, max_step: float) -> dict:
+    """A plan as its legs, each written as what its builder takes (u for
+    planner.boost_leg; theta and the frame rows x, y for
+    planner._plane_geodesic_leg) with its steps and length.  With dim and
+    the plan's max_step, the builders and planner._join rebuild the plan
+    bit for bit."""
+    legs = []
+    for leg in path.legs:
+        record = {"kind": leg.kind, "steps": leg.steps, "length": float(leg.length)}
+        if leg.kind == "boost":
+            record["u"] = leg.u.tolist()
+        else:
+            record["theta"] = float(leg.theta)
+            record["x"], record["y"] = leg.frame[1:, 1:].T.tolist()
+        legs.append(record)
+    return {"dim": path.dim, "max_step": float(max_step), "length": path.length(),
+            "legs": legs, "endpoint": matrix_to_json(path.endpoint())}
 
 
 def write_csv(path, header: list, rows) -> None:

@@ -8,7 +8,8 @@ notion of horizontality and matches the way the factorization
 A = prod_j Exp(theta_j B_j) * exp_h(u) is rebuilt leg by leg.  A leg acts
 only on span(e0, u) or span(e0, x, y), so it is held in that frame of at
 most 3 dimensions, and a path is its times and legs: each leg's controls are
-a closed function of the leg, formed from it when asked for.
+a closed function of the leg, formed from it when asked for.  Every control
+has unit norm, so a path's length is its last time.
 
 Rotation endpoints are not reachable along h directly; each planar rotation
 leg is a normal geodesic
@@ -88,7 +89,8 @@ class LegRecord:
     P = diag(1, F), (n+1, d+1), and blocks are its matrices S, (s+1, d+1, d+1)
     in SO0(d,1); at dimension n the leg's matrix is Id + P (S - Id) P^T.
     Its times are linspace(0, length, steps + 1) and its controls derive from
-    it too; a record hashes by identity, so a probe's four are formed once.
+    it too.  plan.json writes it as what its builder takes: u for a boost,
+    theta and the frame rows x, y for a plane.
     """
 
     kind: str  # "boost" | "rotation"
@@ -121,18 +123,12 @@ class LegRecord:
 class GroupPath:
     """Time-gridded horizontal path in SO0(n,1), held leg by leg in the legs'
     own frames (LegRecord), gamma(s) = leg(s - t_start) @ gamma(t_start).
-    controls[k], the boost vector of the right logarithmic derivative at the
-    midpoint of step k, is formed from its leg when asked for."""
+    The control of each step is its leg's (LegRecord.controls), in the leg's
+    frame coordinates."""
 
     times: np.ndarray  # (m+1,)
     legs: list
     dim: int  # n
-
-    @property
-    def controls(self) -> np.ndarray:
-        """(m, n): every leg's frame controls at dimension n."""
-        table, rows = self._control_table()
-        return table[rows]
 
     def endpoint(self) -> np.ndarray:
         G = np.eye(self.dim + 1)
@@ -141,23 +137,9 @@ class GroupPath:
         return G
 
     def length(self) -> float:
-        table, rows = self._control_table()
-        # cumsum adds left to right as a loop does, so the exported length is deterministic
-        return float(np.cumsum(np.append(0.0, _row_norms(table)[rows] * np.diff(self.times)))[-1])
-
-    def _control_table(self) -> tuple:
-        """(table, rows): the controls of each distinct leg record at dimension
-        n, c_0 F_0 + c_1 F_1 formed elementwise (so u/|u| and cos x - sin y to
-        the bit), and the table row of each step: the controls are table[rows]."""
-        records = {leg: i for i, leg in enumerate(dict.fromkeys(self.legs))}
-        table, steps = [np.zeros((0, self.dim))], np.array([0] + [leg.steps for leg in records])
-        for leg in records:
-            c, F = leg.controls, leg.frame[1:, 1:]
-            table.append(sum((c[:, i, None] * F[:, i] for i in range(1, F.shape[1])), c[:, :1] * F[:, 0]))
-        which = np.fromiter(map(records.__getitem__, self.legs), np.intp, len(self.legs))
-        counts = steps[1:][which]  # each leg's rows start at its record's first
-        rows = np.repeat(np.cumsum(steps)[:-1][which] - np.cumsum(counts) + counts, counts)
-        return np.concatenate(table), rows + np.arange(len(rows))
+        """The integral of |Y| dt, which is the last time: every control has
+        unit norm, and _join sums the leg lengths left to right."""
+        return float(self.times[-1])
 
     def leg_lengths(self) -> dict:
         return {kind: float(sum(leg.length for leg in self.legs if leg.kind == kind))

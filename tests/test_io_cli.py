@@ -126,10 +126,43 @@ class TestJsonRoundtrips:
 
     def test_group_path_payload(self, rng):
         path = plan_group_path(random_so0(rng, 3))
-        obj = sio.group_path_to_json(path)
-        assert obj["length"] == pytest.approx(path.length())
-        assert len(obj["controls"]) == len(path.controls)
+        obj = sio.group_path_to_json(path, 0.02)
+        assert set(obj) == {"dim", "max_step", "length", "legs", "endpoint"}
+        assert obj["length"] == path.length()
+        assert sum(leg["steps"] for leg in obj["legs"]) == len(path.times) - 1
         assert {leg["kind"] for leg in obj["legs"]} <= {"boost", "rotation"}
+
+    @pytest.mark.parametrize("step", [0.02, 0.013])
+    @pytest.mark.parametrize("n", [2, 3, 8, 64, "identity"])
+    def test_plan_json_rebuilds_the_plan(self, tmp_path, capsys, n, step):
+        # plan-group's file alone, through the leg builders, gives the plan
+        # bit for bit: its times, every leg's frame and blocks, its endpoint
+        from snakeplan.planner import _join, _plane_geodesic_leg, boost_leg
+
+        A = np.eye(4) if n == "identity" else random_so0(np.random.default_rng(7), n)
+        m = tmp_path / "A.json"
+        m.write_text(json.dumps(sio.matrix_to_json(A)))
+        assert main(["plan-group", "--matrix", str(m), "--step", repr(step),
+                     "--out-dir", str(tmp_path / "o")]) == 0
+        capsys.readouterr()
+        obj = json.loads((tmp_path / "o" / "plan.json").read_text())
+        assert set(obj) == {"dim", "max_step", "length", "legs", "endpoint"}
+        legs = [boost_leg(np.array(leg["u"]), max_step=obj["max_step"]) if leg["kind"] == "boost"
+                else _plane_geodesic_leg(np.array(leg["x"]), np.array(leg["y"]), leg["theta"],
+                                         max_step=obj["max_step"])
+                for leg in obj["legs"]]
+        rebuilt, plan = _join(obj["dim"], legs), plan_group_path(A, max_step=step)
+        assert len(plan.legs) == len(rebuilt.legs) == len(obj["legs"])
+        assert n != "identity" or not plan.legs
+        assert rebuilt.times.tobytes() == plan.times.tobytes()
+        for got, want, leg in zip(rebuilt.legs, plan.legs, obj["legs"]):
+            assert leg["steps"] == got.steps == want.steps
+            assert leg["length"] == got.length == want.length
+            assert got.frame.tobytes() == want.frame.tobytes()
+            assert got.blocks.tobytes() == want.blocks.tobytes()
+        assert rebuilt.endpoint().tobytes() == plan.endpoint().tobytes()
+        assert sio.matrix_from_json(obj["endpoint"]).tobytes() == plan.endpoint().tobytes()
+        assert obj["length"] == rebuilt.length() == plan.length()
 
 
 def test_csv_float_format(tmp_path):
@@ -665,7 +698,7 @@ class TestCli:
         if command in ("steer", "plan-group"):
             plan = plan_group_path(sio.matrix_from_json(json.loads(Path(m).read_text())))
             assert result["legs"] == len(plan.legs) > 0
-            assert result["steps"] == len(plan.controls)
+            assert result["steps"] == len(plan.times) - 1
         if command == "steer":
             assert set(result) == {"steps", "legs", "nodes", "consistency_worst_step"}
             assert result["nodes"] == 48
@@ -678,7 +711,7 @@ class TestCli:
             assert set(result) == {"endpoint_error", "length", "steps", "legs"}
             # four boost legs per cycle
             assert result["legs"] == len(path.legs) == 4 * 8
-            assert result["steps"] == len(path.controls) == len(path.times) - 1
+            assert result["steps"] == sum(leg.steps for leg in path.legs) == len(path.times) - 1
         if command == "lift-head":
             from snakeplan.planner import horizontal_lift
             from snakeplan.spline import not_a_knot

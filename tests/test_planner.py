@@ -124,7 +124,8 @@ class TestSu11Geodesic:
 
     def test_horizontality_and_unit_speed(self):
         path = su11_geodesic(1.3)
-        speeds = np.linalg.norm(path.controls, axis=1)
+        speeds = np.linalg.norm(closed_form_controls(2, path.legs), axis=1)
+        assert len(speeds) == len(path.times) - 1
         assert np.allclose(speeds, 1.0, atol=1e-12)
 
     def test_consistency(self):
@@ -170,7 +171,7 @@ class TestRotationLeg:
         # a leg turns through one elliptic period however short it is, so its
         # step controls describe it only with enough steps per period
         path = rotation_leg(1, 2, theta, 3)
-        assert len(path.controls) >= GEODESIC_MIN_STEPS
+        assert len(path.times) - 1 >= GEODESIC_MIN_STEPS
         assert path.consistency_residual() < 5e-5
 
 
@@ -196,17 +197,17 @@ class TestPlanGroupPath:
             total = sum(length for length in path.leg_lengths().values())
             assert path.length() == pytest.approx(total, abs=1e-6)
 
-    def test_length_is_the_left_to_right_sum_of_the_steps(self):
+    def test_length_is_the_left_to_right_sum_of_the_legs(self):
         # the exported length is fixed by its order of summation: bit for bit
-        # that of a loop, on plans and on long probes
+        # the last time and a loop over the leg lengths, on plans and on long probes
         paths = [plan_group_path(random_so0(np.random.default_rng(s), n))
                  for s in range(3) for n in (2, 3, 8)]
         paths += [commutator_probe(1, 2, t, m, 3) for t in (0.0, 0.5) for m in (1, 64, 1280)]
         for path in paths:
             total = 0.0
-            for step in _row_norms(path.controls) * np.diff(path.times):
-                total += float(step)
-            assert path.length() == total
+            for leg in path.legs:
+                total += leg.length
+            assert path.length() == path.times[-1] == total
 
     @pytest.mark.parametrize("n", DIMS)
     @pytest.mark.parametrize("w", RAPIDITIES)
@@ -264,7 +265,7 @@ class TestPlanGroupPath:
             i, j = rng.integers(0, n + 1, size=2)
             B = A.copy()
             B[i, j] = np.nextafter(B[i, j], np.inf)
-            before, after = plan_group_path(A).controls, plan_group_path(B).controls
+            before, after = (closed_form_controls(n, plan_group_path(M).legs) for M in (A, B))
             assert before.shape == after.shape
             assert np.abs(after - before).max(initial=0.0) <= 1e-12
 
@@ -360,42 +361,72 @@ def closed_form_controls(n, records):
     return np.concatenate(controls)
 
 
-def concat_reference(n, legs):
-    """Per-leg concatenation: re-copy the whole path for every leg."""
+def closed_form_frame_controls(leg):
+    """Oracle: a leg's controls in its frame coordinates: e1 on a boost leg,
+    and (cos, -sin)(tau eta) at the step midpoints tau on a geodesic leg."""
+    if leg.kind == "boost":
+        return np.ones((leg.steps, 1))
+    times = np.linspace(0.0, leg.length, leg.steps + 1)
+    taus = 0.5 * (times[:-1] + times[1:])
+    eta = _vertical_parameter(leg.theta)[0]
+    return np.stack([np.cos(taus * eta), -np.sin(taus * eta)], axis=1)
+
+
+def assert_orthonormal_frames(legs, n):
+    """Every leg's frame F has F^T F = Id within 1e-15 + 2 (n + 2) eps:
+    factorize's plane frames leave _newton_schulz once its estimate of their
+    departure is at most 1e-15, and F's columns and their products are sums
+    over the n axes, whose rounding adds (n + 2) eps twice; a boost frame
+    u / |u| takes the rounding alone. An orthonormal frame makes every
+    control unit-norm, so a path's length is its last time."""
+    bound = 1e-15 + 2 * (n + 2) * np.finfo(float).eps
+    for leg in legs:
+        F = leg.frame[1:, 1:]
+        assert np.abs(F.T @ F - np.eye(F.shape[1])).max() <= bound
+
+
+def concat_reference(legs):
+    """Per-leg concatenation: re-copy the whole path's times for every leg."""
     times = np.zeros(1)
     for leg in legs:
         times = np.concatenate([times, times[-1] + leg.times[1:]])
-    return times, closed_form_controls(n, [r for leg in legs for r in leg.legs])
+    return times
 
 
 def assert_matches_legs(path, n, legs):
-    times, controls = concat_reference(n, legs)
-    assert np.array_equal(path.times, times)
-    assert path.controls.tobytes() == controls.tobytes()
-    # one record per leg, in order, with its frame and blocks
+    assert path.dim == n
+    assert np.array_equal(path.times, concat_reference(legs))
+    # one record per leg, in order, with its frame, blocks and boost vector
     records = [r for leg in legs for r in leg.legs]
     assert [(r.kind, r.length, r.steps, r.theta) for r in path.legs] == \
         [(r.kind, r.length, r.steps, r.theta) for r in records]
     for got, want in zip(path.legs, records):
         assert np.array_equal(got.frame, want.frame)
         assert np.array_equal(got.blocks, want.blocks)
+        assert (got.u is None) == (want.u is None)
+        assert got.u is None or np.array_equal(got.u, want.u)
 
 
 class TestDerivedControls:
     @pytest.mark.parametrize("n", [2, 3, 8, 32])
     def test_plan_controls_are_the_closed_forms(self, n):
-        # to the bit, signed zeros too: each leg's frame controls taken to R^n
+        # to the bit, signed zeros too: each leg's frame controls, in orthonormal frames
         for seed in (3, 7):
             plan = plan_group_path(random_so0(np.random.default_rng(seed), n))
             assert {leg.kind for leg in plan.legs} == {"boost", "rotation"}
-            assert plan.controls.tobytes() == closed_form_controls(n, plan.legs).tobytes()
+            assert sum(leg.steps for leg in plan.legs) == len(plan.times) - 1
+            for leg in plan.legs:
+                assert leg.controls.tobytes() == closed_form_frame_controls(leg).tobytes()
+            assert_orthonormal_frames(plan.legs, n)
 
     @pytest.mark.parametrize("t, m", [(0.6, 1), (-0.6, 8), (0.6, 64), (0.0, 4)])
     def test_probe_controls_are_the_closed_forms(self, t, m):
         # a probe repeats four leg records; the t = 0 probe has no leg
         path = commutator_probe(2, 4, t, m, 4)
-        assert path.controls.shape == (len(path.times) - 1, 4)
-        assert path.controls.tobytes() == closed_form_controls(4, path.legs).tobytes()
+        assert sum(leg.steps for leg in path.legs) == len(path.times) - 1
+        for leg in path.legs:
+            assert leg.controls.tobytes() == closed_form_frame_controls(leg).tobytes()
+        assert_orthonormal_frames(path.legs, 4)
 
     def test_frame_controls_are_unit_and_in_the_frame(self):
         plan = plan_group_path(random_so0(np.random.default_rng(7), 8))
@@ -544,8 +575,8 @@ class TestSteerConfig:
         path, nodes = steer_history(cfg, A)
         plan = plan_group_path(A)
         assert path.times.tobytes() == plan.times.tobytes()
-        steered = GroupPath(times=path.times, legs=path.legs, dim=n)
-        assert steered.controls.tobytes() == plan.controls.tobytes()
+        assert closed_form_controls(n, path.legs).tobytes() == \
+            closed_form_controls(n, plan.legs).tobytes()
         assert [(r.kind, r.length, r.steps, r.theta) for r in path.legs] == \
             [(r.kind, r.length, r.steps, r.theta) for r in plan.legs]
         assert np.array_equal(path.legs[0].u, plan.legs[0].u)
@@ -583,7 +614,7 @@ class TestSteerConfig:
         plan = plan_group_path(A)
         mats = dense_matrices(plan)
         eps = 1e-5
-        controls = plan.controls
+        controls = closed_form_controls(n, plan.legs)
         for k in np.linspace(0, len(controls) - 1, 7).astype(int):
             u, G = controls[k], mats[k]
             plus = act(exp_h(eps * u) @ G, cfg).nodes
