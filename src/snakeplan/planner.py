@@ -581,7 +581,9 @@ def horizontal_lift(u0: SnakeConfig, head, head_dot, t_final: float = 1.0,
 
     A step reads its nodes from one of two buffers and writes the next ones
     into the other, whose head row it records.  So a lift holds O(m n) plus
-    two node sets, and returns a LiftPath with no node history.
+    two node sets, and returns a LiftPath with no node history.  The step's
+    products (the Gram matrices, the node-wise dots, the control and the
+    head row) go through np.dot into buffers allocated once per lift.
     """
     return _lift(u0, head, head_dot, t_final, dt)
 
@@ -599,8 +601,11 @@ def _lift(u0: SnakeConfig, head, head_dot, t_final: float, dt: float, history: l
     a list history.
 
     A step writes its stage arrays into buffers allocated once per lift,
-    with the arithmetic of the plain expressions, so the bits are theirs;
-    the returned arrays are the record's own.
+    with the arithmetic of the plain expressions, so the bits are theirs.
+    Its products go through np.dot(..., out=), which gives np.matmul's bits
+    on these shapes at less call overhead, and the step-start eigen-solve
+    is written inline; exact serves step 0 and the stages that fall back.
+    The returned arrays are the record's own.
     """
     n = u0.dim
     margin_min = LIFT_MARGIN_FACTOR * u0.L
@@ -626,6 +631,20 @@ def _lift(u0: SnakeConfig, head, head_dot, t_final: float, dt: float, history: l
     rate, rate_mid, rate_end = (evaluate(head_dot, times[:-1] + s) for s in (0.0, 0.5 * h, h))
     eigen_solves = 0
     eigh, solve = np.linalg.eigh, np.linalg.solve
+    dot, vdot, add, subtract = np.dot, np.vdot, np.add, np.subtract
+    multiply, divide, sqrt = np.multiply, np.divide, np.sqrt
+
+    # every array a step writes, allocated once per lift: the Gram buffers,
+    # A - A0, the stage point, the four slopes, the node-wise dots and norms
+    # and the control's eigen-coordinates.  The weights are repeated along
+    # each node, so weighting a node set is a flat product rather than a
+    # broadcast one; Gamma_u and A_u are formed as snake._gram forms them.
+    weights, scaled_id = u0.weights[:, None].repeat(n, axis=1), u0.L * np.eye(n)
+    weighted, point, k1, k2, k3, k4 = (np.empty_like(u0.nodes) for _ in range(6))
+    G, A, delta = (np.empty((n, n)) for _ in range(3))
+    dots, norms, coords = np.empty(len(u0.nodes)), np.empty(len(u0.nodes)), np.empty(n)
+    dots_col, norms_col = dots[:, None], norms[:, None]
+    half, sixth = 0.5 * h, h / 6.0
 
     def exact(t: float, A: np.ndarray, c_dot: np.ndarray) -> tuple:
         """(lambda_min(A), w) from one eigen-solve, aborting below margin_min."""
@@ -634,21 +653,7 @@ def _lift(u0: SnakeConfig, head, head_dot, t_final: float, dt: float, history: l
         vals, vecs = eigh(A)
         if vals[0] < margin_min:
             raise SingularityApproach(t, float(vals[0]))
-        return vals[0], vecs @ ((vecs.T @ c_dot) / vals)
-
-    # every array a step writes, allocated once per lift: the Gram buffers,
-    # A - A0, the stage point, the four slopes and the node-wise dots and norms.
-    # The weights are repeated along each node, so weighting a node set is a
-    # flat product rather than a broadcast one; Gamma_u and A_u are formed as
-    # snake._gram forms them.
-    weights, scaled_id = u0.weights[:, None].repeat(n, axis=1), u0.L * np.eye(n)
-    weighted, point, k1, k2, k3, k4 = (np.empty_like(u0.nodes) for _ in range(6))
-    G, A, delta = (np.empty((n, n)) for _ in range(3))
-    dots, norms = np.empty(len(u0.nodes)), np.empty(len(u0.nodes))
-    dots_col, norms_col = dots[:, None], norms[:, None]
-    half, sixth = 0.5 * h, h / 6.0
-    # the three later stages: step, previous slope, slope, head rates
-    stages = ((half, k1, k2, rate_mid), (half, k2, k3, rate_mid), (h, k3, k4, rate_end))
+        return vals[0], dot(vecs, divide(dot(c_dot, vecs, out=coords), vals, out=coords))
 
     controls = np.empty((m, n))
     margins = np.empty(m)
@@ -664,28 +669,38 @@ def _lift(u0: SnakeConfig, head, head_dot, t_final: float, dt: float, history: l
         raise ValueError("head curve must start at endpoint(u0)")
     if np.linalg.norm(evaluate(head, np.linspace(0.0, t_final, 257)), axis=1).max() >= u0.L:
         raise ValueError("head target leaves the closed ball of radius L")
-    for k in range(m):
-        y, y_next, w0, t = buffers[k % 2], buffers[(k + 1) % 2], controls[k], times[k]
+    y, y_next = buffers
+    # one row of each per step, taken lazily: a list of them would hold
+    # Python objects for every step
+    rows = zip(times, controls, rate, rate_mid, rate_end, head_trace[1:])
+    for k, (t, w0, c_dot, c_mid, c_end, trace_row) in enumerate(rows):
         if k:
-            np.matmul(np.multiply(y, weights, out=weighted).swapaxes(-1, -2), y, out=G)
-            np.subtract(scaled_id, G, out=A0)
-            margins[k], w0[:] = exact(t, A0, rate[k])
+            dot(multiply(y, weights, out=weighted).T, y, out=G)
+            subtract(scaled_id, G, out=A0)
+            eigen_solves += 1
+            vals, vecs = eigh(A0)
+            if vals[0] < margin_min:
+                raise SingularityApproach(t, float(vals[0]))
+            margins[k] = vals[0]
+            dot(vecs, divide(dot(c_dot, vecs, out=coords), vals, out=coords), out=w0)
         # Weyl's certificate for the stage matrices A: |A - A0|_F < slack
         slack = margins[k] - certified_min
+        certified, slack2 = slack > 0.0, slack * slack
         # the slopes w - <w, y> y, sphere.tangent_at written in place
-        np.matmul(y, w0, out=dots)
-        np.subtract(w0, np.multiply(dots_col, y, out=k1), out=k1)
-        for s, prev, slope, stage_rate in stages:
-            np.add(y, np.multiply(prev, s, out=point), out=point)
-            np.matmul(np.multiply(point, weights, out=weighted).swapaxes(-1, -2), point, out=G)
-            np.subtract(scaled_id, G, out=A)
-            np.subtract(A, A0, out=delta)
-            if slack > 0.0 and np.vdot(delta, delta) < slack * slack:
-                w = solve(A, stage_rate[k])
+        dot(y, w0, out=dots)
+        subtract(w0, multiply(dots_col, y, out=k1), out=k1)
+        # the three later stages: step, previous slope, slope, head rate
+        for s, prev, slope, c_stage in ((half, k1, k2, c_mid), (half, k2, k3, c_mid), (h, k3, k4, c_end)):
+            add(y, multiply(prev, s, out=point), out=point)
+            dot(multiply(point, weights, out=weighted).T, point, out=G)
+            subtract(scaled_id, G, out=A)
+            subtract(A, A0, out=delta)
+            if certified and vdot(delta, delta) < slack2:
+                w = solve(A, c_stage)
             else:
-                _, w = exact(t + s, A, stage_rate[k])
-            np.matmul(point, w, out=dots)
-            np.subtract(w, np.multiply(dots_col, point, out=slope), out=slope)
+                _, w = exact(t + s, A, c_stage)
+            dot(point, w, out=dots)
+            subtract(w, multiply(dots_col, point, out=slope), out=slope)
         # y + h/6 (k1 + 2 k2 + 2 k3 + k4), accumulated in k2, over its row
         # norms, formed as np.linalg.norm forms them
         k2 += k3
@@ -694,14 +709,15 @@ def _lift(u0: SnakeConfig, head, head_dot, t_final: float, dt: float, history: l
         k2 += k4
         k2 *= sixth
         k2 += y
-        np.add.reduce(np.multiply(k2, k2, out=point), axis=1, out=norms)
-        np.sqrt(norms, out=norms)
-        np.divide(k2, norms_col, out=y_next)
-        np.matmul(u0.weights, y_next, out=head_trace[k + 1])
+        add.reduce(multiply(k2, k2, out=point), axis=1, out=norms)
+        sqrt(norms, out=norms)
+        divide(k2, norms_col, out=y_next)
+        dot(u0.weights, y_next, out=trace_row)
         if history is not None:
             history.append(y_next.copy())
+        y, y_next = y_next, y
     return LiftPath(times=times, grid=u0, controls=controls, head_trace=head_trace,
-                    final=_on_grid(u0, buffers[m % 2]), tracking_errors=_row_norms(head_trace - heads),
+                    final=_on_grid(u0, y), tracking_errors=_row_norms(head_trace - heads),
                     margins=margins, eigen_solves=eigen_solves)
 
 

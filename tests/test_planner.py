@@ -1027,6 +1027,26 @@ class TestLiftHistory:
         bound = 8 * 48 * (11 * n + 8)
         assert peaks[96] - peaks[48] <= bound < 8 * 1001 * 48 * n
 
+    def test_holds_no_per_step_object(self):
+        # a 4000-step and a 1000-step lift at n = 3.  Per step a lift holds
+        # its record (times, margins and tracking errors: 3 doubles; controls
+        # and head trace: 2 n), the head samples and three rate arrays (4 n),
+        # and at its end the tracking errors' difference rows and row-wise
+        # products (n + 1): 7 n + 4 doubles.  The slack of 64 KiB is under
+        # 22 bytes a step; a list of the loop's rows (a tuple, a time and
+        # five row views a step) would add over 500.
+        n, peaks = 3, {}
+        u0 = random_config(np.random.default_rng(7), n)
+        head, head_dot = circle_loop(u0)
+        for steps in (1000, 4000):
+            tracemalloc.start()
+            try:
+                horizontal_lift(u0, head, head_dot, t_final=1.0, dt=1.0 / steps)
+                peaks[steps] = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        assert peaks[4000] - peaks[1000] <= 3000 * 8 * (7 * n + 4) + 64 * 1024
+
 
 class TestSteerLegs:
     @pytest.mark.parametrize("case", ["no-step", "one-step", "boost", "boost-then-geodesic",
